@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -179,11 +180,11 @@ def _cmd_train(args) -> int:
         "warmup_epochs": args.warmup_epochs,
         "seed": args.seed,
     }
-    for name, value in overrides.items():
-        if value is not None and getattr(config, name) != value:
-            if args.config:
-                log.info("flag overrides config: %s=%s", name, value)
-            setattr(config, name, value)
+    changed = {name: v for name, v in overrides.items() if v is not None and getattr(config, name) != v}
+    if args.config:
+        for name, value in changed.items():
+            log.info("flag overrides config: %s=%s", name, value)
+    config = replace(config, **changed)  # re-runs TrainConfig's checks on the overridden values
     out = _out_dir(args)
     checkpoint, history = train(config, cache)
     checkpoint.save(out / "checkpoint.ckpt")

@@ -167,38 +167,35 @@ def _unit_prefix_backprop(d_unit: np.ndarray, unit: np.ndarray, norms: np.ndarra
     d_rows[:, :k] += (d_unit - inner * unit) / norms
 
 
-def _logsumexp(s: np.ndarray, axis: int) -> np.ndarray:
-    m = s.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(s - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+def _infonce_forward(zi: np.ndarray, zt: np.ndarray, k: int, tau: float):
+    """Symmetric InfoNCE over prefix-k cosines, exponentiating once per direction.
 
-
-def _softmax(s: np.ndarray, axis: int) -> np.ndarray:
-    m = s.max(axis=axis, keepdims=True)
-    e = np.exp(s - m)
-    return e / e.sum(axis=axis, keepdims=True)
+    Returns (value, scores, row softmax, column softmax, (ui, ni, ut, nt)).
+    """
+    ui, ni = _unit_prefix(zi, k)
+    ut, nt = _unit_prefix(zt, k)
+    s = (ui @ ut.T) / tau
+    diag = np.arange(s.shape[0])
+    lse, soft = {}, {}
+    for axis in (1, 0):
+        m = s.max(axis=axis, keepdims=True)
+        e = np.exp(s - m)
+        total = e.sum(axis=axis, keepdims=True)
+        lse[axis] = (m + np.log(total)).squeeze(axis)
+        soft[axis] = e / total
+    value = 0.5 * float(np.mean(lse[1] - s[diag, diag]) + np.mean(lse[0] - s[diag, diag]))
+    return value, s, soft[1], soft[0], (ui, ni, ut, nt)
 
 
 def _infonce_value(zi: np.ndarray, zt: np.ndarray, k: int, tau: float) -> float:
-    ui, _ = _unit_prefix(zi, k)
-    ut, _ = _unit_prefix(zt, k)
-    s = (ui @ ut.T) / tau
-    n = s.shape[0]
-    diag = np.arange(n)
-    l_i2t = float(np.mean(_logsumexp(s, 1) - s[diag, diag]))
-    l_t2i = float(np.mean(_logsumexp(s, 0) - s[diag, diag]))
-    return 0.5 * (l_i2t + l_t2i)
+    return _infonce_forward(zi, zt, k, tau)[0]
 
 
 def _infonce_grad(zi: np.ndarray, zt: np.ndarray, k: int, tau: float):
     """Returns (value, d_zi, d_zt, d_log_tau) for the symmetric InfoNCE term."""
-    ui, ni = _unit_prefix(zi, k)
-    ut, nt = _unit_prefix(zt, k)
-    s = (ui @ ut.T) / tau
+    value, s, p_row, p_col, (ui, ni, ut, nt) = _infonce_forward(zi, zt, k, tau)
     n = s.shape[0]
     diag = np.arange(n)
-    value = 0.5 * float(np.mean(_logsumexp(s, 1) - s[diag, diag]) + np.mean(_logsumexp(s, 0) - s[diag, diag]))
-    p_row = _softmax(s, 1)
-    p_col = _softmax(s, 0)
     ds = (p_row + p_col) / (2.0 * n)
     ds[diag, diag] -= 1.0 / n
     d_log_tau = -float((ds * s).sum())  # s = c * exp(-log tau)
@@ -286,13 +283,6 @@ def loss_preservation(e_rows: np.ndarray, z_rows: np.ndarray) -> float:
     uz, _ = _unit_prefix(np.asarray(z_rows, dtype=np.float64), d)
     delta = uz @ uz.T - ue @ ue.T
     return float((delta * delta).mean())
-
-
-def ortho_penalty(w: np.ndarray) -> float:
-    """|| W^T W - I ||_F^2 / D^2 for an unconstrained linear matrix."""
-    d = w.shape[0]
-    o = w.T @ w - np.eye(d)
-    return float((o * o).sum() / (d * d))
 
 
 # ---------------------------------------------------------------------------

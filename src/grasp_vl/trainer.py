@@ -14,6 +14,7 @@ from .datastore import EmbeddingCache, build_pool
 from .errors import GraspError
 from .metrics import full_drift, hard_average, recall_at_1, retrieval_average, sel_table, stair_score
 from .objective import Batch, LossConfig, TERM_NAMES, total_loss_and_gradient
+from .objective import flatten_grads, flatten_state, unflatten_state
 from .transforms import (
     InterfaceContract,
     NEGATIVE_TYPES,
@@ -66,6 +67,14 @@ class TrainConfig:
     temperature_init: float = 0.07
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise GraspError("CONFIG", f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 2:
+            raise GraspError("CONFIG", f"batch_size must be >= 2, got {self.batch_size}")
+        for name in ("lr_transform", "lr_temps"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise GraspError("CONFIG", f"{name} must be finite and > 0, got {v}")
         if self.warmup_epochs < 0:
             raise GraspError("CONFIG", "warmup_epochs must be >= 0")
         if not self.drift_gate > 0:
@@ -154,9 +163,12 @@ class Checkpoint:
 
 
 class _Adam:
-    """Per-coordinate adaptive first-order updates with bias correction."""
+    """Per-coordinate adaptive first-order updates with bias correction.
 
-    def __init__(self, size: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    ``lr`` is a scalar or a per-coordinate vector; the update is elementwise.
+    """
+
+    def __init__(self, size: int, lr: float | np.ndarray, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -172,21 +184,6 @@ class _Adam:
         m_hat = self.m / (1 - self.beta1**self.t)
         v_hat = self.v / (1 - self.beta2**self.t)
         return x - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def _flatten(model, params: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([params[n].ravel() for n in model.param_names])
-
-
-def _unflatten(model, template: dict[str, np.ndarray], vec: np.ndarray) -> dict[str, np.ndarray]:
-    out = {}
-    pos = 0
-    for n in model.param_names:
-        shape = template[n].shape
-        size = int(np.prod(shape)) if shape else 1
-        out[n] = vec[pos : pos + size].reshape(shape).copy()
-        pos += size
-    return out
 
 
 def validation_scores(cache: EmbeddingCache, transform, contract: InterfaceContract, drift_rows: int = 512):
@@ -256,9 +253,10 @@ def train(config: TrainConfig, cache: EmbeddingCache):
     n_prefixes = len(config.contract.prefixes)
     log_temps = np.full(n_prefixes, math.log(config.temperature_init))
 
-    flat = _flatten(model, params)
-    opt_params = _Adam(flat.size, config.lr_transform)
-    opt_temps = _Adam(n_prefixes, config.lr_temps)
+    flat = flatten_state(model, params, log_temps)
+    lr = np.full(flat.size, config.lr_transform)
+    lr[-n_prefixes:] = config.lr_temps  # flatten_state puts the log-temperatures last
+    opt = _Adam(flat.size, lr)
 
     train_idx = cache.indices_of(train_ids)
     history: list[EpochStats] = []
@@ -274,14 +272,11 @@ def train(config: TrainConfig, cache: EmbeddingCache):
             if len(batch_idx) < 2:
                 continue  # a single pair makes the in-batch objective degenerate
             batch = Batch.from_cache(cache, batch_idx)
-            total, grads, values = total_loss_and_gradient(
+            _, grads, values = total_loss_and_gradient(
                 model, params, log_temps, batch, config.loss, config.contract, enabled_types=enabled
             )
-            if not np.isfinite(total):
-                raise GraspError("DIVERGED", f"non-finite loss at epoch {epoch}")
-            flat = opt_params.step(_flatten(model, params), _flatten(model, grads.params))
-            params = _unflatten(model, params, flat)
-            log_temps = opt_temps.step(log_temps, grads.log_temps)
+            flat = opt.step(flat, flatten_grads(model, grads))
+            params, log_temps = unflatten_state(model, params, n_prefixes, flat)
             for t in TERM_NAMES:
                 term_sums[t] += values[t]
             n_steps += 1
@@ -313,7 +308,7 @@ def train(config: TrainConfig, cache: EmbeddingCache):
             epoch,
             config.epochs,
             ",".join(enabled) or "-",
-            " ".join(f"{t}={term_means[t]:.4f}" for t in TERM_NAMES),
+            " ".join(f"{t}={term_means[t]:.3e}" for t in TERM_NAMES),
             stair,
             drift,
         )

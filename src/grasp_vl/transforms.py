@@ -284,8 +284,6 @@ def permutation_transform(perm: np.ndarray, signs: np.ndarray | None = None) -> 
 # ---------------------------------------------------------------------------
 # Butterfly-Givens stacks
 
-_STAGE_AXIS = 1  # angles layout: (stacks, stages, dim // 2)
-
 
 def _require_power_of_two(dim: int) -> int:
     stages = int(round(math.log2(dim)))
@@ -405,16 +403,6 @@ def prefix_score(z_img: np.ndarray, z_txt: np.ndarray, k: int, tau: float) -> fl
     return float(u @ v / tau)
 
 
-def prefix_cosine_matrix(za: np.ndarray, zb: np.ndarray, k: int) -> np.ndarray:
-    """All pairwise prefix cosines between two row sets."""
-    return prefix_normalize(za, k) @ prefix_normalize(zb, k).T
-
-
-def prefix_cosine_rows(za: np.ndarray, zb: np.ndarray, k: int) -> np.ndarray:
-    """Row-aligned prefix cosines between two equally sized row sets."""
-    return np.einsum("ij,ij->i", prefix_normalize(za, k), prefix_normalize(zb, k))
-
-
 # ---------------------------------------------------------------------------
 # Transform specs, parameter counting, trainable variant models
 
@@ -504,34 +492,17 @@ def harden_doubly_stochastic(p: np.ndarray) -> np.ndarray:
     return perm
 
 
-class _StepState:
-    """Per-step differentiable view of one trainable transform.
+class _LinearStepState:
+    """Per-step differentiable view of a trainable linear map ``rows @ matrix.T``.
 
     ``apply`` maps raw rows to transformed rows and returns a context for
-    ``vjp``, which accumulates parameter gradients.  ``matrix`` is the
-    effective linear matrix of the train-time map when one exists.
+    ``vjp``, which accumulates dL/dmatrix; ``finish`` sends the accumulated
+    gradient back through ``matrix_vjp`` to the variant's parameters.
     """
 
-    def __init__(self, orthogonal: bool, matrix: np.ndarray | None):
+    def __init__(self, matrix: np.ndarray, matrix_vjp, orthogonal: bool):
         self.orthogonal = orthogonal
         self.matrix = matrix
-
-    def apply(self, rows):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def vjp(self, ctx, d_rows):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def add_matrix_grad(self, d_matrix):  # pragma: no cover - overridden
-        raise GraspError("UNKNOWN_VARIANT", "this variant has no effective matrix")
-
-    def finish(self) -> dict[str, np.ndarray]:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class _LinearStepState(_StepState):
-    def __init__(self, matrix: np.ndarray, matrix_vjp, orthogonal: bool):
-        super().__init__(orthogonal, matrix)
         self._matrix_vjp = matrix_vjp
         self._d_matrix = np.zeros_like(matrix)
 
@@ -567,7 +538,7 @@ class VariantModel:
         probe = self.init_params(np.random.default_rng(0))
         return int(sum(v.size for v in probe.values()))
 
-    def begin_step(self, params: dict[str, np.ndarray]) -> _StepState:  # pragma: no cover
+    def begin_step(self, params: dict[str, np.ndarray]):  # pragma: no cover
         raise NotImplementedError
 
     def eval_transform(self, params: dict[str, np.ndarray]):  # pragma: no cover
@@ -596,24 +567,10 @@ class ButterflyModel(VariantModel):
         return {"angles": 1e-3 * rng.standard_normal(shape)}
 
     def begin_step(self, params):
-        model_angles = params["angles"]
-
-        class _State(_StepState):
-            def __init__(self):
-                super().__init__(orthogonal=True, matrix=None)
-                self._d_angles = np.zeros_like(model_angles)
-
-            def apply(self, rows):
-                z, ctx = butterfly_apply_with_ctx(model_angles, rows)
-                return z, ctx
-
-            def vjp(self, ctx, d_rows):
-                self._d_angles += butterfly_vjp(model_angles, ctx, d_rows)
-
-            def finish(self):
-                return {"angles": self._d_angles}
-
-        return _State()
+        angles = params["angles"]
+        # rows of butterfly_apply(I) are R^T (see butterfly_build), so dL/dR^T = (dL/dR)^T
+        rt, ctx = butterfly_apply_with_ctx(angles, np.eye(self.dim))
+        return _LinearStepState(rt.T, lambda dm: {"angles": butterfly_vjp(angles, ctx, dm.T)}, orthogonal=True)
 
     def eval_transform(self, params):
         return butterfly_build(params["angles"])
@@ -728,9 +685,11 @@ class MlpModel(VariantModel):
     def begin_step(self, params):
         p = params
 
-        class _State(_StepState):
+        class _State:
+            orthogonal = False
+            matrix = None  # no effective linear matrix
+
             def __init__(self):
-                super().__init__(orthogonal=False, matrix=None)
                 self._g = {k: np.zeros_like(v) for k, v in p.items()}
 
             def apply(self, rows):

@@ -259,6 +259,18 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "CONFIG"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--batch-size", "0"], ["--batch-size", "1"], ["--epochs", "0"], ["--lr", "nan"], ["--lr", "-1"]],
+    )
+    def test_bad_train_hyperparameter_is_config_error(self, synth_dir, tmp_path, capsys, flags):
+        cache = str(synth_dir / "cache" / "manifest.json")
+        rc = main(["train", "--cache", cache, "--out", str(tmp_path / "t"), *flags])
+        assert rc == 3
+        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith('{"error"')]
+        assert len(errors) == 1
+        assert errors[0]["error"] == "CONFIG"
+
     def test_unreadable_cache_is_data_error(self, tmp_path, capsys):
         rc = main(["eval", "--cache", str(tmp_path / "nope.json"), "--matrix", "x", "--out", str(tmp_path / "o")])
         assert rc == 4

@@ -328,7 +328,17 @@ class TestFiniteDifferences:
         errs = [O.central_difference_max_error(fn, x0, grad, step=s) for s in (1e-6, 1e-4, 1e-2)]
         assert errs[0] <= errs[1] <= errs[2]
 
-    @pytest.mark.parametrize("variant,kwargs", [("dense_cayley", {}), ("low_rank", {"rank": 4}), ("mlp", {})])
+    @pytest.mark.parametrize(
+        "variant,kwargs",
+        [
+            ("dense_cayley", {}),
+            ("low_rank", {"rank": 4}),
+            ("mlp", {}),
+            ("butterfly", {"stacks": 2}),
+            ("permutation", {}),
+            ("signed_permutation", {}),
+        ],
+    )
     def test_full_objective_fd(self, variant, kwargs, tiny_contract, tiny_batch, tiny_loss_config):
         model = T.make_model(T.TransformSpec(variant, 8, **kwargs))
         params = model.init_params(np.random.default_rng(4))

@@ -85,6 +85,22 @@ class TestSelectCheckpoint:
         assert e.value.code == "NO_VALID_CHECKPOINT"
 
 
+class TestAdam:
+    def test_per_coordinate_lr_matches_separate_optimizers(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(12)
+        lr = np.full(12, 3e-3)
+        lr[8:] = 1e-2
+        joint = TR._Adam(12, lr)
+        head, tail = TR._Adam(8, 3e-3), TR._Adam(4, 1e-2)
+        xh, xt = x[:8], x[8:]
+        for _ in range(6):
+            g = rng.standard_normal(12)
+            x = joint.step(x, g)
+            xh, xt = head.step(xh, g[:8]), tail.step(xt, g[8:])
+            assert np.array_equal(x, np.concatenate([xh, xt]))
+
+
 class TestTrain:
     def test_identical_runs_are_bit_identical(self, small_cache, ladder32):
         cfg = small_train_config(ladder32, epochs=2)
@@ -117,6 +133,10 @@ class TestTrain:
         for stats in history:
             for term, value in stats.term_means.items():
                 assert np.isfinite(value), term
+
+    def test_lr_temps_governs_only_the_temperatures(self, small_cache, ladder32):
+        ckpt, _ = TR.train(small_train_config(ladder32, epochs=1, lr_temps=1e-12), small_cache)
+        assert np.abs(ckpt.log_temps - np.log(0.07)).max() <= 1e-9
 
     def test_non_orthogonal_variant_can_fail_drift_gate(self, small_cache, ladder32):
         cfg = small_train_config(ladder32, variant="mlp", epochs=1, drift_gate=1e-12)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from grasp_vl.errors import GraspError
+from grasp_vl import objective as O
 from grasp_vl import transforms as T
 
 from conftest import unit_rows
@@ -242,6 +243,46 @@ class TestButterfly:
             am[idx] -= eps
             num = ((T.butterfly_apply(ap, x) - T.butterfly_apply(am, x)) * g).sum() / (2 * eps)
             assert abs(num - da[idx]) <= 1e-8
+
+    def test_step_state_materializes_the_built_matrix(self):
+        model = T.make_model(T.TransformSpec("butterfly", 16, stacks=3))
+        params = {"angles": 0.4 * np.random.default_rng(3).standard_normal(T.butterfly_angle_shape(16, 3))}
+        state = model.begin_step(params)
+        assert np.abs(state.matrix - T.butterfly_build(params["angles"]).matrix).max() <= 1e-12
+
+    def test_objective_gradient_matches_per_row_set_reference(self, tiny_contract, tiny_batch, tiny_loss_config):
+        class RowSetButterflyState:
+            """Reference step state: every row set runs through all Givens stages."""
+
+            orthogonal = True
+            matrix = None
+
+            def __init__(self, params):
+                self.angles = params["angles"]
+                self.d_angles = np.zeros_like(self.angles)
+
+            def apply(self, rows):
+                return T.butterfly_apply_with_ctx(self.angles, rows)
+
+            def vjp(self, ctx, d_rows):
+                self.d_angles += T.butterfly_vjp(self.angles, ctx, d_rows)
+
+            def finish(self):
+                return {"angles": self.d_angles}
+
+        class RowSetButterflyModel:
+            begin_step = RowSetButterflyState
+
+        model = T.make_model(T.TransformSpec("butterfly", 8, stacks=2))
+        params = {"angles": 0.4 * np.random.default_rng(4).standard_normal(T.butterfly_angle_shape(8, 2))}
+        log_temps = np.log(0.07) * np.ones(4)
+        args = (params, log_temps, tiny_batch, tiny_loss_config, tiny_contract)
+        total, grads, _ = O.total_loss_and_gradient(model, *args)
+        ref_total, ref_grads, _ = O.total_loss_and_gradient(RowSetButterflyModel(), *args)
+        ref = ref_grads.params["angles"]
+        assert np.abs(grads.params["angles"] - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert total == pytest.approx(ref_total, rel=1e-12)
+        assert np.allclose(grads.log_temps, ref_grads.log_temps, rtol=1e-12, atol=0.0)
 
 
 class TestParamCount:
