@@ -10,6 +10,8 @@ line to stderr; exit codes: 0 success, 1 gate failure, 2 usage, 3 config,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import json
 import logging
@@ -490,21 +492,46 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# (set, get) entry points of numpy's bundled OpenBLAS, by build: scipy-openblas with 64-bit
+# or 32-bit integers, then a plain OpenBLAS
+_OPENBLAS_THREAD_ENTRY_POINTS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_calls():
+    """(set, get) ctypes functions of each OpenBLAS library bundled with numpy."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    calls = []
+    for path in sorted(libdir.glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for set_name, get_name in _OPENBLAS_THREAD_ENTRY_POINTS:
+            set_fn, get_fn = getattr(lib, set_name, None), getattr(lib, get_name, None)
+            if set_fn is not None and get_fn is not None:
+                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                calls.append((set_fn, get_fn))
+                break
+    return calls
+
+
+@contextlib.contextmanager
 def _thread_limit(n: int):
+    """Run the body with numpy's BLAS bounded to ``n`` threads; the previous counts come back on exit."""
+    calls = _openblas_thread_calls()
+    if not calls:
+        log.warning("--threads %d not applied: no OpenBLAS thread entry point found in numpy", n)
+    previous = [(set_fn, get_fn()) for set_fn, get_fn in calls]
     try:
-        from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=n)
-    except ImportError:  # pragma: no cover - threadpoolctl ships with scikit-learn
-
-        class _Null:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-        return _Null()
+        for set_fn, _ in previous:
+            set_fn(n)
+        yield
+    finally:
+        for set_fn, count in previous:
+            set_fn(count)
 
 
 def main(argv=None) -> int:
@@ -521,6 +548,9 @@ def main(argv=None) -> int:
         category = "CONFIG" if exc.code in _CONFIG_CODES else "DATA"
         print(json.dumps({"error": category, "code": exc.code, "message": exc.message}), file=sys.stderr)
         return 3 if category == "CONFIG" else 4
+    except OSError as exc:  # a missing or unreadable input or output file
+        print(json.dumps({"error": "DATA", "code": "IO_ERROR", "message": str(exc)}), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -26,10 +26,50 @@ def _rows64(rows: np.ndarray) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _score_matrix(transform, query_rows, cand_rows, k: int, tau: float) -> np.ndarray:
+# Bytes of one float64 score block: 52 query rows against 20000 candidates, or
+# a whole query set of up to 524 rows against 2000.
+_BLOCK_BYTES = 8 * 2**20
+
+
+def _score_blocks(transform, query_rows, cand_rows, k: int, tau: float):
+    """Yield ``(start, scores)`` for consecutive blocks of query rows against every candidate.
+
+    Each query and candidate row is transformed once; only one block of scores
+    exists at a time, so memory is O(block x candidates) whatever the query
+    count.  A block never has a single row unless the query set does: numpy
+    hands a one-row product to BLAS's matrix-vector kernel, which rounds
+    differently from the matrix-matrix kernel that computes the other rows.
+    """
     zq = prefix_normalize(transform.apply(_rows64(query_rows)), k)
     zc = prefix_normalize(transform.apply(_rows64(cand_rows)), k)
-    return (zq @ zc.T) / tau
+    rows = max(2, _BLOCK_BYTES // (8 * max(1, zc.shape[0])))
+    n = zq.shape[0]
+    # a contiguous copy of zc.T is cheaper for BLAS to pack once per block; a one-row
+    # product keeps the view, since the matrix-vector kernel rounds by operand layout
+    zct = zc.T if n == 1 else np.ascontiguousarray(zc.T)
+    start = 0
+    while start < n:
+        stop = n if start + rows >= n - 1 else start + rows
+        s = zq[start:stop] @ zct
+        yield start, (s / tau if tau != 1.0 else s)
+        start = stop
+
+
+def _unique_max(s: np.ndarray):
+    """Row maxima of a score block, and whether exactly one candidate reaches each."""
+    top = s.max(axis=1)
+    return top, (s == top[:, None]).sum(axis=1) == 1
+
+
+def _strict_top1_hits(blocks, targets: np.ndarray) -> np.ndarray:
+    """Whether each query's target candidate is the strict row maximum; a tie at the top misses."""
+    hits = np.zeros(len(targets), dtype=bool)
+    for start, s in blocks:
+        stop = start + s.shape[0]
+        top, unique = _unique_max(s)
+        own = s[np.arange(s.shape[0]), targets[start:stop]]
+        hits[start:stop] = (own == top) & unique
+    return hits
 
 
 def recall_at_1(
@@ -50,12 +90,8 @@ def recall_at_1(
     positives = np.array(positives, dtype=np.intp)
     q_idx = cache.indices_of(query_ids)
     c_idx = cache.indices_of(pool.candidate_ids)
-    s = _score_matrix(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k, tau)
-    top = s.max(axis=1)
-    n_at_top = (s == top[:, None]).sum(axis=1)
-    own = s[np.arange(len(positives)), positives]
-    hits = (own == top) & (n_at_top == 1)
-    return float(100.0 * hits.mean())
+    blocks = _score_blocks(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k, tau)
+    return float(100.0 * _strict_top1_hits(blocks, positives).mean())
 
 
 def selectivity(
@@ -269,7 +305,8 @@ def rank_stats(
     """Label-aware ranking statistics for one prefix.
 
     Ranks are 1-based and pessimistic about ties: tied candidates count as
-    ranked above the positive.
+    ranked above the positive.  Purity@10 and category mAP follow the stable
+    descending order, in which equal scores keep candidate order.
     """
     for cid in pool.candidate_ids:
         if cid not in labels:
@@ -280,42 +317,66 @@ def rank_stats(
     cand_pos = {cid: j for j, cid in enumerate(pool.candidate_ids)}
     q_idx = cache.indices_of(query_ids)
     c_idx = cache.indices_of(pool.candidate_ids)
-    s = _score_matrix(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k, tau)
-    cand_labels = np.array([labels[cid] for cid in pool.candidate_ids])
-    n_cand = len(pool.candidate_ids)
-    top_n = min(10, n_cand)
-
-    purities, aps, ranks, hits, label_hits = [], [], [], [], []
-    for i, qid in enumerate(query_ids):
-        scores = s[i]
-        order = np.argsort(-scores, kind="stable")
-        q_label = labels[qid]
-        ordered_match = cand_labels[order] == q_label
-        purities.append(ordered_match[:top_n].mean())
-        n_rel = int(ordered_match.sum())
-        if n_rel:
-            hit_positions = np.flatnonzero(ordered_match) + 1
-            precisions = np.arange(1, n_rel + 1) / hit_positions
-            aps.append(precisions.mean())
-        else:
-            aps.append(0.0)
-        if qid in cand_pos:
-            pos = cand_pos[qid]
-            rank = int(np.sum(scores >= scores[pos]))  # counts self; ties rank above
-            ranks.append(rank)
-            hits.append(rank == 1)
-        top = scores.max()
-        unique_top = (scores == top).sum() == 1
-        label_hits.append(bool(unique_top and cand_labels[np.argmax(scores)] == q_label))
-    if not ranks:
+    positives = np.array([cand_pos.get(qid, -1) for qid in query_ids], dtype=np.intp)
+    if not np.any(positives >= 0):
         raise GraspError("POSITIVE_NOT_IN_POOL", "no query has its positive in the pool")
+    codes: dict[str, int] = {}
+    cand_codes = np.array([codes.setdefault(labels[cid], len(codes)) for cid in pool.candidate_ids], dtype=np.intp)
+    q_codes = np.array([codes.setdefault(labels[qid], len(codes)) for qid in query_ids], dtype=np.intp)
+    # the candidates labelled c are by_code[bounds[c]:bounds[c + 1]], in candidate order
+    by_code = np.argsort(cand_codes, kind="stable")
+    bounds = np.searchsorted(cand_codes[by_code], np.arange(len(codes) + 1))
+    top_n = min(10, len(pool.candidate_ids))
+
+    purities = np.zeros(len(query_ids))
+    aps = np.zeros(len(query_ids))
+    ranks = np.zeros(len(query_ids), dtype=np.intp)
+    label_hits = np.zeros(len(query_ids), dtype=bool)
+    for start, s in _score_blocks(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k, tau):
+        stop = start + s.shape[0]
+        rows = np.arange(s.shape[0])
+        # rows whose positive is not in the pool read column 0 here and are dropped below
+        own = s[rows, np.maximum(positives[start:stop], 0)]
+        ranks[start:stop] = (s >= own[:, None]).sum(axis=1)  # counts self; ties rank above
+        _, unique = _unique_max(s)
+        label_hits[start:stop] = unique & (cand_codes[s.argmax(axis=1)] == q_codes[start:stop])
+        ordered = np.sort(s, axis=1)
+        maybe_tied = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1) | np.isnan(ordered[:, -1])
+        for r in rows:
+            c = q_codes[start + r]
+            cols = by_code[bounds[c] : bounds[c + 1]]
+            hit_positions = _hit_positions(s[r], ordered[r], cols, maybe_tied[r])
+            purities[start + r] = np.count_nonzero(hit_positions <= top_n) / top_n
+            if len(hit_positions):
+                aps[start + r] = (np.arange(1, len(hit_positions) + 1) / hit_positions).mean()
+    ranks = ranks[positives >= 0]
     return RankStats(
         purity_at_10=float(100.0 * np.mean(purities)),
         category_map=float(100.0 * np.mean(aps)),
         median_rank=float(np.median(ranks)),
-        r_at_1=float(100.0 * np.mean(hits)),
+        r_at_1=float(100.0 * np.mean(ranks == 1)),
         same_label_r_at_1=float(100.0 * np.mean(label_hits)),
     )
+
+
+def _hit_positions(row: np.ndarray, ordered: np.ndarray, cols: np.ndarray, maybe_tied: bool) -> np.ndarray:
+    """Ascending 1-based positions of candidates ``cols`` in the stable descending order of ``row``.
+
+    ``ordered`` is ``np.sort(row)``; ``maybe_tied`` says whether it holds an
+    equal pair or a NaN.  Candidate j sits at #(s > s_j) + #(s == s_j and
+    index < j) + 1.  The second count is zero unless s_j is tied, so untied
+    candidates need only a search of the sorted row.  A tie involving
+    ``cols``, or a NaN (sorted last, where the search would count it as the
+    largest score), takes the row's stable argsort: one sort of the row,
+    however many values are tied.
+    """
+    v = np.sort(row[cols])  # sorted keys search faster and give the positions in order
+    right = np.searchsorted(ordered, v, side="right")
+    if maybe_tied and (np.isnan(ordered[-1]) or np.any(right - np.searchsorted(ordered, v, side="left") > 1)):
+        where = np.empty(len(row), dtype=np.intp)
+        where[np.argsort(-row, kind="stable")] = np.arange(1, len(row) + 1)
+        return np.sort(where[cols])
+    return len(row) + 1 - right[::-1]
 
 
 def zero_shot(
@@ -330,12 +391,11 @@ def zero_shot(
     class_rows = _rows64(class_rows)
     if class_rows.shape[0] < 2:
         raise GraspError("DIM_MISMATCH", "zero-shot needs at least two classes")
-    s = _score_matrix(transform, image_rows, class_rows, k, tau)
     labels = np.asarray(true_labels, dtype=np.intp)
-    top = s.max(axis=1)
-    n_at_top = (s == top[:, None]).sum(axis=1)
-    own = s[np.arange(s.shape[0]), labels]
-    return float(100.0 * np.mean((own == top) & (n_at_top == 1)))
+    if labels.shape != (len(image_rows),):
+        raise GraspError("DIM_MISMATCH", f"{labels.size} labels for {len(image_rows)} images")
+    blocks = _score_blocks(transform, image_rows, class_rows, k, tau)
+    return float(100.0 * np.mean(_strict_top1_hits(blocks, labels)))
 
 
 # ---------------------------------------------------------------------------

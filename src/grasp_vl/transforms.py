@@ -785,7 +785,12 @@ def load_matrix_transform(path: str | Path) -> LinearTransform:
             raise GraspError("MALFORMED", f"unreadable transform header: {exc}") from exc
         if header.get("format") != _MATRIX_FORMAT:
             raise GraspError("MALFORMED", f"unknown transform format {header.get('format')!r}")
-        d = int(header["dim"])
+        try:
+            d = int(header["dim"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GraspError("MALFORMED", f"transform header has no valid dim: {exc!r}") from exc
+        if d < 1:
+            raise GraspError("MALFORMED", f"transform header declares dim {d}")
         blob = fh.read(8 * d * d)
         if len(blob) != 8 * d * d or fh.read(1):
             raise GraspError("SHAPE_MISMATCH", "transform blob does not match declared dim")

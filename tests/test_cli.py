@@ -205,11 +205,67 @@ class TestKappa:
         assert (out / "kappa.csv").exists()
 
 
+def _blas_threads():
+    """Thread count in force in numpy's bundled OpenBLAS, read through ctypes; None if none is found."""
+    import ctypes
+
+    import numpy
+
+    libdir = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
 class TestThreads:
     def test_env_fallback(self, monkeypatch, capsys):
         monkeypatch.setenv("GRASP_THREADS", "2")
         assert main(["cost", "--dim", "64", "--gallery", "100"]) == 0
         assert "query_transform_ops" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_bounds_blas_inside_the_verb_and_restores_it(self, monkeypatch, source):
+        from grasp_vl import cli
+
+        before = _blas_threads()
+        if before is None:
+            pytest.skip("numpy has no bundled OpenBLAS here")
+        want = 1 if before != 1 else 2
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_cost", lambda args: seen.append(_blas_threads()) or 0)
+        argv = ["cost", "--dim", "64", "--gallery", "100"]
+        if source == "flag":
+            argv += ["--threads", str(want)]
+        else:
+            monkeypatch.setenv("GRASP_THREADS", str(want))
+        assert main(argv) == 0
+        assert seen == [want]
+        assert _blas_threads() == before
+
+    def test_restored_after_a_failing_verb(self, synth_dir, tmp_path):
+        before = _blas_threads()
+        if before is None:
+            pytest.skip("numpy has no bundled OpenBLAS here")
+        want = 1 if before != 1 else 2
+        rc = main(["eval", "--cache", str(synth_dir / "cache" / "manifest.json"), "--out", str(tmp_path / "x"),
+                   "--threads", str(want)])
+        assert rc == 3
+        assert _blas_threads() == before
+
+    def test_says_when_the_limit_is_not_applied(self, monkeypatch, caplog, capsys):
+        from grasp_vl import cli
+
+        monkeypatch.setattr(cli, "_openblas_thread_calls", lambda: [])
+        with caplog.at_level("WARNING", logger="grasp"):
+            assert main(["cost", "--dim", "64", "--gallery", "100", "--threads", "2"]) == 0
+        assert [r.getMessage() for r in caplog.records if "not applied" in r.getMessage()] == [
+            "--threads 2 not applied: no OpenBLAS thread entry point found in numpy"
+        ]
 
 
 class TestCost:
@@ -270,6 +326,44 @@ class TestErrors:
         errors = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith('{"error"')]
         assert len(errors) == 1
         assert errors[0]["error"] == "CONFIG"
+
+    @staticmethod
+    def _one_data_error(rc, capsys):
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [json.loads(line) for line in err.splitlines() if line.startswith('{"error"')]
+        assert len(errors) == 1 and errors[0]["error"] == "DATA"
+        return errors[0]
+
+    def test_missing_synth_spec_is_data_error(self, tmp_path, capsys):
+        rc = main(["synth", "--spec", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
+        assert self._one_data_error(rc, capsys)["code"] == "IO_ERROR"
+
+    def test_cache_without_ids_file_is_data_error(self, synth_dir, tmp_path, capsys):
+        import shutil
+
+        cache = tmp_path / "cache"
+        shutil.copytree(synth_dir / "cache", cache)
+        (cache / "ids.txt").unlink()
+        rc = main(["eval", "--cache", str(cache / "manifest.json"), "--matrix", str(synth_dir / "oracle.transform"),
+                   "--out", str(tmp_path / "o")])
+        assert self._one_data_error(rc, capsys)["code"] == "IO_ERROR"
+
+    @pytest.mark.parametrize("dim", [None, "x", 0])
+    def test_transform_header_without_valid_dim_is_data_error(self, synth_dir, tmp_path, capsys, dim):
+        bad = tmp_path / "nodim.transform"
+        good = (synth_dir / "oracle.transform").read_bytes()
+        header, blob = good.split(b"\n", 1)
+        fields = json.loads(header)
+        if dim is None:
+            del fields["dim"]
+        else:
+            fields["dim"] = dim
+        bad.write_bytes(json.dumps(fields).encode() + b"\n" + blob)
+        rc = main(["eval", "--cache", str(synth_dir / "cache" / "manifest.json"), "--matrix", str(bad),
+                   "--out", str(tmp_path / "o")])
+        assert self._one_data_error(rc, capsys)["code"] == "MALFORMED"
 
     def test_unreadable_cache_is_data_error(self, tmp_path, capsys):
         rc = main(["eval", "--cache", str(tmp_path / "nope.json"), "--matrix", "x", "--out", str(tmp_path / "o")])

@@ -375,6 +375,282 @@ class TestZeroShot:
         with pytest.raises(GraspError):
             M.zero_shot(np.eye(1, 4), [0], np.eye(1, 4), 4, T.identity_transform(4))
 
+    def test_needs_one_label_per_image(self):
+        with pytest.raises(GraspError) as e:
+            M.zero_shot(np.eye(2, 4), [0, 1, 1], np.eye(3, 4), 4, T.identity_transform(4))
+        assert e.value.code == "DIM_MISMATCH"
+
+
+# ---------------------------------------------------------------------------
+# The streaming kernels against the dense Q x N reference they replaced
+
+
+def _dense_scores(transform, query_rows, cand_rows, k, tau):
+    zq = T.prefix_normalize(transform.apply(np.asarray(query_rows, dtype=np.float64)), k)
+    zc = T.prefix_normalize(transform.apply(np.asarray(cand_rows, dtype=np.float64)), k)
+    return (zq @ zc.T) / tau
+
+
+def reference_recall_at_1(cache, transform, pool, k, query_ids, tau=1.0):
+    cand_pos = {cid: j for j, cid in enumerate(pool.candidate_ids)}
+    positives = np.array([cand_pos[qid] for qid in query_ids], dtype=np.intp)
+    q_idx = cache.indices_of(query_ids)
+    c_idx = cache.indices_of(pool.candidate_ids)
+    s = _dense_scores(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k, tau)
+    top = s.max(axis=1)
+    n_at_top = (s == top[:, None]).sum(axis=1)
+    own = s[np.arange(len(positives)), positives]
+    hits = (own == top) & (n_at_top == 1)
+    return float(100.0 * hits.mean())
+
+
+def reference_rank_stats(cache, transform, pool, k, query_ids, labels, tau=1.0):
+    cand_pos = {cid: j for j, cid in enumerate(pool.candidate_ids)}
+    q_idx = cache.indices_of(query_ids)
+    c_idx = cache.indices_of(pool.candidate_ids)
+    s = _dense_scores(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k, tau)
+    cand_labels = np.array([labels[cid] for cid in pool.candidate_ids])
+    top_n = min(10, len(pool.candidate_ids))
+    purities, aps, ranks, hits, label_hits = [], [], [], [], []
+    for i, qid in enumerate(query_ids):
+        scores = s[i]
+        order = np.argsort(-scores, kind="stable")
+        q_label = labels[qid]
+        ordered_match = cand_labels[order] == q_label
+        purities.append(ordered_match[:top_n].mean())
+        n_rel = int(ordered_match.sum())
+        if n_rel:
+            hit_positions = np.flatnonzero(ordered_match) + 1
+            aps.append((np.arange(1, n_rel + 1) / hit_positions).mean())
+        else:
+            aps.append(0.0)
+        if qid in cand_pos:
+            rank = int(np.sum(scores >= scores[cand_pos[qid]]))
+            ranks.append(rank)
+            hits.append(rank == 1)
+        top = scores.max()
+        unique_top = (scores == top).sum() == 1
+        label_hits.append(bool(unique_top and cand_labels[np.argmax(scores)] == q_label))
+    return M.RankStats(
+        purity_at_10=float(100.0 * np.mean(purities)),
+        category_map=float(100.0 * np.mean(aps)),
+        median_rank=float(np.median(ranks)),
+        r_at_1=float(100.0 * np.mean(hits)),
+        same_label_r_at_1=float(100.0 * np.mean(label_hits)),
+    )
+
+
+def reference_zero_shot(image_rows, true_labels, class_rows, k, transform, tau=1.0):
+    s = _dense_scores(transform, image_rows, class_rows, k, tau)
+    labels = np.asarray(true_labels, dtype=np.intp)
+    top = s.max(axis=1)
+    n_at_top = (s == top[:, None]).sum(axis=1)
+    own = s[np.arange(s.shape[0]), labels]
+    return float(100.0 * np.mean((own == top) & (n_at_top == 1)))
+
+
+def _force_block_rows(monkeypatch, rows, n_cand):
+    monkeypatch.setattr(M, "_BLOCK_BYTES", 8 * rows * n_cand)
+
+
+def _tied_corpus(n=40, dim=6, seed=0, n_labels=3):
+    """Cache whose text rows repeat in pairs (exact score ties), with labels and a rotation."""
+    rng = np.random.default_rng(seed)
+    texts = unit_rows(rng, n, dim)
+    texts[1::2] = texts[0::2]
+    images = 0.8 * texts + 0.2 * unit_rows(rng, n, dim)
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    ids = tuple(f"c{i:03d}" for i in range(n))
+    cache = D.EmbeddingCache(
+        dim=dim,
+        ids=ids,
+        split_of={i: "test" for i in ids},
+        images=images.astype(np.float32),
+        views={g: texts.astype(np.float32) for g in T.VIEW_LEVELS},
+        negatives={r: texts.astype(np.float32) for r in T.NEGATIVE_TYPES},
+    )
+    labels = {cid: f"L{rng.integers(n_labels)}" for cid in ids}
+    return cache, labels, T.random_orthogonal(dim, seed + 1)
+
+
+def _assert_same_rank_stats(got, want):
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+class TestStreamingMatchesDenseReference:
+    @pytest.mark.parametrize(
+        "rows, sizes",
+        [(1, [2] * 10 + [3]), (2, [2] * 10 + [3]), (3, [3] * 7 + [2]), (7, [7, 7, 7, 2]), (None, [23])],
+    )
+    @pytest.mark.parametrize("tau", [1.0, 0.07])
+    def test_blocks_concatenate_to_the_dense_matrix(self, small_synth, monkeypatch, rows, sizes, tau):
+        # no block has one row: numpy sends a one-row product to BLAS's matrix-vector kernel
+        cache = small_synth.cache
+        q = cache.images[cache.indices_of(cache.split_ids("test")[:-1])]
+        c = cache.views["G2"]
+        if rows:
+            _force_block_rows(monkeypatch, rows, len(c))
+        blocks = list(M._score_blocks(small_synth.oracle, q, c, 8, tau))
+        assert [len(s) for _, s in blocks] == sizes
+        assert [start for start, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
+        dense = _dense_scores(small_synth.oracle, q, c, 8, tau)
+        assert np.array_equal(np.concatenate([s for _, s in blocks]), dense)
+
+    @pytest.mark.parametrize("rows", [2, 3, 7, None])
+    @pytest.mark.parametrize("tau", [1.0, 0.07])
+    def test_synthetic_corpus_in_blocks(self, small_synth, monkeypatch, rows, tau):
+        cache = small_synth.cache
+        ids = cache.split_ids("test")[:-1]
+        assert len(ids) % 7 and len(ids) % 3 and len(ids) % 2  # a short last block at every forced size
+        labels = {r.id: r.entity for r in small_synth.rows}
+        for mode in ("full", "test_only"):
+            pool = D.build_pool(cache, mode, "G3")
+            if rows:
+                _force_block_rows(monkeypatch, rows, len(pool.candidate_ids))
+            for k in (2, 8, 32):
+                want = reference_recall_at_1(cache, small_synth.oracle, pool, k, ids, tau)
+                assert M.recall_at_1(cache, small_synth.oracle, pool, k, ids, tau) == want
+                _assert_same_rank_stats(
+                    M.rank_stats(cache, small_synth.oracle, pool, k, ids, labels, tau),
+                    reference_rank_stats(cache, small_synth.oracle, pool, k, ids, labels, tau),
+                )
+        images = cache.images[cache.indices_of(ids)]
+        objects = [small_synth.assignments["object"][cache.row_index(i)] for i in ids]
+        if rows:
+            _force_block_rows(monkeypatch, rows, small_synth.class_rows.shape[0])
+        for k in (2, 32):
+            want = reference_zero_shot(images, objects, small_synth.class_rows, k, small_synth.oracle, tau)
+            assert M.zero_shot(images, objects, small_synth.class_rows, k, small_synth.oracle, tau) == want
+
+    @pytest.mark.parametrize("rows", [2, 7, None])
+    def test_duplicated_candidates(self, monkeypatch, rows):
+        cache, labels, rot = _tied_corpus()
+        pool = D.build_pool(cache, "full", "G3")
+        if rows:
+            _force_block_rows(monkeypatch, rows, len(pool.candidate_ids))
+        ids = list(cache.ids[:-1])
+        for k in (2, 6):
+            want = reference_recall_at_1(cache, rot, pool, k, ids)
+            assert want < 60.0  # every positive ties with its twin, so only broken twins can hit
+            assert M.recall_at_1(cache, rot, pool, k, ids) == want
+            _assert_same_rank_stats(
+                M.rank_stats(cache, rot, pool, k, ids, labels),
+                reference_rank_stats(cache, rot, pool, k, ids, labels),
+            )
+
+    def _ladder_cache(self, tied_labels):
+        """Query q sees 9 candidates above a tied pair (positions 10 and 11), then the rest."""
+        dim = 3
+        cos = [0.99, 0.98, 0.97, 0.96, 0.95, 0.94, 0.93, 0.92, 0.91, 0.5, 0.5, 0.3, 0.2, 0.1]
+        texts = np.array([[c, np.sqrt(1 - c * c), 0.0] for c in cos])
+        ids = ("q",) + tuple(f"c{i:02d}" for i in range(1, len(cos)))
+        cache = D.EmbeddingCache(
+            dim=dim,
+            ids=ids,
+            split_of={i: "test" for i in ids},
+            images=np.tile(np.array([[1.0, 0.0, 0.0]]), (len(cos), 1)).astype(np.float32),
+            views={g: texts.astype(np.float32) for g in T.VIEW_LEVELS},
+            negatives={r: texts.astype(np.float32) for r in T.NEGATIVE_TYPES},
+        )
+        labels = {cid: "other" for cid in ids}
+        labels["q"] = "mine"
+        for j, label in zip((9, 10), tied_labels):
+            labels[ids[j]] = label
+        scores = _dense_scores(T.identity_transform(dim), cache.images[:1], texts, dim, 1.0)[0]
+        assert scores[9] == scores[10] and np.sum(scores > scores[9]) == 9
+        return cache, labels
+
+    @pytest.mark.parametrize(
+        "tied_labels, purity, ap",
+        [
+            (("other", "mine"), 10.0, 100.0 * (1 + 2 / 11) / 2),  # the relevant twin ranks 11th
+            (("mine", "mine"), 20.0, 100.0 * (1 + 2 / 10 + 3 / 11) / 3),
+        ],
+    )
+    def test_tie_at_the_tenth_position(self, tied_labels, purity, ap):
+        cache, labels = self._ladder_cache(tied_labels)
+        pool = D.build_pool(cache, "full", "G3")
+        stats = M.rank_stats(cache, T.identity_transform(3), pool, 3, ["q"], labels)
+        _assert_same_rank_stats(
+            stats, reference_rank_stats(cache, T.identity_transform(3), pool, 3, ["q"], labels)
+        )
+        assert stats.purity_at_10 == pytest.approx(purity)
+        assert stats.category_map == pytest.approx(ap)
+
+    def test_tie_at_the_top_misses(self):
+        texts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
+        ids = ("a", "b", "c")
+        cache = D.EmbeddingCache(
+            dim=2,
+            ids=ids,
+            split_of={i: "test" for i in ids},
+            images=texts,
+            views={g: texts for g in T.VIEW_LEVELS},
+            negatives={r: texts for r in T.NEGATIVE_TYPES},
+        )
+        pool = D.build_pool(cache, "full", "G3")
+        ident = T.identity_transform(2)
+        assert M.recall_at_1(cache, ident, pool, 2, ids) == reference_recall_at_1(cache, ident, pool, 2, ids)
+        assert M.recall_at_1(cache, ident, pool, 2, ["a", "b"]) == 0.0
+        labels = {"a": "x", "b": "x", "c": "y"}
+        stats = M.rank_stats(cache, ident, pool, 2, ids, labels)
+        _assert_same_rank_stats(stats, reference_rank_stats(cache, ident, pool, 2, ids, labels))
+        assert stats.same_label_r_at_1 == pytest.approx(100.0 / 3)  # only c's top is unique
+        assert M.zero_shot(texts, [0, 1, 2], texts, 2, ident) == pytest.approx(100.0 / 3)
+
+    @pytest.mark.parametrize("rows", [2, None])
+    def test_one_candidate_pool(self, monkeypatch, rows):
+        cache, labels, rot = _tied_corpus(n=8)
+        pool = D.CandidatePool(mode="custom", candidate_ids=("c003",), view_level="G2")
+        if rows:
+            _force_block_rows(monkeypatch, rows, 1)
+        assert M.recall_at_1(cache, rot, pool, 4, ["c003"]) == reference_recall_at_1(cache, rot, pool, 4, ["c003"])
+        ids = list(cache.ids)  # one query has its positive in the pool, the others do not
+        _assert_same_rank_stats(
+            M.rank_stats(cache, rot, pool, 4, ids, labels),
+            reference_rank_stats(cache, rot, pool, 4, ids, labels),
+        )
+
+    def test_nan_scores_rank_last_in_candidate_order(self):
+        cache, labels, rot = _tied_corpus(n=30)
+        cache.views = {g: v.copy() for g, v in cache.views.items()}
+        cache.views["G3"][[4, 17, 25]] = np.nan
+        pool = D.build_pool(cache, "full", "G3")
+        ids = list(cache.ids)
+        _assert_same_rank_stats(
+            M.rank_stats(cache, rot, pool, 6, ids, labels),
+            reference_rank_stats(cache, rot, pool, 6, ids, labels),
+        )
+        assert M.recall_at_1(cache, rot, pool, 6, ids) == reference_recall_at_1(cache, rot, pool, 6, ids)
+
+    def test_memory_is_bounded_by_the_block(self):
+        import tracemalloc
+
+        synth = D.generate_synthetic(
+            D.SyntheticSpec(
+                dim=16,
+                block_sizes={"object": 1, "attribute": 2, "relation": 4, "residual": 9},
+                cardinalities={"object": 4, "attribute": 4, "relation": 4},
+                noise_std=0.05,
+                n_examples=16000,
+                seed=0,
+            )
+        )
+        cache = synth.cache
+        ids = cache.split_ids("test")
+        pool = D.build_pool(cache, "full", "G3")
+        labels = {r.id: r.entity for r in synth.rows}
+        dense_bytes = 8 * len(ids) * len(pool.candidate_ids)
+        assert dense_bytes >= 200e6
+        tracemalloc.start()
+        try:
+            M.recall_at_1(cache, synth.oracle, pool, 8, ids)
+            M.rank_stats(cache, synth.oracle, pool, 8, ids, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4
+
 
 class TestFullPrefixInvariance:
     def test_metrics_identical_at_full_prefix_under_rotation(self, small_synth):
