@@ -66,7 +66,30 @@ from .transforms import (
 
 log = logging.getLogger("grasp")
 
-_CONFIG_CODES = {"CONFIG", "UNKNOWN_VARIANT", "INVALID_CONTRACT", "UNKNOWN_METHOD", "NOT_POWER_OF_TWO"}
+_CONFIG_CODES = {
+    "CONFIG",
+    "UNKNOWN_VARIANT",
+    "INVALID_CONTRACT",
+    "UNKNOWN_METHOD",
+    "NOT_POWER_OF_TWO",
+    "BLOCK_OVERFLOW",
+}
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
+
+
+_seed = _int_at_least(0)
+_threads = _int_at_least(1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,12 +124,23 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True), encoding="utf-8")
 
 
-def _load_transform(args):
-    if getattr(args, "checkpoint", None):
-        return load_checkpoint(args.checkpoint).eval_transform()
-    if getattr(args, "matrix", None):
-        return load_matrix_transform(args.matrix)
+def _transform_and_contract(args, cache):
+    """The transform to evaluate and its contract: the checkpoint's, or the default ladder for --matrix."""
+    if args.checkpoint:
+        checkpoint = load_checkpoint(args.checkpoint)
+        return checkpoint.eval_transform(), checkpoint.contract
+    if args.matrix:
+        return load_matrix_transform(args.matrix), InterfaceContract.default_ladder(cache.dim)
     raise GraspError("CONFIG", "pass either --checkpoint or --matrix")
+
+
+def _read_settings(path, from_json_dict):
+    """Build settings from a JSON file; content that does not parse into them is a CONFIG error."""
+    data = Path(path).read_bytes()
+    try:
+        return from_json_dict(json.loads(data))
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
+        raise GraspError("CONFIG", f"{path}: {exc!r}") from exc
 
 
 def _args_payload(args) -> dict:
@@ -120,7 +154,7 @@ def _args_payload(args) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    spec = SyntheticSpec.from_json_dict(json.loads(Path(args.spec).read_text(encoding="utf-8")))
+    spec = _read_settings(args.spec, SyntheticSpec.from_json_dict)
     if args.seed is not None and args.seed != spec.seed:
         log.info("flag --seed %d overrides spec seed %d", args.seed, spec.seed)
         spec = SyntheticSpec.from_json_dict({**spec.to_json_dict(), "seed": args.seed})
@@ -170,7 +204,7 @@ def _default_train_config(cache, args) -> TrainConfig:
 def _cmd_train(args) -> int:
     cache = load_cache(args.cache)
     if args.config:
-        config = TrainConfig.from_json_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        config = _read_settings(args.config, TrainConfig.from_json_dict)
     else:
         config = _default_train_config(cache, args)
     overrides = {
@@ -209,12 +243,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _contract_for(args, cache) -> InterfaceContract:
-    if getattr(args, "checkpoint", None):
-        return load_checkpoint(args.checkpoint).contract
-    return InterfaceContract.default_ladder(cache.dim)
-
-
 def _entity_labels(path) -> dict[str, str]:
     from .datastore import parse_annotation_line
 
@@ -229,8 +257,7 @@ def _entity_labels(path) -> dict[str, str]:
 
 def _cmd_eval(args) -> int:
     cache = load_cache(args.cache)
-    transform = _load_transform(args)
-    contract = _contract_for(args, cache)
+    transform, contract = _transform_and_contract(args, cache)
     labels = _entity_labels(args.annotations) if args.annotations else None
     report = diagnostic_report(
         cache, transform, contract, pool_mode=args.pool, query_split=args.split, labels=labels
@@ -244,8 +271,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_report(args) -> int:
     cache = load_cache(args.cache)
-    transform = _load_transform(args)
-    contract = _contract_for(args, cache)
+    transform, contract = _transform_and_contract(args, cache)
     labels = _entity_labels(args.annotations) if args.annotations else None
     report = diagnostic_report(
         cache, transform, contract, pool_mode=args.pool, query_split=args.split, labels=labels
@@ -311,8 +337,7 @@ def _cmd_kappa(args) -> int:
 
 def _cmd_pool(args) -> int:
     cache = load_cache(args.cache)
-    transform = _load_transform(args)
-    contract = _contract_for(args, cache)
+    transform, contract = _transform_and_contract(args, cache)
     rows = run_pool_sensitivity(cache, transform, contract)
     out = _out_dir(args)
     write_pool_csv(rows, out / "pool.csv")
@@ -396,8 +421,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p, out_required=True):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
+        p.add_argument("--threads", type=_threads, default=None)
         if out_required:
             p.add_argument("--out", required=True)
 
@@ -472,21 +497,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--gallery", type=int, required=True)
     p.add_argument("--precision-bytes", dest="precision_bytes", type=int, default=2)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--threads", type=_threads, default=None)
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of the objective gradients")
     p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--batch", type=int, default=4)
+    p.add_argument("--batch", type=_int_at_least(1), default=4)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--variant", default="dense_cayley")
     p.add_argument("--stacks", type=int, default=2)
     p.add_argument("--rank", type=int, default=4)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--threads", type=_threads, default=None)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser
@@ -540,7 +565,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("GRASP_THREADS", "1"))
+        try:
+            threads = _threads(os.environ.get("GRASP_THREADS", "1"))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"GRASP_THREADS: {exc}")
     try:
         with _thread_limit(threads):
             return args.func(args)

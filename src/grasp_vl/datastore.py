@@ -303,7 +303,7 @@ def load_cache(manifest_path: str | Path, norm_tol: float = 1e-3) -> EmbeddingCa
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable file, bytes or JSON
         raise GraspError("MALFORMED", f"unreadable manifest: {exc}") from exc
     base = manifest_path.parent
     try:
@@ -312,33 +312,40 @@ def load_cache(manifest_path: str | Path, norm_tol: float = 1e-3) -> EmbeddingCa
         files = manifest["files"]
         ids_rel = manifest["ids"]
         splits_rel = manifest["splits"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraspError("MALFORMED", f"manifest missing required field: {exc}") from exc
-
-    ids = tuple((base / ids_rel).read_text(encoding="utf-8").splitlines())
-    if len(ids) != count:
-        raise GraspError("SHAPE_MISMATCH", f"manifest declares {count} ids, file has {len(ids)}")
-    try:
-        split_of = json.loads((base / splits_rel).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise GraspError("MALFORMED", f"unreadable split table: {exc}") from exc
+    if not (isinstance(files, dict) and all(isinstance(p, str) for p in (ids_rel, splits_rel, *files.values()))):
+        raise GraspError("MALFORMED", "manifest files, ids and splits must name files")
+    if dim < 1 or count < 0:
+        raise GraspError("MALFORMED", f"manifest declares dim {dim} and count {count}")
 
     expected = {"image"} | {f"text_{g}" for g in VIEW_LEVELS} | {f"neg_{r}" for r in NEGATIVE_TYPES}
     if set(files) != expected:
         raise GraspError("MALFORMED", f"manifest roles {sorted(files)} != required {sorted(expected)}")
 
     loaded: dict[str, np.ndarray] = {}
-    for name, rel in files.items():
-        path = base / rel
-        nbytes = path.stat().st_size
-        if nbytes != 4 * count * dim:
-            raise GraspError(
-                "SHAPE_MISMATCH",
-                f"{name}: {nbytes} bytes cannot hold {count} x {dim} float32 rows",
-            )
-        rows = np.fromfile(path, dtype="<f4").reshape(count, dim)
-        _check_rows(name, rows, count, dim, norm_tol)
-        loaded[name] = rows
+    try:
+        ids = tuple((base / ids_rel).read_text(encoding="utf-8").splitlines())
+        if len(ids) != count:
+            raise GraspError("SHAPE_MISMATCH", f"manifest declares {count} ids, file has {len(ids)}")
+        split_of = json.loads((base / splits_rel).read_text(encoding="utf-8"))
+        for name, rel in files.items():
+            path = base / rel
+            nbytes = path.stat().st_size
+            if nbytes != 4 * count * dim:
+                raise GraspError(
+                    "SHAPE_MISMATCH",
+                    f"{name}: {nbytes} bytes cannot hold {count} x {dim} float32 rows",
+                )
+            rows = np.fromfile(path, dtype="<f4").reshape(count, dim)
+            _check_rows(name, rows, count, dim, norm_tol)
+            loaded[name] = rows
+    except OSError as exc:
+        raise GraspError("IO_ERROR", str(exc)) from exc
+    except (ValueError, RecursionError) as exc:  # undecodable bytes or JSON, or a bad file name
+        raise GraspError("MALFORMED", f"unreadable cache file: {exc}") from exc
+    if not isinstance(split_of, dict):
+        raise GraspError("MALFORMED", "split table must map ids to splits")
 
     cache = EmbeddingCache(
         dim=dim,
@@ -420,6 +427,8 @@ class SyntheticSpec:
             raise GraspError("BLOCK_OVERFLOW", "noise_std must be nonnegative")
         if self.n_examples < 1:
             raise GraspError("BLOCK_OVERFLOW", "n_examples must be positive")
+        if self.seed < 0:
+            raise GraspError("BLOCK_OVERFLOW", "seed must be nonnegative")
 
     def to_json_dict(self) -> dict:
         return {
@@ -451,9 +460,6 @@ class SyntheticResult:
     contract: InterfaceContract
     class_rows: np.ndarray  # (object cardinality, D): mixed object-value embeddings
     assignments: dict[str, np.ndarray]  # factor -> value index per example
-
-    def object_labels(self) -> dict[str, str]:
-        return {row.id: row.entity for row in self.rows}
 
 
 _VISIBLE_ENERGY = 0.7  # value-vector energy placed inside the factor's assigned prefix

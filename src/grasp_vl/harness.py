@@ -66,8 +66,6 @@ _TRAINED = {
     "grasp_butterfly": ("butterfly", {}),
 }
 
-_UNGATED_DRIFT = ("matryoshka_adaptor", "mlp_adapter")  # non-orthogonal rows report drift instead of gating on it
-
 
 @dataclass
 class GridConfig:
@@ -117,14 +115,6 @@ class MethodComparison:
     checkpoints: dict[str, object]  # trainer.Checkpoint per trained method
 
 
-def _loss_for(grid: GridConfig, overrides: dict) -> LossConfig:
-    base = grid.base_loss()
-    cfg = replace(base)
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
-
-
 def _method_seed(grid: GridConfig, method: str) -> int:
     return grid.seed + 1000 * METHOD_ORDER.index(method)
 
@@ -135,7 +125,7 @@ def _train_method(cache: EmbeddingCache, grid: GridConfig, method: str):
     cfg = TrainConfig(
         spec=spec,
         contract=grid.contract,
-        loss=_loss_for(grid, overrides),
+        loss=replace(grid.base_loss(), **overrides),
         epochs=grid.epochs,
         batch_size=grid.batch_size,
         seed=_method_seed(grid, method),
@@ -143,7 +133,6 @@ def _train_method(cache: EmbeddingCache, grid: GridConfig, method: str):
         lr_temps=grid.lr,
         curriculum=grid.curriculum,
         warmup_epochs=grid.warmup_epochs,
-        drift_gate=float("inf") if method in _UNGATED_DRIFT else 1e-5,
     )
     checkpoint, _ = train(cfg, cache)
     return checkpoint

@@ -7,7 +7,7 @@ transform parameter plus one array of per-prefix log-temperatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,9 +17,7 @@ from .transforms import (
     STYLE_VIEW,
     VIEW_LEVELS,
     InterfaceContract,
-    TransformSpec,
     VariantModel,
-    make_model,
 )
 
 TERM_NAMES = ("align", "ret", "rank", "inv", "pres", "ortho")
@@ -61,15 +59,14 @@ class LossConfig:
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise GraspError("CONFIG", f"{name} must be finite and >= 0, got {v}")
+        if set(self.margins) != set(NEGATIVE_TYPES) or set(self.tolerances) != set(NEGATIVE_TYPES):
+            raise GraspError("CONFIG", f"margins and tolerances must name exactly {NEGATIVE_TYPES}")
         if self.align_view_mode not in ("assigned", "g3"):
             raise GraspError("CONFIG", f"unknown align_view_mode {self.align_view_mode!r}")
 
     @classmethod
     def default(cls, contract: InterfaceContract, **overrides) -> "LossConfig":
-        cfg = cls(retention_weights=default_retention_weights(contract))
-        for k, v in overrides.items():
-            setattr(cfg, k, v)
-        return cfg
+        return replace(cls(retention_weights=default_retention_weights(contract)), **overrides)
 
     def to_json_dict(self) -> dict:
         return {
@@ -113,7 +110,7 @@ class LossConfig:
 
 @dataclass
 class Batch:
-    """Aligned row sets for one step; raw (e-space) or transformed (z-space)."""
+    """Aligned raw (e-space) row sets for one step."""
 
     images: np.ndarray
     views: dict[str, np.ndarray]
@@ -142,13 +139,6 @@ class Batch:
             negatives={r: cache.negatives[r][idx].astype(np.float64) for r in NEGATIVE_TYPES},
         )
 
-    def transformed(self, transform) -> "Batch":
-        return Batch(
-            images=transform.apply(self.images),
-            views={g: transform.apply(v) for g, v in self.views.items()},
-            negatives={r: transform.apply(v) for r, v in self.negatives.items()},
-        )
-
 
 # ---------------------------------------------------------------------------
 # Differentiable primitives
@@ -167,15 +157,16 @@ def _unit_prefix_backprop(d_unit: np.ndarray, unit: np.ndarray, norms: np.ndarra
     d_rows[:, :k] += (d_unit - inner * unit) / norms
 
 
-def _infonce_forward(zi: np.ndarray, zt: np.ndarray, k: int, tau: float):
+def _infonce_grad(zi: np.ndarray, zt: np.ndarray, k: int, tau: float):
     """Symmetric InfoNCE over prefix-k cosines, exponentiating once per direction.
 
-    Returns (value, scores, row softmax, column softmax, (ui, ni, ut, nt)).
+    Returns (value, d_zi, d_zt, d_log_tau).
     """
     ui, ni = _unit_prefix(zi, k)
     ut, nt = _unit_prefix(zt, k)
     s = (ui @ ut.T) / tau
-    diag = np.arange(s.shape[0])
+    n = s.shape[0]
+    diag = np.arange(n)
     lse, soft = {}, {}
     for axis in (1, 0):
         m = s.max(axis=axis, keepdims=True)
@@ -184,19 +175,7 @@ def _infonce_forward(zi: np.ndarray, zt: np.ndarray, k: int, tau: float):
         lse[axis] = (m + np.log(total)).squeeze(axis)
         soft[axis] = e / total
     value = 0.5 * float(np.mean(lse[1] - s[diag, diag]) + np.mean(lse[0] - s[diag, diag]))
-    return value, s, soft[1], soft[0], (ui, ni, ut, nt)
-
-
-def _infonce_value(zi: np.ndarray, zt: np.ndarray, k: int, tau: float) -> float:
-    return _infonce_forward(zi, zt, k, tau)[0]
-
-
-def _infonce_grad(zi: np.ndarray, zt: np.ndarray, k: int, tau: float):
-    """Returns (value, d_zi, d_zt, d_log_tau) for the symmetric InfoNCE term."""
-    value, s, p_row, p_col, (ui, ni, ut, nt) = _infonce_forward(zi, zt, k, tau)
-    n = s.shape[0]
-    diag = np.arange(n)
-    ds = (p_row + p_col) / (2.0 * n)
+    ds = (soft[1] + soft[0]) / (2.0 * n)
     ds[diag, diag] -= 1.0 / n
     d_log_tau = -float((ds * s).sum())  # s = c * exp(-log tau)
     dc = ds / tau
@@ -219,70 +198,11 @@ def _paired_cosine_backprop(dc: np.ndarray, ctx, d_zi: np.ndarray, d_zt: np.ndar
     _unit_prefix_backprop(dc[:, None] * ui, ut, nt, d_zt, k)
 
 
-# ---------------------------------------------------------------------------
-# Public per-term losses (values on a transformed batch)
-
-
 def _temps(contract: InterfaceContract, log_temps: np.ndarray) -> dict[int, float]:
     lt = np.asarray(log_temps, dtype=np.float64)
     if lt.shape != (len(contract.prefixes),):
         raise GraspError("DIM_MISMATCH", f"need {len(contract.prefixes)} log-temperatures, got {lt.shape}")
     return {k: float(np.exp(t)) for k, t in zip(contract.prefixes, lt)}
-
-
-def loss_align(zbatch: Batch, contract: InterfaceContract, log_temps, align_view_mode: str = "assigned") -> float:
-    taus = _temps(contract, log_temps)
-    total = 0.0
-    for k in contract.prefixes:
-        level = "G3" if align_view_mode == "g3" else contract.view_of[k]
-        total += _infonce_value(zbatch.images, zbatch.views[level], k, taus[k])
-    return total
-
-
-def loss_retention(zbatch: Batch, contract: InterfaceContract, retention_weights, log_temps) -> float:
-    taus = _temps(contract, log_temps)
-    total = 0.0
-    for k, per in retention_weights.items():
-        for level, alpha in per.items():
-            if alpha == 0.0:
-                continue
-            total += alpha * _infonce_value(zbatch.images, zbatch.views[level], k, taus[k])
-    return total
-
-
-def loss_rank(zbatch: Batch, contract: InterfaceContract, margins, enabled_types=None) -> float:
-    types = NEGATIVE_TYPES if enabled_types is None else tuple(enabled_types)
-    total = 0.0
-    for r in types:
-        m = margins[r]
-        for k in contract.rank_prefixes(r):
-            cp, _ = _paired_cosine(zbatch.images, zbatch.views[STYLE_VIEW[r]], k)
-            cn, _ = _paired_cosine(zbatch.images, zbatch.negatives[r], k)
-            total += float(np.maximum(0.0, m - (cp - cn)).mean())
-    return total
-
-
-def loss_invariance(zbatch: Batch, contract: InterfaceContract, tolerances, enabled_types=None) -> float:
-    types = NEGATIVE_TYPES if enabled_types is None else tuple(enabled_types)
-    total = 0.0
-    for r in types:
-        eps = tolerances[r]
-        for k in contract.invariance_prefixes(r):
-            cp, _ = _paired_cosine(zbatch.images, zbatch.views[STYLE_VIEW[r]], k)
-            cn, _ = _paired_cosine(zbatch.images, zbatch.negatives[r], k)
-            total += float(np.maximum(0.0, np.abs(cp - cn) - eps).mean())
-    return total
-
-
-def loss_preservation(e_rows: np.ndarray, z_rows: np.ndarray) -> float:
-    """Mean squared drift of full-dimensional pairwise cosines."""
-    if e_rows.shape != z_rows.shape:
-        raise GraspError("DIM_MISMATCH", "raw and transformed row sets must match")
-    d = e_rows.shape[1]
-    ue, _ = _unit_prefix(np.asarray(e_rows, dtype=np.float64), d)
-    uz, _ = _unit_prefix(np.asarray(z_rows, dtype=np.float64), d)
-    delta = uz @ uz.T - ue @ ue.T
-    return float((delta * delta).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +291,9 @@ def total_loss_and_gradient(
             values["align"] += infonce_into(k, level, config.align_weight)
 
     if "ret" in active and config.lambda_ret > 0.0:
-        for k, per in config.retention_weights.items():
-            for level, alpha in per.items():
+        # ascending (prefix, level) order: a config read back from JSON sums and trains bit-identically
+        for k, per in sorted(config.retention_weights.items()):
+            for level, alpha in sorted(per.items()):
                 if alpha > 0.0:
                     values["ret"] += alpha * infonce_into(k, level, config.lambda_ret * alpha)
 

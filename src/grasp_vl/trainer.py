@@ -19,6 +19,7 @@ from .transforms import (
     InterfaceContract,
     NEGATIVE_TYPES,
     TransformSpec,
+    VIEW_LEVELS,
     make_model,
     save_checkpoint,
 )
@@ -30,6 +31,10 @@ CURRICULA = ("default", "all_after_warmup", "slow", "none")
 # Stage order for the hard-negative curriculum; one stage is added per epoch
 # ("default"), or per two epochs ("slow").
 _STAGES = (("object",), ("attribute",), ("relation", "action", "order"), ("full",))
+
+# Variants whose evaluated map is not orthogonal: by default they report drift
+# instead of gating checkpoint selection on it.
+_UNGATED_VARIANTS = ("low_rank", "mlp")
 
 
 def enabled_types_for_epoch(curriculum: str, warmup_epochs: int, epoch: int) -> tuple[str, ...]:
@@ -63,7 +68,7 @@ class TrainConfig:
     lr_temps: float = 1e-3
     curriculum: str = "default"
     warmup_epochs: int = 3
-    drift_gate: float = 1e-5
+    drift_gate: float | None = None  # None: 1e-5, or inf for the variants in _UNGATED_VARIANTS
     temperature_init: float = 0.07
 
     def __post_init__(self):
@@ -71,12 +76,17 @@ class TrainConfig:
             raise GraspError("CONFIG", f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
             raise GraspError("CONFIG", f"batch_size must be >= 2, got {self.batch_size}")
-        for name in ("lr_transform", "lr_temps"):
+        for name in ("lr_transform", "lr_temps", "temperature_init"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise GraspError("CONFIG", f"{name} must be finite and > 0, got {v}")
-        if self.warmup_epochs < 0:
-            raise GraspError("CONFIG", "warmup_epochs must be >= 0")
+        if self.warmup_epochs < 0 or self.seed < 0:
+            raise GraspError("CONFIG", "warmup_epochs and seed must be >= 0")
+        for k, per in self.loss.retention_weights.items():
+            if k not in self.contract.prefixes or not set(per) <= set(VIEW_LEVELS):
+                raise GraspError("CONFIG", f"retention weights {k}: {per} name a prefix or view outside the contract")
+        if self.drift_gate is None:
+            self.drift_gate = math.inf if self.spec.variant in _UNGATED_VARIANTS else 1e-5
         if not self.drift_gate > 0:
             raise GraspError("CONFIG", "drift_gate must be positive")
         if self.curriculum not in CURRICULA:
@@ -111,7 +121,7 @@ class TrainConfig:
             lr_temps=float(d.get("lr_temps", 1e-3)),
             curriculum=d.get("curriculum", "default"),
             warmup_epochs=int(d.get("warmup_epochs", 3)),
-            drift_gate=float(d.get("drift_gate", 1e-5)),
+            drift_gate=float(d["drift_gate"]) if "drift_gate" in d else None,
             temperature_init=float(d.get("temperature_init", 0.07)),
         )
 

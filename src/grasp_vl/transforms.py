@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,16 +30,6 @@ STYLE_VIEW = {
     "order": "G2",
     "full": "G3",
 }
-
-ORTHOGONAL_PROVENANCES = (
-    "cayley",
-    "butterfly",
-    "permutation",
-    "signed_permutation",
-    "random",
-    "identity",
-    "pca",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +81,6 @@ class InterfaceContract:
         }
         return cls(prefixes=ks, view_of=view_of, kappa=kappa)
 
-    def assigned_view(self, k: int) -> str:
-        return self.view_of[k]
-
-    def coarser_levels(self, k: int) -> tuple[str, ...]:
-        """View levels strictly coarser than the one assigned to prefix k."""
-        g = VIEW_LEVELS.index(self.view_of[k])
-        return VIEW_LEVELS[:g]
-
     def rank_prefixes(self, neg_type: str) -> tuple[int, ...]:
         b = self.kappa[neg_type]
         return tuple(k for k in self.prefixes if k >= b)
@@ -139,7 +122,7 @@ class LinearTransform:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise GraspError("DIM_MISMATCH", f"transform matrix must be square, got {m.shape}")
         object.__setattr__(self, "matrix", m)
-        if self.orthogonal and self.orthogonality_error() > 1e-8:
+        if self.orthogonal and not self.orthogonality_error() <= 1e-8:  # a NaN error fails too
             raise GraspError(
                 "ORTHOGONALITY_VIOLATION",
                 f"{self.provenance} map deviates from orthogonality by {self.orthogonality_error():.2e}",
@@ -186,43 +169,36 @@ def identity_transform(dim: int) -> LinearTransform:
 
 
 def cayley_build(b: np.ndarray) -> LinearTransform:
-    """Map an unconstrained square parameter to an orthogonal matrix.
+    """Map an unconstrained square parameter to an orthogonal matrix (see cayley_build_with_vjp)."""
+    return cayley_build_with_vjp(b)[0]
+
+
+def cayley_build_with_vjp(b: np.ndarray):
+    """Map an unconstrained square parameter to an orthogonal matrix, returning (R, vjp).
 
     Skew-symmetrize A = B - B^T, then solve (I + A) R = (I - A).  The solve
     cannot be singular for finite A (eigenvalues of I + A are 1 + i*mu).
+
+    vjp(dL/dR) -> dL/dB is the adjoint of the forward linear solve: with
+    M = I + A and R = M^{-1}(I - A), a perturbation dA gives
+    dR = -M^{-1} dA (R + I), so dL/dA = -M^{-T} G (R + I)^T and
+    dL/dB = dL/dA - (dL/dA)^T.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise GraspError("DIM_MISMATCH", f"skew parameter must be square, got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise GraspError("NONFINITE_PARAMS", "skew parameter contains non-finite entries")
-    d = b.shape[0]
     a = b - b.T
-    eye = np.eye(d)
+    eye = np.eye(b.shape[0])
+    m = eye + a
     try:
-        r = np.linalg.solve(eye + a, eye - a)
+        r = np.linalg.solve(m, eye - a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - analytically impossible
         raise GraspError("SINGULAR_SOLVE", str(exc)) from exc
-    return LinearTransform(r, "cayley", orthogonal=True)
-
-
-def cayley_build_with_vjp(b: np.ndarray):
-    """Like cayley_build, returning (R, vjp) with vjp(dL/dR) -> dL/dB.
-
-    The backward pass is the adjoint of the forward linear solve: with
-    M = I + A and R = M^{-1}(I - A), a perturbation dA gives
-    dR = -M^{-1} dA (R + I), so dL/dA = -M^{-T} G (R + I)^T and
-    dL/dB = dL/dA - (dL/dA)^T.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    d = b.shape[0]
-    a = b - b.T
-    m = np.eye(d) + a
-    r = np.linalg.solve(m, np.eye(d) - a)
-    r_plus = r + np.eye(d)
 
     def vjp(d_r: np.ndarray) -> np.ndarray:
-        d_a = -np.linalg.solve(m.T, d_r) @ r_plus.T
+        d_a = -np.linalg.solve(m.T, d_r) @ (r + eye).T
         return d_a - d_a.T
 
     return LinearTransform(r, "cayley", orthogonal=True), vjp
@@ -416,6 +392,10 @@ class TransformSpec:
     stacks: int = 8  # butterfly only
     rank: int = 32  # low_rank only
 
+    def __post_init__(self):
+        if self.dim < 1 or self.stacks < 0 or self.rank < 0:
+            raise GraspError("CONFIG", f"transform needs dim >= 1 and stacks, rank >= 0: {self}")
+
     def to_json_dict(self) -> dict:
         return {"variant": self.variant, "dim": self.dim, "stacks": self.stacks, "rank": self.rank}
 
@@ -429,25 +409,27 @@ class TransformSpec:
         )
 
 
+def param_shapes(spec: TransformSpec) -> dict[str, tuple[int, ...]]:
+    """Shape of each trainable parameter of a variant, temperatures excluded."""
+    d, h = spec.dim, 2 * spec.dim
+    if spec.variant == "dense_cayley":
+        return {"b": (d, d)}
+    if spec.variant == "butterfly":
+        return {"angles": butterfly_angle_shape(d, spec.stacks)}
+    if spec.variant == "permutation":
+        return {"logits": (d, d)}
+    if spec.variant == "signed_permutation":
+        return {"logits": (d, d), "sign_logits": (d,)}
+    if spec.variant == "low_rank":
+        return {"b": (d, d), "u": (d, spec.rank), "v": (d, spec.rank), "gate": ()}
+    if spec.variant == "mlp":
+        return {"w1": (h, d), "b1": (h,), "scale": (h,), "shift": (h,), "w2": (d, h), "b2": (d,)}
+    raise GraspError("UNKNOWN_VARIANT", f"no such transform variant: {spec.variant}")
+
+
 def param_count(spec: TransformSpec, n_prefixes: int) -> int:
     """Exact trainable-scalar count for a variant, temperatures included."""
-    d = spec.dim
-    if spec.variant == "dense_cayley":
-        core = d * d
-    elif spec.variant == "butterfly":
-        core = spec.stacks * (d // 2) * _require_power_of_two(d)
-    elif spec.variant == "permutation":
-        core = d * d
-    elif spec.variant == "signed_permutation":
-        core = d * d + d
-    elif spec.variant == "low_rank":
-        core = d * d + 2 * d * spec.rank + 1
-    elif spec.variant == "mlp":
-        h = 2 * d
-        core = 2 * d * h + h + d + 2 * h
-    else:
-        raise GraspError("UNKNOWN_VARIANT", f"no such transform variant: {spec.variant}")
-    return core + n_prefixes
+    return sum(math.prod(shape) for shape in param_shapes(spec).values()) + n_prefixes
 
 
 _SINKHORN_ITERS = 8
@@ -533,10 +515,6 @@ class VariantModel:
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:  # pragma: no cover
         raise NotImplementedError
-
-    def n_params(self) -> int:
-        probe = self.init_params(np.random.default_rng(0))
-        return int(sum(v.size for v in probe.values()))
 
     def begin_step(self, params: dict[str, np.ndarray]):  # pragma: no cover
         raise NotImplementedError
@@ -777,23 +755,33 @@ def save_matrix_transform(path: str | Path, transform: LinearTransform) -> None:
         fh.write(np.ascontiguousarray(transform.matrix, dtype="<f8").tobytes())
 
 
+def _read_header(fh, fmt: str) -> dict:
+    """The JSON object on the first line of a file in format ``fmt``."""
+    try:
+        header = json.loads(fh.readline().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # undecodable bytes or JSON
+        raise GraspError("MALFORMED", f"unreadable {fmt} header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise GraspError("MALFORMED", f"header is not a {fmt} object")
+    return header
+
+
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def load_matrix_transform(path: str | Path) -> LinearTransform:
     with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise GraspError("MALFORMED", f"unreadable transform header: {exc}") from exc
-        if header.get("format") != _MATRIX_FORMAT:
-            raise GraspError("MALFORMED", f"unknown transform format {header.get('format')!r}")
+        header = _read_header(fh, _MATRIX_FORMAT)
         try:
             d = int(header["dim"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraspError("MALFORMED", f"transform header has no valid dim: {exc!r}") from exc
         if d < 1:
             raise GraspError("MALFORMED", f"transform header declares dim {d}")
-        blob = fh.read(8 * d * d)
-        if len(blob) != 8 * d * d or fh.read(1):
+        if _bytes_left(fh) != 8 * d * d:
             raise GraspError("SHAPE_MISMATCH", "transform blob does not match declared dim")
+        blob = fh.read(8 * d * d)
     matrix = np.frombuffer(blob, dtype="<f8").reshape(d, d).copy()
     return LinearTransform(matrix, header.get("provenance", "identity"), bool(header.get("orthogonal", False)))
 
@@ -837,36 +825,32 @@ class CheckpointFile:
     params: dict[str, np.ndarray]
     meta: dict
 
-    def temperatures(self) -> dict[int, float]:
-        return {k: float(np.exp(t)) for k, t in zip(self.contract.prefixes, self.log_temps)}
-
     def eval_transform(self):
         return make_model(self.spec).eval_transform(self.params)
 
 
 def load_checkpoint(path: str | Path) -> CheckpointFile:
+    """Read a checkpoint; its parameter names and shapes must be those of its spec."""
     with open(path, "rb") as fh:
-        header_line = fh.readline()
+        header = _read_header(fh, _CHECKPOINT_FORMAT)
         try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise GraspError("MALFORMED", f"unreadable checkpoint header: {exc}") from exc
-        if header.get("format") != _CHECKPOINT_FORMAT:
-            raise GraspError("MALFORMED", f"unknown checkpoint format {header.get('format')!r}")
-        params = {}
-        for entry in header["params"]:
-            shape = tuple(int(s) for s in entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            blob = fh.read(8 * count)
-            if len(blob) != 8 * count:
-                raise GraspError("SHAPE_MISMATCH", f"checkpoint blob truncated at {entry['name']}")
-            params[entry["name"]] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise GraspError("SHAPE_MISMATCH", "trailing bytes after declared parameter blobs")
-    return CheckpointFile(
-        spec=TransformSpec.from_json_dict(header["spec"]),
-        contract=InterfaceContract.from_json_dict(header["contract"]),
-        log_temps=np.asarray(header["log_temperatures"], dtype=np.float64),
-        params=params,
-        meta=header.get("meta", {}),
-    )
+            spec = TransformSpec.from_json_dict(header["spec"])
+            contract = InterfaceContract.from_json_dict(header["contract"])
+            log_temps = np.array([float(t) for t in header["log_temperatures"]])
+            entries = [(str(e["name"]), tuple(int(n) for n in e["shape"])) for e in header["params"]]
+            expected = param_shapes(spec)
+            meta = header.get("meta", {})
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError, GraspError) as exc:
+            raise GraspError("MALFORMED", f"invalid checkpoint header: {exc!r}") from exc
+        if len(entries) != len(expected) or dict(entries) != expected:
+            raise GraspError("MALFORMED", f"checkpoint parameters {entries} do not match {spec}")
+        if log_temps.shape != (len(contract.prefixes),) or not isinstance(meta, dict):
+            raise GraspError("MALFORMED", "checkpoint temperatures or meta do not match its contract")
+        sizes = [8 * math.prod(shape) for _, shape in entries]
+        if _bytes_left(fh) != sum(sizes):
+            raise GraspError("SHAPE_MISMATCH", "checkpoint blobs do not match the declared parameter shapes")
+        params = {
+            name: np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).copy()
+            for (name, shape), size in zip(entries, sizes)
+        }
+    return CheckpointFile(spec=spec, contract=contract, log_temps=log_temps, params=params, meta=meta)

@@ -55,6 +55,21 @@ def trained_dir(synth_dir, tmp_path_factory):
     return out
 
 
+def one_error_line(capsys, category: str) -> dict:
+    """The single JSON error line on stderr, checked to be of ``category``."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [json.loads(line) for line in err.splitlines() if line.startswith('{"error"')]
+    assert len(errors) == 1 and errors[0]["error"] == category
+    return errors[0]
+
+
+def rewrite_header(src: Path, dst: Path, edit) -> None:
+    """Copy a one-JSON-line-header file with its header replaced by ``edit(header)``."""
+    header, blob = src.read_bytes().split(b"\n", 1)
+    dst.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + blob)
+
+
 def tree_digest(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -146,6 +161,20 @@ class TestTrainEvalReport:
         assert stats is not None
         assert 0.0 <= stats["purity_at_10"] <= 100.0
         assert stats["median_rank"] >= 1
+
+
+class TestNonOrthogonalTrain:
+    @pytest.mark.parametrize("variant", ["low_rank", "mlp"])
+    def test_trains_ungated_and_its_config_round_trips(self, synth_dir, tmp_path, variant):
+        cache = str(synth_dir / "cache" / "manifest.json")
+        first, again = tmp_path / "first", tmp_path / "again"
+        flags = ["--epochs", "2", "--batch-size", "64", "--warmup-epochs", "1", "--seed", "0"]
+        assert main(["train", "--cache", cache, "--variant", variant, "--out", str(first), *flags]) == 0
+        config = (first / "train_config.json").read_text()
+        assert '"drift_gate": Infinity' in config
+        assert main(["train", "--cache", cache, "--config", str(first / "train_config.json"), "--out", str(again)]) == 0
+        assert (again / "train_config.json").read_text() == config
+        assert (again / "checkpoint.ckpt").read_bytes() == (first / "checkpoint.ckpt").read_bytes()
 
 
 class TestCompare:
@@ -330,11 +359,7 @@ class TestErrors:
     @staticmethod
     def _one_data_error(rc, capsys):
         assert rc == 4
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        errors = [json.loads(line) for line in err.splitlines() if line.startswith('{"error"')]
-        assert len(errors) == 1 and errors[0]["error"] == "DATA"
-        return errors[0]
+        return one_error_line(capsys, "DATA")
 
     def test_missing_synth_spec_is_data_error(self, tmp_path, capsys):
         rc = main(["synth", "--spec", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
@@ -370,3 +395,84 @@ class TestErrors:
         assert rc == 4
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "DATA"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: {k: v for k, v in h.items() if k != "params"},
+            lambda h: {k: v for k, v in h.items() if k != "spec"},
+            lambda h: {**h, "params": [{"name": "b"}]},
+            lambda h: {**h, "params": 5},
+            lambda h: [h],
+        ],
+        ids=["no_params", "no_spec", "param_without_shape", "params_not_a_list", "header_not_an_object"],
+    )
+    def test_malformed_checkpoint_header_is_data_error(self, synth_dir, trained_dir, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_header(trained_dir / "checkpoint.ckpt", bad, edit)
+        rc = main(["eval", "--cache", str(synth_dir / "cache" / "manifest.json"), "--checkpoint", str(bad),
+                   "--out", str(tmp_path / "o")])
+        assert self._one_data_error(rc, capsys)["code"] == "MALFORMED"
+
+    @pytest.mark.parametrize(
+        "edit,code",
+        [(lambda h: h["format"], "MALFORMED"), (lambda h: {**h, "dim": 2**40}, "SHAPE_MISMATCH")],
+        ids=["header_not_an_object", "huge_dim"],
+    )
+    def test_malformed_transform_header_is_data_error(self, synth_dir, tmp_path, capsys, edit, code):
+        bad = tmp_path / "bad.transform"
+        rewrite_header(synth_dir / "oracle.transform", bad, edit)
+        rc = main(["eval", "--cache", str(synth_dir / "cache" / "manifest.json"), "--matrix", str(bad),
+                   "--out", str(tmp_path / "o")])
+        assert self._one_data_error(rc, capsys)["code"] == code
+
+    @pytest.mark.parametrize(
+        "field,value", [("files", 5), ("ids", 5), ("splits", ["splits.json"])], ids=["files", "ids", "splits"]
+    )
+    def test_malformed_cache_manifest_is_data_error(self, synth_dir, tmp_path, capsys, field, value):
+        import shutil
+
+        cache = tmp_path / "cache"
+        shutil.copytree(synth_dir / "cache", cache)
+        manifest = json.loads((cache / "manifest.json").read_text())
+        (cache / "manifest.json").write_text(json.dumps({**manifest, field: value}))
+        rc = main(["eval", "--cache", str(cache / "manifest.json"), "--matrix", str(synth_dir / "oracle.transform"),
+                   "--out", str(tmp_path / "o")])
+        assert self._one_data_error(rc, capsys)["code"] == "MALFORMED"
+
+    @pytest.mark.parametrize("content", ["{not json", json.dumps({k: v for k, v in SPEC.items() if k != "noise_std"})],
+                             ids=["not_json", "missing_field"])
+    def test_bad_synth_spec_is_config_error(self, tmp_path, capsys, content):
+        spec = tmp_path / "spec.json"
+        spec.write_text(content)
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
+        assert one_error_line(capsys, "CONFIG")["code"] == "CONFIG"
+
+    @pytest.mark.parametrize("edit", [lambda text: text[:-3], lambda text: json.dumps({**json.loads(text), "spec": {}})],
+                             ids=["not_json", "missing_field"])
+    def test_bad_train_config_is_config_error(self, synth_dir, trained_dir, tmp_path, capsys, edit):
+        config = tmp_path / "config.json"
+        config.write_text(edit((trained_dir / "train_config.json").read_text()))
+        rc = main(["train", "--cache", str(synth_dir / "cache" / "manifest.json"), "--config", str(config),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert one_error_line(capsys, "CONFIG")["code"] == "CONFIG"
+
+    @pytest.mark.parametrize(
+        "env,argv",
+        [
+            ("abc", ["cost", "--dim", "64", "--gallery", "100"]),
+            ("0", ["cost", "--dim", "64", "--gallery", "100"]),
+            (None, ["cost", "--dim", "64", "--gallery", "100", "--threads", "0"]),
+            (None, ["cost", "--dim", "64", "--gallery", "100", "--seed", "-1"]),
+            (None, ["gradcheck", "--batch", "0"]),
+        ],
+        ids=["threads_env_not_an_integer", "threads_env_zero", "threads_flag_zero", "negative_seed", "empty_batch"],
+    )
+    def test_bad_count_is_usage_error(self, monkeypatch, capsys, env, argv):
+        if env is not None:
+            monkeypatch.setenv("GRASP_THREADS", env)
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        one_error_line(capsys, "USAGE")

@@ -32,11 +32,41 @@ def embed_with_cosine(c: float, d: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def term_value(term, batch, contract, log_temps=None, enabled_types=None, **loss_fields):
+    """One term's value from total_loss_and_gradient, with every row set passed through the identity map.
+
+    The map is dense_cayley at b = 0, whose R is exactly I, so the term sees the batch rows unchanged.
+    """
+    model = T.make_model(T.TransformSpec("dense_cayley", batch.dim))
+    params = {"b": np.zeros((batch.dim, batch.dim))}
+    if log_temps is None:
+        log_temps = np.zeros(len(contract.prefixes))
+    config = O.LossConfig.default(contract, **loss_fields)
+    _, _, values = O.total_loss_and_gradient(
+        model, params, log_temps, batch, config, contract, enabled_types, terms=(term,)
+    )
+    return values[term]
+
+
+def preservation_value(model, params, images, texts):
+    """The preservation term over the image rows stacked on the G3 text rows."""
+    dim = images.shape[1]
+    contract = T.InterfaceContract(prefixes=(dim,), view_of={dim: "G3"}, kappa={r: dim for r in T.NEGATIVE_TYPES})
+    batch = O.Batch(
+        images=images,
+        views={g: texts for g in T.VIEW_LEVELS},
+        negatives={r: texts for r in T.NEGATIVE_TYPES},
+    )
+    config = O.LossConfig.default(contract)
+    _, _, values = O.total_loss_and_gradient(model, params, np.zeros(1), batch, config, contract, terms=("pres",))
+    return values["pres"]
+
+
 class TestAlign:
     def test_single_pair_batch_is_zero(self, tiny_contract):
         rng = np.random.default_rng(0)
         z = make_batch(rng, 1, 8)
-        val = O.loss_align(z, tiny_contract, np.zeros(4))
+        val = term_value("align", z, tiny_contract, np.zeros(4))
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_under_modality_swap(self):
@@ -46,8 +76,8 @@ class TestAlign:
             prefixes=(8,), view_of={8: "G3"}, kappa={r: 8 for r in T.NEGATIVE_TYPES}
         )
         swapped = O.Batch(images=z.views["G3"], views={**z.views, "G3": z.images}, negatives=z.negatives)
-        assert O.loss_align(swapped, c, np.zeros(1)) == pytest.approx(
-            O.loss_align(z, c, np.zeros(1)), abs=1e-12
+        assert term_value("align", swapped, c, np.zeros(1)) == pytest.approx(
+            term_value("align", z, c, np.zeros(1)), abs=1e-12
         )
 
     def test_two_pair_hand_oracle(self):
@@ -72,7 +102,7 @@ class TestAlign:
             views={g: texts for g in T.VIEW_LEVELS},
             negatives={r: texts for r in T.NEGATIVE_TYPES},
         )
-        got = O.loss_align(z, contract, np.zeros(1))
+        got = term_value("align", z, contract, np.zeros(1))
         assert got == pytest.approx(expect, abs=1e-9)
 
     def test_invariant_under_batch_permutation(self, tiny_contract):
@@ -84,8 +114,8 @@ class TestAlign:
             views={g: v[perm] for g, v in z.views.items()},
             negatives={r: v[perm] for r, v in z.negatives.items()},
         )
-        a = O.loss_align(z, tiny_contract, np.log(0.1) * np.ones(4))
-        b = O.loss_align(zp, tiny_contract, np.log(0.1) * np.ones(4))
+        a = term_value("align", z, tiny_contract, np.log(0.1) * np.ones(4))
+        b = term_value("align", zp, tiny_contract, np.log(0.1) * np.ones(4))
         assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -93,7 +123,7 @@ class TestRetention:
     def test_zero_weights_zero_loss(self, tiny_contract):
         rng = np.random.default_rng(0)
         z = make_batch(rng, 4, 8)
-        assert O.loss_retention(z, tiny_contract, {}, np.zeros(4)) == 0.0
+        assert term_value("ret", z, tiny_contract, np.zeros(4), retention_weights={}) == 0.0
 
     def test_coarsest_prefix_has_no_retention(self, tiny_contract):
         weights = O.default_retention_weights(tiny_contract)
@@ -103,12 +133,12 @@ class TestRetention:
         rng = np.random.default_rng(3)
         z = make_batch(rng, 5, 8)
         log_temps = np.log(0.2) * np.ones(4)
-        got = O.loss_retention(z, tiny_contract, {4: {"G0": 0.5}}, log_temps)
+        got = term_value("ret", z, tiny_contract, log_temps, retention_weights={4: {"G0": 0.5}})
         # oracle: same InfoNCE with the coarser view substituted at that prefix
         sub = T.InterfaceContract(
             prefixes=(4,), view_of={4: "G0"}, kappa={r: 4 for r in T.NEGATIVE_TYPES}
         )
-        align = O.loss_align(z, sub, np.array([math.log(0.2)]))
+        align = term_value("align", z, sub, np.array([math.log(0.2)]))
         assert got == pytest.approx(0.5 * align, abs=1e-12)
 
     def test_default_weights_halve_per_gap(self, ladder32):
@@ -138,13 +168,13 @@ class TestRankLoss:
         # negative cosine keeps the gap above margin at every prefix length
         z = self._batch_with_gap(0.9, -0.5)
         margins = {r: 0.1 for r in T.NEGATIVE_TYPES}
-        assert O.loss_rank(z, tiny_contract, margins) == pytest.approx(0.0, abs=1e-12)
+        assert term_value("rank", z, tiny_contract, margins=margins) == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_scores_cost_margin_per_active_term(self, tiny_contract):
         z = self._batch_with_gap(0.5, 0.5)
         margins = {r: 0.1 for r in T.NEGATIVE_TYPES}
         active = sum(len(tiny_contract.rank_prefixes(r)) for r in T.NEGATIVE_TYPES)
-        got = O.loss_rank(z, tiny_contract, margins)
+        got = term_value("rank", z, tiny_contract, margins=margins)
         assert got == pytest.approx(0.1 * active, abs=1e-9)
 
     def test_scalar_arithmetic_example(self):
@@ -154,14 +184,16 @@ class TestRankLoss:
         )
         z = self._batch_with_gap(0.60, 0.55)
         margins = {r: 0.10 for r in T.NEGATIVE_TYPES}
-        got = O.loss_rank(z, contract, margins, enabled_types=("object",))
+        got = term_value("rank", z, contract, enabled_types=("object",), margins=margins)
         assert got == pytest.approx(0.05, abs=1e-9)
 
     def test_temperature_free(self, tiny_contract):
         rng = np.random.default_rng(4)
         z = make_batch(rng, 4, 8)
         margins = {r: 0.1 for r in T.NEGATIVE_TYPES}
-        assert O.loss_rank(z, tiny_contract, margins) == O.loss_rank(z, tiny_contract, margins)
+        assert term_value("rank", z, tiny_contract, np.zeros(4), margins=margins) == term_value(
+            "rank", z, tiny_contract, np.log(0.1) * np.ones(4), margins=margins
+        )
 
 
 class TestInvarianceLoss:
@@ -174,7 +206,7 @@ class TestInvarianceLoss:
             negatives={r: rows for r in T.NEGATIVE_TYPES},
         )
         tol = {r: 0.05 for r in T.NEGATIVE_TYPES}
-        assert O.loss_invariance(z, tiny_contract, tol) == pytest.approx(0.0, abs=1e-12)
+        assert term_value("inv", z, tiny_contract, tolerances=tol) == pytest.approx(0.0, abs=1e-12)
 
     def test_gap_above_tolerance(self):
         # |gap| = 0.20 with tolerance 0.05 leaves 0.15 for the single pre-boundary term
@@ -192,7 +224,9 @@ class TestInvarianceLoss:
             views={g: pos for g in T.VIEW_LEVELS},
             negatives={r: neg for r in T.NEGATIVE_TYPES},
         )
-        got = O.loss_invariance(z, contract, {r: 0.05 for r in T.NEGATIVE_TYPES}, enabled_types=("full",))
+        got = term_value(
+            "inv", z, contract, enabled_types=("full",), tolerances={r: 0.05 for r in T.NEGATIVE_TYPES}
+        )
         assert got == pytest.approx(0.15, abs=1e-9)
 
     def test_full_type_excluded_at_its_boundary(self, tiny_contract):
@@ -208,24 +242,38 @@ class TestInvarianceLoss:
 
 
 class TestPreservation:
+    # preservation applies only to maps whose step state is not orthogonal, so the
+    # linear cases run through low_rank and set W = R + gate * u v^T by hand
+
     def test_orthogonal_transform_zero(self):
+        # gate 0 leaves W = R, the Cayley rotation of a random b
         rng = np.random.default_rng(0)
         e = unit_rows(rng, 6, 10)
-        r = T.cayley_build(rng.standard_normal((10, 10)))
-        assert O.loss_preservation(e, r.apply(e)) <= 1e-10
+        model = T.make_model(T.TransformSpec("low_rank", 10, rank=2))
+        params = {
+            "b": rng.standard_normal((10, 10)),
+            "u": np.ones((10, 2)),
+            "v": np.ones((10, 2)),
+            "gate": np.array(0.0),
+        }
+        assert preservation_value(model, params, e[:3], e[3:]) <= 1e-10
 
     def test_scaling_removed_by_renormalization(self):
-        # doubling every row leaves all cosines fixed: algebraic oracle on 3 rows
+        # b = 0, u = v = I and gate 1 give W = 2I: doubling every row leaves all cosines fixed
         rng = np.random.default_rng(1)
         e = unit_rows(rng, 3, 6)
-        assert O.loss_preservation(e, 2.0 * e) == pytest.approx(0.0, abs=1e-15)
+        texts = unit_rows(rng, 3, 6)
+        model = T.make_model(T.TransformSpec("low_rank", 6, rank=6))
+        params = {"b": np.zeros((6, 6)), "u": np.eye(6), "v": np.eye(6), "gate": np.array(1.0)}
+        assert preservation_value(model, params, e, texts) == pytest.approx(0.0, abs=1e-15)
 
     def test_random_mlp_strictly_positive(self):
         rng = np.random.default_rng(2)
         e = unit_rows(rng, 5, 8)
+        texts = unit_rows(rng, 5, 8)
         model = T.make_model(T.TransformSpec("mlp", 8))
-        t = model.eval_transform(model.init_params(np.random.default_rng(3)))
-        assert O.loss_preservation(e, t.apply(e)) > 0.0
+        params = model.init_params(np.random.default_rng(3))
+        assert preservation_value(model, params, e, texts) > 0.0
 
 
 class TestTotalLossAndGradient:

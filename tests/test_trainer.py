@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,25 @@ class TestTrain:
     def test_lr_temps_governs_only_the_temperatures(self, small_cache, ladder32):
         ckpt, _ = TR.train(small_train_config(ladder32, epochs=1, lr_temps=1e-12), small_cache)
         assert np.abs(ckpt.log_temps - np.log(0.07)).max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "variant,gate",
+        [
+            ("dense_cayley", 1e-5),
+            ("butterfly", 1e-5),
+            ("permutation", 1e-5),
+            ("signed_permutation", 1e-5),
+            ("low_rank", math.inf),
+            ("mlp", math.inf),
+        ],
+    )
+    def test_default_drift_gate_follows_the_evaluated_map(self, ladder32, variant, gate):
+        cfg = small_train_config(ladder32, variant=variant)
+        assert cfg.drift_gate == gate
+        fields = cfg.to_json_dict()
+        del fields["drift_gate"]
+        assert TR.TrainConfig.from_json_dict(fields).drift_gate == gate
+        assert TR.TrainConfig.from_json_dict({**fields, "drift_gate": 1e-3}).drift_gate == 1e-3
 
     def test_non_orthogonal_variant_can_fail_drift_gate(self, small_cache, ladder32):
         cfg = small_train_config(ladder32, variant="mlp", epochs=1, drift_gate=1e-12)

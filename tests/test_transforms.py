@@ -319,6 +319,7 @@ class TestParamCount:
         params = model.init_params(np.random.default_rng(0))
         scalars = sum(v.size for v in params.values())
         assert T.param_count(spec, 5) == scalars + 5
+        assert T.param_shapes(spec) == {name: p.shape for name, p in params.items()}
 
     def test_unknown_variant(self):
         with pytest.raises(GraspError) as e:
@@ -414,6 +415,15 @@ class TestCheckpointFormat:
         with pytest.raises(GraspError) as e:
             T.load_checkpoint(path)
         assert e.value.code == "SHAPE_MISMATCH"
+
+    def test_non_finite_matrix_claimed_orthogonal_rejected(self, tmp_path):
+        path = tmp_path / "nan.transform"
+        T.save_matrix_transform(path, T.random_orthogonal(4, 0))
+        header = path.read_bytes().split(b"\n", 1)[0]
+        path.write_bytes(header + b"\n" + np.full((4, 4), np.nan).astype("<f8").tobytes())
+        with pytest.raises(GraspError) as e:
+            T.load_matrix_transform(path)
+        assert e.value.code == "ORTHOGONALITY_VIOLATION"
 
     def test_matrix_transform_round_trip(self, tmp_path):
         t = T.random_orthogonal(12, 9)
