@@ -255,7 +255,8 @@ def _entity_labels(path) -> dict[str, str]:
     return labels
 
 
-def _cmd_eval(args) -> int:
+def _write_report(args):
+    """Evaluate the flags' transform on the cache and write ``report.json``; returns (out, report, contract)."""
     cache = load_cache(args.cache)
     transform, contract = _transform_and_contract(args, cache)
     labels = _entity_labels(args.annotations) if args.annotations else None
@@ -264,20 +265,18 @@ def _cmd_eval(args) -> int:
     )
     out = _out_dir(args)
     _write_json(out / "report.json", report.to_json_dict())
-    _write_manifest(out, "eval", _args_payload(args), args.seed, ["report.json"])
+    return out, report, contract
+
+
+def _cmd_eval(args) -> int:
+    out, report, _ = _write_report(args)
+    _write_manifest(out, "eval", _args_payload(args), None, ["report.json"])
     print(json.dumps({"stair": report.stair, "hard_avg": report.hard_avg, "drift": report.drift}))
     return 0
 
 
 def _cmd_report(args) -> int:
-    cache = load_cache(args.cache)
-    transform, contract = _transform_and_contract(args, cache)
-    labels = _entity_labels(args.annotations) if args.annotations else None
-    report = diagnostic_report(
-        cache, transform, contract, pool_mode=args.pool, query_split=args.split, labels=labels
-    )
-    out = _out_dir(args)
-    _write_json(out / "report.json", report.to_json_dict())
+    out, report, contract = _write_report(args)
     named = [(args.label, report)]
     write_staircase_decomposition_csv(named, contract, out / "staircase_decomposition.csv")
     write_emergence_csv(named, out / "emergence_decomposition.csv")
@@ -285,7 +284,7 @@ def _cmd_report(args) -> int:
         out,
         "report",
         _args_payload(args),
-        args.seed,
+        None,
         ["report.json", "staircase_decomposition.csv", "emergence_decomposition.csv"],
     )
     return 0
@@ -342,7 +341,7 @@ def _cmd_pool(args) -> int:
     out = _out_dir(args)
     write_pool_csv(rows, out / "pool.csv")
     _write_json(out / "pool.json", [r.to_json_dict() for r in rows])
-    _write_manifest(out, "pool", _args_payload(args), args.seed, ["pool.csv", "pool.json"])
+    _write_manifest(out, "pool", _args_payload(args), None, ["pool.csv", "pool.json"])
     return 0
 
 
@@ -420,20 +419,21 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, out_required=True):
-        p.add_argument("--seed", type=_seed, default=None)
+    def common(p, *, seeded: bool, out_required: bool = True):
+        # only the verbs that draw random numbers take a seed
+        if seeded:
+            p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--threads", type=_threads, default=None)
-        if out_required:
-            p.add_argument("--out", required=True)
+        p.add_argument("--out", required=out_required, default=None)
 
     p = sub.add_parser("synth", help="generate a synthetic cache with a planted staircase")
     p.add_argument("--spec", required=True)
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("validate", help="validate an annotation JSONL file")
     p.add_argument("--input", required=True)
-    common(p)
+    common(p, seeded=False)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("train", help="train a transform on a cache")
@@ -447,7 +447,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--curriculum", choices=("default", "all_after_warmup", "slow", "none"), default=None)
     p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int, default=None)
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=_cmd_train)
 
     for verb, fn in (("eval", _cmd_eval), ("report", _cmd_report)):
@@ -460,7 +460,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--annotations", default=None, help="JSONL rows; enables entity-label rank statistics")
         if verb == "report":
             p.add_argument("--label", default="checkpoint")
-        common(p)
+        common(p, seeded=False)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("compare", help="run the method-comparison grid")
@@ -474,7 +474,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--pool-mode", dest="pool_mode", choices=("full", "test_only"), default=None)
     p.add_argument("--stacks", type=int, default=None)
     p.add_argument("--rank", type=int, default=None)
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("kappa", help="boundary-map sensitivity grid")
@@ -482,23 +482,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("pool", help="candidate-pool sensitivity for one checkpoint")
     p.add_argument("--cache", required=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--matrix", default=None)
-    common(p)
+    common(p, seeded=False)
     p.set_defaults(func=_cmd_pool)
 
     p = sub.add_parser("cost", help="scaling-cost estimates for a gallery")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--gallery", type=int, required=True)
     p.add_argument("--precision-bytes", dest="precision_bytes", type=int, default=2)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--threads", type=_threads, default=None)
+    common(p, seeded=False, out_required=False)
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of the objective gradients")
@@ -509,9 +507,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--variant", default="dense_cayley")
     p.add_argument("--stacks", type=int, default=2)
     p.add_argument("--rank", type=int, default=4)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--threads", type=_threads, default=None)
+    common(p, seeded=True, out_required=False)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

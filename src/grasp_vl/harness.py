@@ -15,6 +15,7 @@ from .metrics import (
     DiagnosticReport,
     HARD_AVG_TYPES,
     diagnostic_report,
+    drift_rows,
     full_drift,
     hard_average,
     leakage,
@@ -70,7 +71,6 @@ _TRAINED = {
 @dataclass
 class GridConfig:
     contract: InterfaceContract
-    loss: LossConfig | None = None
     epochs: int = 20
     batch_size: int = 256
     seed: int = 0
@@ -81,9 +81,6 @@ class GridConfig:
     stacks: int = 8
     rank: int = 32
     methods: tuple[str, ...] | None = None
-
-    def base_loss(self) -> LossConfig:
-        return self.loss if self.loss is not None else LossConfig.default(self.contract)
 
 
 @dataclass
@@ -125,7 +122,7 @@ def _train_method(cache: EmbeddingCache, grid: GridConfig, method: str):
     cfg = TrainConfig(
         spec=spec,
         contract=grid.contract,
-        loss=replace(grid.base_loss(), **overrides),
+        loss=LossConfig.default(grid.contract, **overrides),
         epochs=grid.epochs,
         batch_size=grid.batch_size,
         seed=_method_seed(grid, method),
@@ -267,7 +264,7 @@ def run_kappa_sensitivity(
     test_ids = cache.split_ids("test")
     rows = []
     for name, contract in variants.items():
-        vgrid = replace(grid, contract=contract, loss=LossConfig.default(contract))
+        vgrid = replace(grid, contract=contract)
         checkpoint = _train_method(cache, vgrid, "grasp_dense")
         transform = checkpoint.eval_transform()
         st = sel_table(cache, transform, contract, test_ids)
@@ -336,8 +333,7 @@ def run_pool_sensitivity(
     test_ids = cache.split_ids("test")
     st = sel_table(cache, transform, contract, test_ids)
     hard = hard_average(st, contract)
-    rows_for_drift = np.concatenate([cache.images, cache.views["G3"]], axis=0).astype(np.float64)[:1000]
-    drift = full_drift(rows_for_drift, transform)
+    drift = full_drift(drift_rows(cache), transform)
     out = []
     for mode in pool_modes:
         cells = {}
@@ -412,22 +408,16 @@ def _fmt_gb(n: int) -> str:
     return f"{n / 1e9:.2f}GB"
 
 
-def estimate_cost(
-    dim: int,
-    gallery: int,
-    prefixes: tuple[int, ...] | None = None,
-    precision_bytes: int = 2,
-) -> CostEstimate:
+def estimate_cost(dim: int, gallery: int, precision_bytes: int = 2) -> CostEstimate:
     """Dense-transform cost model: query ops D^2, offline ops N*D^2, storage N*k*bytes."""
     if dim < 1 or gallery < 1 or precision_bytes < 1:
         raise GraspError("CONFIG", "dim, gallery and precision must be positive")
-    if prefixes is None:
-        prefixes = InterfaceContract.default_ladder(dim).prefixes
+    prefixes = InterfaceContract.default_ladder(dim).prefixes
     query_ops = dim * dim
     return CostEstimate(
         dim=dim,
         gallery=gallery,
-        prefixes=tuple(prefixes),
+        prefixes=prefixes,
         precision_bytes=precision_bytes,
         query_ops=query_ops,
         offline_ops=gallery * query_ops,

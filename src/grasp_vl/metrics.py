@@ -31,7 +31,7 @@ def _rows64(rows: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 8 * 2**20
 
 
-def _score_blocks(transform, query_rows, cand_rows, k: int, tau: float):
+def _score_blocks(transform, query_rows, cand_rows, k: int):
     """Yield ``(start, scores)`` for consecutive blocks of query rows against every candidate.
 
     Each query and candidate row is transformed once; only one block of scores
@@ -50,8 +50,7 @@ def _score_blocks(transform, query_rows, cand_rows, k: int, tau: float):
     start = 0
     while start < n:
         stop = n if start + rows >= n - 1 else start + rows
-        s = zq[start:stop] @ zct
-        yield start, (s / tau if tau != 1.0 else s)
+        yield start, zq[start:stop] @ zct
         start = stop
 
 
@@ -78,7 +77,6 @@ def recall_at_1(
     pool: CandidatePool,
     k: int,
     query_ids,
-    tau: float = 1.0,
 ) -> float:
     """Image-to-text R@1 percentage; the query's own text must rank strictly first."""
     cand_pos = {cid: j for j, cid in enumerate(pool.candidate_ids)}
@@ -90,7 +88,7 @@ def recall_at_1(
     positives = np.array(positives, dtype=np.intp)
     q_idx = cache.indices_of(query_ids)
     c_idx = cache.indices_of(pool.candidate_ids)
-    blocks = _score_blocks(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k, tau)
+    blocks = _score_blocks(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k)
     return float(100.0 * _strict_top1_hits(blocks, positives).mean())
 
 
@@ -100,15 +98,14 @@ def selectivity(
     k: int,
     neg_type: str,
     query_ids,
-    tau: float = 1.0,
 ) -> float:
     """Percentage of queries whose style-matched positive beats the typed negative."""
     idx = cache.indices_of(query_ids)
     zi = prefix_normalize(transform.apply(_rows64(cache.images[idx])), k)
     zp = prefix_normalize(transform.apply(_rows64(cache.views[STYLE_VIEW[neg_type]][idx])), k)
     zn = prefix_normalize(transform.apply(_rows64(cache.negatives[neg_type][idx])), k)
-    cp = np.einsum("ij,ij->i", zi, zp) / tau
-    cn = np.einsum("ij,ij->i", zi, zn) / tau
+    cp = np.einsum("ij,ij->i", zi, zp)
+    cn = np.einsum("ij,ij->i", zi, zn)
     return float(100.0 * np.mean(cp > cn))
 
 
@@ -232,20 +229,24 @@ def leakage(sel: SelTable, contract: InterfaceContract) -> float:
 # Full-space drift
 
 
-def full_drift(
-    rows: np.ndarray,
-    transform,
-    renormalize: bool = True,
-    max_exhaustive: int = 2000,
-    min_pairs: int = 1_000_000,
-    seed: int = 0,
-) -> float:
-    """Max absolute change of full-dimensional pairwise similarities.
+# Drift compares all pairs of at most this many rows: a 1000 x 1000 float64 matrix.
+_DRIFT_ROWS = 1000
 
-    Exhaustive over all pairs up to ``max_exhaustive`` rows; beyond that a
-    seeded subsample of at least ``min_pairs`` pairs is used.  With
-    ``renormalize`` the transformed rows are re-unitized first, so the value
-    measures cosine drift; without it the raw inner products are compared.
+
+def drift_rows(cache: EmbeddingCache) -> np.ndarray:
+    """The rows whose drift a report states: at most 1000, strided over the images then the G3 captions."""
+    rows = np.concatenate([cache.images, cache.views["G3"]], axis=0).astype(np.float64)
+    if rows.shape[0] > _DRIFT_ROWS:
+        rows = rows[:: rows.shape[0] // _DRIFT_ROWS][:_DRIFT_ROWS]
+    return rows
+
+
+def full_drift(rows: np.ndarray, transform, renormalize: bool = True) -> float:
+    """Max absolute change of full-dimensional similarities over all pairs of ``rows``.
+
+    With ``renormalize`` the transformed rows are re-unitized first, so the
+    value measures cosine drift; without it the raw inner products are
+    compared.
     """
     e = _rows64(rows)
     e = e / np.linalg.norm(e, axis=1, keepdims=True)
@@ -255,20 +256,7 @@ def full_drift(
     n = e.shape[0]
     if n < 2:
         raise GraspError("DIM_MISMATCH", "drift needs at least two rows")
-    if n <= max_exhaustive:
-        return float(np.abs(z @ z.T - e @ e.T).max())
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    remaining = min_pairs
-    chunk = 250_000
-    while remaining > 0:
-        m = min(chunk, remaining)
-        a = rng.integers(n, size=m)
-        b = rng.integers(n, size=m)
-        da = np.einsum("ij,ij->i", z[a], z[b]) - np.einsum("ij,ij->i", e[a], e[b])
-        worst = max(worst, float(np.abs(da).max()))
-        remaining -= m
-    return worst
+    return float(np.abs(z @ z.T - e @ e.T).max())
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +288,6 @@ def rank_stats(
     k: int,
     query_ids,
     labels: dict[str, str],
-    tau: float = 1.0,
 ) -> RankStats:
     """Label-aware ranking statistics for one prefix.
 
@@ -332,7 +319,7 @@ def rank_stats(
     aps = np.zeros(len(query_ids))
     ranks = np.zeros(len(query_ids), dtype=np.intp)
     label_hits = np.zeros(len(query_ids), dtype=bool)
-    for start, s in _score_blocks(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k, tau):
+    for start, s in _score_blocks(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k):
         stop = start + s.shape[0]
         rows = np.arange(s.shape[0])
         # rows whose positive is not in the pool read column 0 here and are dropped below
@@ -385,7 +372,6 @@ def zero_shot(
     class_rows: np.ndarray,
     k: int,
     transform,
-    tau: float = 1.0,
 ) -> float:
     """Top-1 percentage classifying each image against class text rows; ties miss."""
     class_rows = _rows64(class_rows)
@@ -394,7 +380,7 @@ def zero_shot(
     labels = np.asarray(true_labels, dtype=np.intp)
     if labels.shape != (len(image_rows),):
         raise GraspError("DIM_MISMATCH", f"{labels.size} labels for {len(image_rows)} images")
-    blocks = _score_blocks(transform, image_rows, class_rows, k, tau)
+    blocks = _score_blocks(transform, image_rows, class_rows, k)
     return float(100.0 * np.mean(_strict_top1_hits(blocks, labels)))
 
 
@@ -453,8 +439,6 @@ def diagnostic_report(
     pool_mode: str = "full",
     query_split: str = "test",
     labels: dict[str, str] | None = None,
-    drift_rows: int = 1000,
-    drift_seed: int = 0,
 ) -> DiagnosticReport:
     """Evaluate the full prefix grid for one transform."""
     query_ids = cache.split_ids(query_split)
@@ -472,12 +456,9 @@ def diagnostic_report(
     vs_first = {r: emergence_vs_first(sel, contract, r) for r in gaps}
     leak = leakage(sel, contract)
 
-    rows = np.concatenate([cache.images, cache.views["G3"]], axis=0).astype(np.float64)
-    if rows.shape[0] > drift_rows:
-        step = rows.shape[0] // drift_rows
-        rows = rows[::step][:drift_rows]
-    drift = full_drift(rows, transform, renormalize=True, seed=drift_seed)
-    drift_raw = full_drift(rows, transform, renormalize=False, seed=drift_seed)
+    rows = drift_rows(cache)
+    drift = full_drift(rows, transform, renormalize=True)
+    drift_raw = full_drift(rows, transform, renormalize=False)
 
     rank = None
     if labels is not None:

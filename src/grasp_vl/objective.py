@@ -437,8 +437,8 @@ def finite_difference_check(
     """Compare analytic gradients against central differences.
 
     Every coordinate is checked when the problem is small (dim <= 16 and no
-    explicit cap); otherwise a seeded random subset of at least 50
-    coordinates is used.
+    explicit cap); otherwise a seeded random subset of ``max_coords``
+    coordinates (64 when no cap is given) is used.
     """
     _, grads, _ = total_loss_and_gradient(model, params, log_temps, batch, config, contract, enabled_types, terms)
     analytic = flatten_grads(model, grads)
@@ -452,7 +452,7 @@ def finite_difference_check(
 
     coords = None
     if max_coords is None and batch.dim > 16:
-        max_coords = max(50, 64)
+        max_coords = 64
     if max_coords is not None and x0.size > max_coords:
         rng = np.random.default_rng(seed)
         coords = rng.choice(x0.size, size=max_coords, replace=False)

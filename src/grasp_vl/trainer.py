@@ -178,11 +178,12 @@ class _Adam:
     ``lr`` is a scalar or a per-coordinate vector; the update is elementwise.
     """
 
-    def __init__(self, size: int, lr: float | np.ndarray, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, size: int, lr: float | np.ndarray):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
@@ -196,8 +197,8 @@ class _Adam:
         return x - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def validation_scores(cache: EmbeddingCache, transform, contract: InterfaceContract, drift_rows: int = 512):
-    """(ret_avg, hard_avg, stair, drift) against the validation split."""
+def validation_scores(cache: EmbeddingCache, transform, contract: InterfaceContract):
+    """(ret_avg, hard_avg, stair, drift) against the validation split; drift over its first 512 rows."""
     val_ids = cache.split_ids("val")
     if not val_ids:
         raise GraspError("MISSING_SPLIT", "cache has no validation split")
@@ -213,9 +214,7 @@ def validation_scores(cache: EmbeddingCache, transform, contract: InterfaceContr
     ret_avg = retrieval_average(ret_cells, contract)
     hard_avg = hard_average(sel, contract)
     idx = cache.indices_of(val_ids)
-    rows = np.concatenate([cache.images[idx], cache.views["G3"][idx]], axis=0).astype(np.float64)
-    if rows.shape[0] > drift_rows:
-        rows = rows[:drift_rows]
+    rows = np.concatenate([cache.images[idx], cache.views["G3"][idx]], axis=0).astype(np.float64)[:512]
     drift = full_drift(rows, transform, renormalize=True)
     return ret_avg, hard_avg, stair_score(ret_avg, hard_avg), drift
 

@@ -143,6 +143,12 @@ class LinearTransform:
         return rows @ self.matrix.T
 
 
+def _mlp_forward(p: dict[str, np.ndarray], rows: np.ndarray):
+    """The MLP adapter's output rows and its tanh hidden layer, ``(z, h)``."""
+    h = np.tanh(rows @ p["w1"].T + p["b1"])
+    return (p["scale"] * h + p["shift"]) @ p["w2"].T + p["b2"], h
+
+
 @dataclass
 class MlpTransform:
     """Nonlinear adapter: D -> 2D tanh hidden with per-feature scale/shift -> D."""
@@ -159,9 +165,7 @@ class MlpTransform:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.shape[-1] != self.dim:
             raise GraspError("DIM_MISMATCH", f"rows have width {rows.shape[-1]}, transform expects {self.dim}")
-        p = self.params
-        h = np.tanh(rows @ p["w1"].T + p["b1"])
-        return (p["scale"] * h + p["shift"]) @ p["w2"].T + p["b2"]
+        return _mlp_forward(self.params, rows)[0]
 
 
 def identity_transform(dim: int) -> LinearTransform:
@@ -245,16 +249,6 @@ def captured_variance(rows: np.ndarray, pca: LinearTransform, k: int) -> float:
     centered = rows - rows.mean(axis=0, keepdims=True)
     proj = centered @ pca.matrix.T
     return float(proj[:, :k].var(axis=0, ddof=1).sum())
-
-
-def permutation_transform(perm: np.ndarray, signs: np.ndarray | None = None) -> LinearTransform:
-    """Orthogonal map sending coordinate perm[j] to slot j (optionally signed)."""
-    perm = np.asarray(perm, dtype=np.intp)
-    d = perm.shape[0]
-    m = np.zeros((d, d))
-    m[np.arange(d), perm] = 1.0 if signs is None else np.asarray(signs, dtype=np.float64)
-    prov = "permutation" if signs is None else "signed_permutation"
-    return LinearTransform(m, prov, orthogonal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +666,7 @@ class MlpModel(VariantModel):
 
             def apply(self, rows):
                 rows = np.asarray(rows, dtype=np.float64)
-                h = np.tanh(rows @ p["w1"].T + p["b1"])
-                mod = p["scale"] * h + p["shift"]
-                z = mod @ p["w2"].T + p["b2"]
+                z, h = _mlp_forward(p, rows)
                 return z, (rows, h)
 
             def vjp(self, ctx, d_rows):

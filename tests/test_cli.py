@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from grasp_vl.cli import main
+from grasp_vl.cli import _build_parser, main
 
 SPEC = {
     "dim": 32,
@@ -464,7 +464,7 @@ class TestErrors:
             ("abc", ["cost", "--dim", "64", "--gallery", "100"]),
             ("0", ["cost", "--dim", "64", "--gallery", "100"]),
             (None, ["cost", "--dim", "64", "--gallery", "100", "--threads", "0"]),
-            (None, ["cost", "--dim", "64", "--gallery", "100", "--seed", "-1"]),
+            (None, ["gradcheck", "--seed", "-1"]),
             (None, ["gradcheck", "--batch", "0"]),
         ],
         ids=["threads_env_not_an_integer", "threads_env_zero", "threads_flag_zero", "negative_seed", "empty_batch"],
@@ -476,3 +476,34 @@ class TestErrors:
             main(argv)
         assert e.value.code == 2
         one_error_line(capsys, "USAGE")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--input", "rows.jsonl", "--out", "o"],
+            ["eval", "--cache", "manifest.json", "--matrix", "m.transform", "--out", "o"],
+            ["report", "--cache", "manifest.json", "--matrix", "m.transform", "--out", "o"],
+            ["pool", "--cache", "manifest.json", "--matrix", "m.transform", "--out", "o"],
+            ["cost", "--dim", "64", "--gallery", "100"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_on_a_verb_that_draws_no_random_numbers_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--seed", "0"])
+        assert e.value.code == 2
+        assert "--seed" in one_error_line(capsys, "USAGE")["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--spec", "spec.json", "--out", "o"],
+            ["train", "--cache", "manifest.json", "--out", "o"],
+            ["compare", "--cache", "manifest.json", "--out", "o"],
+            ["kappa", "--cache", "manifest.json", "--out", "o"],
+            ["gradcheck"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_verbs_that_draw_random_numbers_take_a_seed(self, argv):
+        assert _build_parser().parse_args([*argv, "--seed", "7"]).seed == 7

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from grasp_vl import harness as H
 from grasp_vl import transforms as T
+from grasp_vl.datastore import generate_synthetic
 from grasp_vl.errors import GraspError
+from grasp_vl.metrics import diagnostic_report
+
+from conftest import SMALL_SPEC
 
 
 class TestCostModel:
@@ -166,11 +172,17 @@ class TestPoolSensitivity:
         assert len(rows) == 1
         assert rows[0].pool_mode == "test_only"
 
+    def test_drift_is_the_reports(self):
+        # 1000 examples give 2000 image and caption rows, whose first 1000 are images only
+        synth = generate_synthetic(replace(SMALL_SPEC, n_examples=1000))
+        rng = np.random.default_rng(0)
+        bent = T.LinearTransform(np.eye(32) + 0.1 * rng.standard_normal((32, 32)), "linear", orthogonal=False)
+        rows = H.run_pool_sensitivity(synth.cache, bent, synth.contract, pool_modes=("full",))
+        assert rows[0].drift == diagnostic_report(synth.cache, bent, synth.contract).drift
+
 
 class TestTableWriters:
     def test_csv_outputs(self, tmp_path, small_synth):
-        from grasp_vl.metrics import diagnostic_report
-
         rep = diagnostic_report(small_synth.cache, small_synth.oracle, small_synth.contract)
         named = [("oracle", rep)]
         H.write_staircase_decomposition_csv(named, small_synth.contract, tmp_path / "s.csv")

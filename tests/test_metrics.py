@@ -286,13 +286,24 @@ class TestDrift:
         )
         assert M.full_drift(rows, t) == pytest.approx(expect, abs=1e-15)
 
-    def test_subsampled_pairs_cover_small_matrices(self):
+    def test_drift_rows_of_a_small_cache_are_all_images_then_captions(self):
         rng = np.random.default_rng(3)
-        rows = unit_rows(rng, 150, 6)
-        t = T.LinearTransform(np.eye(6) + 0.1 * rng.standard_normal((6, 6)), "linear", orthogonal=False)
-        exhaustive = M.full_drift(rows, t)
-        sampled = M.full_drift(rows, t, max_exhaustive=100, min_pairs=1_000_000, seed=0)
-        assert sampled == pytest.approx(exhaustive, abs=1e-12)  # 1e6 draws cover 150^2 pairs
+        images, texts = unit_rows(rng, 30, 4), unit_rows(rng, 30, 4)
+        rows = M.drift_rows(tiny_cache(images, texts))
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows, np.concatenate([images, texts]).astype(np.float32).astype(np.float64))
+
+    @pytest.mark.parametrize("n", [501, 1000, 1500])
+    def test_drift_rows_of_a_large_cache_stride_over_images_and_captions(self, n):
+        rng = np.random.default_rng(4)
+        images, texts = unit_rows(rng, n, 4), unit_rows(rng, n, 4)
+        rows = M.drift_rows(tiny_cache(images, texts))
+        both = np.concatenate([images, texts]).astype(np.float32).astype(np.float64)
+        stride = (2 * n) // 1000
+        assert rows.shape == (1000, 4)
+        assert np.array_equal(rows, both[::stride][:1000])
+        # rows come from both halves, not from the images alone
+        assert (np.arange(2 * n)[::stride][:1000] >= n).any()
 
 
 class TestRankStats:
@@ -385,18 +396,18 @@ class TestZeroShot:
 # The streaming kernels against the dense Q x N reference they replaced
 
 
-def _dense_scores(transform, query_rows, cand_rows, k, tau):
+def _dense_scores(transform, query_rows, cand_rows, k):
     zq = T.prefix_normalize(transform.apply(np.asarray(query_rows, dtype=np.float64)), k)
     zc = T.prefix_normalize(transform.apply(np.asarray(cand_rows, dtype=np.float64)), k)
-    return (zq @ zc.T) / tau
+    return zq @ zc.T
 
 
-def reference_recall_at_1(cache, transform, pool, k, query_ids, tau=1.0):
+def reference_recall_at_1(cache, transform, pool, k, query_ids):
     cand_pos = {cid: j for j, cid in enumerate(pool.candidate_ids)}
     positives = np.array([cand_pos[qid] for qid in query_ids], dtype=np.intp)
     q_idx = cache.indices_of(query_ids)
     c_idx = cache.indices_of(pool.candidate_ids)
-    s = _dense_scores(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k, tau)
+    s = _dense_scores(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k)
     top = s.max(axis=1)
     n_at_top = (s == top[:, None]).sum(axis=1)
     own = s[np.arange(len(positives)), positives]
@@ -404,11 +415,11 @@ def reference_recall_at_1(cache, transform, pool, k, query_ids, tau=1.0):
     return float(100.0 * hits.mean())
 
 
-def reference_rank_stats(cache, transform, pool, k, query_ids, labels, tau=1.0):
+def reference_rank_stats(cache, transform, pool, k, query_ids, labels):
     cand_pos = {cid: j for j, cid in enumerate(pool.candidate_ids)}
     q_idx = cache.indices_of(query_ids)
     c_idx = cache.indices_of(pool.candidate_ids)
-    s = _dense_scores(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k, tau)
+    s = _dense_scores(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k)
     cand_labels = np.array([labels[cid] for cid in pool.candidate_ids])
     top_n = min(10, len(pool.candidate_ids))
     purities, aps, ranks, hits, label_hits = [], [], [], [], []
@@ -440,8 +451,8 @@ def reference_rank_stats(cache, transform, pool, k, query_ids, labels, tau=1.0):
     )
 
 
-def reference_zero_shot(image_rows, true_labels, class_rows, k, transform, tau=1.0):
-    s = _dense_scores(transform, image_rows, class_rows, k, tau)
+def reference_zero_shot(image_rows, true_labels, class_rows, k, transform):
+    s = _dense_scores(transform, image_rows, class_rows, k)
     labels = np.asarray(true_labels, dtype=np.intp)
     top = s.max(axis=1)
     n_at_top = (s == top[:, None]).sum(axis=1)
@@ -482,23 +493,21 @@ class TestStreamingMatchesDenseReference:
         "rows, sizes",
         [(1, [2] * 10 + [3]), (2, [2] * 10 + [3]), (3, [3] * 7 + [2]), (7, [7, 7, 7, 2]), (None, [23])],
     )
-    @pytest.mark.parametrize("tau", [1.0, 0.07])
-    def test_blocks_concatenate_to_the_dense_matrix(self, small_synth, monkeypatch, rows, sizes, tau):
+    def test_blocks_concatenate_to_the_dense_matrix(self, small_synth, monkeypatch, rows, sizes):
         # no block has one row: numpy sends a one-row product to BLAS's matrix-vector kernel
         cache = small_synth.cache
         q = cache.images[cache.indices_of(cache.split_ids("test")[:-1])]
         c = cache.views["G2"]
         if rows:
             _force_block_rows(monkeypatch, rows, len(c))
-        blocks = list(M._score_blocks(small_synth.oracle, q, c, 8, tau))
+        blocks = list(M._score_blocks(small_synth.oracle, q, c, 8))
         assert [len(s) for _, s in blocks] == sizes
         assert [start for start, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
-        dense = _dense_scores(small_synth.oracle, q, c, 8, tau)
+        dense = _dense_scores(small_synth.oracle, q, c, 8)
         assert np.array_equal(np.concatenate([s for _, s in blocks]), dense)
 
     @pytest.mark.parametrize("rows", [2, 3, 7, None])
-    @pytest.mark.parametrize("tau", [1.0, 0.07])
-    def test_synthetic_corpus_in_blocks(self, small_synth, monkeypatch, rows, tau):
+    def test_synthetic_corpus_in_blocks(self, small_synth, monkeypatch, rows):
         cache = small_synth.cache
         ids = cache.split_ids("test")[:-1]
         assert len(ids) % 7 and len(ids) % 3 and len(ids) % 2  # a short last block at every forced size
@@ -508,19 +517,19 @@ class TestStreamingMatchesDenseReference:
             if rows:
                 _force_block_rows(monkeypatch, rows, len(pool.candidate_ids))
             for k in (2, 8, 32):
-                want = reference_recall_at_1(cache, small_synth.oracle, pool, k, ids, tau)
-                assert M.recall_at_1(cache, small_synth.oracle, pool, k, ids, tau) == want
+                want = reference_recall_at_1(cache, small_synth.oracle, pool, k, ids)
+                assert M.recall_at_1(cache, small_synth.oracle, pool, k, ids) == want
                 _assert_same_rank_stats(
-                    M.rank_stats(cache, small_synth.oracle, pool, k, ids, labels, tau),
-                    reference_rank_stats(cache, small_synth.oracle, pool, k, ids, labels, tau),
+                    M.rank_stats(cache, small_synth.oracle, pool, k, ids, labels),
+                    reference_rank_stats(cache, small_synth.oracle, pool, k, ids, labels),
                 )
         images = cache.images[cache.indices_of(ids)]
         objects = [small_synth.assignments["object"][cache.row_index(i)] for i in ids]
         if rows:
             _force_block_rows(monkeypatch, rows, small_synth.class_rows.shape[0])
         for k in (2, 32):
-            want = reference_zero_shot(images, objects, small_synth.class_rows, k, small_synth.oracle, tau)
-            assert M.zero_shot(images, objects, small_synth.class_rows, k, small_synth.oracle, tau) == want
+            want = reference_zero_shot(images, objects, small_synth.class_rows, k, small_synth.oracle)
+            assert M.zero_shot(images, objects, small_synth.class_rows, k, small_synth.oracle) == want
 
     @pytest.mark.parametrize("rows", [2, 7, None])
     def test_duplicated_candidates(self, monkeypatch, rows):
@@ -556,7 +565,7 @@ class TestStreamingMatchesDenseReference:
         labels["q"] = "mine"
         for j, label in zip((9, 10), tied_labels):
             labels[ids[j]] = label
-        scores = _dense_scores(T.identity_transform(dim), cache.images[:1], texts, dim, 1.0)[0]
+        scores = _dense_scores(T.identity_transform(dim), cache.images[:1], texts, dim)[0]
         assert scores[9] == scores[10] and np.sum(scores > scores[9]) == 9
         return cache, labels
 

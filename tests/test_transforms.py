@@ -386,6 +386,16 @@ class TestEvalTransforms:
         z, _ = model.begin_step(params).apply(x)
         assert np.allclose(t.apply(x), z, atol=1e-12)
 
+    def test_mlp_step_forward_is_the_eval_forward_bit_for_bit(self):
+        model = T.make_model(T.TransformSpec("mlp", 6))
+        rng = np.random.default_rng(4)
+        params = {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in model.init_params(rng).items()}
+        x = unit_rows(rng, 5, 6)
+        z, (rows, h) = model.begin_step(params).apply(x)
+        assert np.array_equal(model.eval_transform(params).apply(x), z)
+        assert np.array_equal(rows, x)
+        assert np.array_equal(h, np.tanh(x @ params["w1"].T + params["b1"]))
+
 
 class TestCheckpointFormat:
     def test_round_trip(self, tmp_path):
