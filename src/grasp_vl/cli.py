@@ -115,6 +115,7 @@ def _write_manifest(out: Path, verb: str, payload: dict, seed: int | None, artif
 
 
 def _out_dir(args) -> Path:
+    """Create ``--out``; each verb calls this only once its inputs have loaded and its work succeeded."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -158,8 +159,8 @@ def _cmd_synth(args) -> int:
     if args.seed is not None and args.seed != spec.seed:
         log.info("flag --seed %d overrides spec seed %d", args.seed, spec.seed)
         spec = SyntheticSpec.from_json_dict({**spec.to_json_dict(), "seed": args.seed})
-    out = _out_dir(args)
     result = generate_synthetic(spec)
+    out = _out_dir(args)
     write_cache(result.cache, out / "cache")
     with open(out / "annotations.jsonl", "w", encoding="utf-8") as fh:
         for row in result.rows:
@@ -180,8 +181,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    out = _out_dir(args)
     results, summary = validate_jsonl(args.input)
+    out = _out_dir(args)
     with open(out / "verdicts.jsonl", "w", encoding="utf-8") as fh:
         for res in results:
             fh.write(json.dumps(res.to_json_dict(), sort_keys=True) + "\n")
@@ -221,8 +222,8 @@ def _cmd_train(args) -> int:
         for name, value in changed.items():
             log.info("flag overrides config: %s=%s", name, value)
     config = replace(config, **changed)  # re-runs TrainConfig's checks on the overridden values
-    out = _out_dir(args)
     checkpoint, history = train(config, cache)
+    out = _out_dir(args)
     checkpoint.save(out / "checkpoint.ckpt")
     with open(out / "history.jsonl", "w", encoding="utf-8") as fh:
         for stats in history:

@@ -303,7 +303,9 @@ def load_cache(manifest_path: str | Path, norm_tol: float = 1e-3) -> EmbeddingCa
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # unreadable file, bytes or JSON
+    except OSError as exc:
+        raise GraspError("IO_ERROR", str(exc)) from exc
+    except (ValueError, RecursionError) as exc:  # undecodable bytes or JSON
         raise GraspError("MALFORMED", f"unreadable manifest: {exc}") from exc
     base = manifest_path.parent
     try:

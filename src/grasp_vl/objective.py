@@ -157,40 +157,44 @@ def _unit_prefix_backprop(d_unit: np.ndarray, unit: np.ndarray, norms: np.ndarra
     d_rows[:, :k] += (d_unit - inner * unit) / norms
 
 
-def _infonce_grad(zi: np.ndarray, zt: np.ndarray, k: int, tau: float):
-    """Symmetric InfoNCE over prefix-k cosines, exponentiating once per direction.
+def _infonce_grad(pi, pt, dim: int, tau: float, work: np.ndarray):
+    """Symmetric InfoNCE over the ``(unit, norms)`` k-prefixes ``pi``, ``pt``.
 
-    Returns (value, d_zi, d_zt, d_log_tau).
+    Each direction's softmax fills one of the two n x n ``work`` buffers.
+    Returns (value, d_zi, d_zt, d_log_tau), the row gradients ``dim`` wide.
     """
-    ui, ni = _unit_prefix(zi, k)
-    ut, nt = _unit_prefix(zt, k)
-    s = (ui @ ut.T) / tau
+    (ui, ni), (ut, nt) = pi, pt
+    k = ui.shape[1]
+    s = ui @ ut.T
+    s /= tau
     n = s.shape[0]
     diag = np.arange(n)
-    lse, soft = {}, {}
-    for axis in (1, 0):
+    lse = {}
+    for axis, soft in ((1, work[0]), (0, work[1])):
         m = s.max(axis=axis, keepdims=True)
-        e = np.exp(s - m)
-        total = e.sum(axis=axis, keepdims=True)
+        np.subtract(s, m, out=soft)
+        np.exp(soft, out=soft)
+        total = soft.sum(axis=axis, keepdims=True)
         lse[axis] = (m + np.log(total)).squeeze(axis)
-        soft[axis] = e / total
+        np.divide(soft, total, out=soft)
     value = 0.5 * float(np.mean(lse[1] - s[diag, diag]) + np.mean(lse[0] - s[diag, diag]))
-    ds = (soft[1] + soft[0]) / (2.0 * n)
+    ds = np.add(work[0], work[1], out=work[0])
+    ds /= 2.0 * n
     ds[diag, diag] -= 1.0 / n
-    d_log_tau = -float((ds * s).sum())  # s = c * exp(-log tau)
-    dc = ds / tau
-    d_zi = np.zeros_like(zi)
-    d_zt = np.zeros_like(zt)
-    _unit_prefix_backprop(dc @ ut, ui, ni, d_zi, k)
-    _unit_prefix_backprop(dc.T @ ui, ut, nt, d_zt, k)
+    d_log_tau = -float(np.multiply(ds, s, out=work[1]).sum())  # s = c * exp(-log tau)
+    ds /= tau
+    d_zi = np.zeros((n, dim))
+    d_zt = np.zeros((n, dim))
+    _unit_prefix_backprop(ds @ ut, ui, ni, d_zi, k)
+    _unit_prefix_backprop(ds.T @ ui, ut, nt, d_zt, k)
     return value, d_zi, d_zt, d_log_tau
 
 
-def _paired_cosine(zi: np.ndarray, zt: np.ndarray, k: int):
-    ui, ni = _unit_prefix(zi, k)
-    ut, nt = _unit_prefix(zt, k)
+def _paired_cosine(pi, pt):
+    (ui, ni), (ut, nt) = pi, pt
     c = np.einsum("ij,ij->i", ui, ut)
     return c, (ui, ni, ut, nt)
+
 
 def _paired_cosine_backprop(dc: np.ndarray, ctx, d_zi: np.ndarray, d_zt: np.ndarray, k: int):
     ui, ni, ut, nt = ctx
@@ -218,7 +222,7 @@ class Grads:
 
 
 class _RowSets:
-    """Lazily transformed row sets with per-set gradient accumulators."""
+    """Lazy row sets, k-prefixes and paired cosines, each computed once per step, with per-set gradient accumulators."""
 
     def __init__(self, state, batch: Batch):
         self._state = state
@@ -226,6 +230,8 @@ class _RowSets:
         self._z: dict[str, np.ndarray] = {}
         self._ctx: dict[str, object] = {}
         self._dz: dict[str, np.ndarray] = {}
+        self._unit: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._cosine: dict[tuple[str, int], tuple[np.ndarray, tuple]] = {}
 
     def raw(self, name: str) -> np.ndarray:
         if name == "image":
@@ -240,6 +246,18 @@ class _RowSets:
             self._ctx[name] = ctx
             self._dz[name] = np.zeros_like(z)
         return self._z[name]
+
+    def unit(self, name: str, k: int):
+        """``(unit, norms)`` of the k-prefixes of row set ``name``."""
+        if (name, k) not in self._unit:
+            self._unit[name, k] = _unit_prefix(self.z(name), k)
+        return self._unit[name, k]
+
+    def paired_cosine(self, other: str, k: int):
+        """``(c, ctx)``: the row-wise prefix-k cosines of the images with row set ``other``."""
+        if (other, k) not in self._cosine:
+            self._cosine[other, k] = _paired_cosine(self.unit("image", k), self.unit(other, k))
+        return self._cosine[other, k]
 
     def add_grad(self, name: str, g: np.ndarray) -> None:
         self._dz[name] += g
@@ -275,11 +293,11 @@ def total_loss_and_gradient(
     d_log_temps = np.zeros(len(contract.prefixes))
     tau_slot = {k: i for i, k in enumerate(contract.prefixes)}
     values = {t: 0.0 for t in TERM_NAMES}
+    work = np.empty((2, n, n))  # the InfoNCE buffers, shared by every align and retention term
 
     def infonce_into(k: int, level: str, weight: float) -> float:
-        zi = sets.z("image")
-        zt = sets.z(f"view:{level}")
-        value, d_zi, d_zt, d_lt = _infonce_grad(zi, zt, k, taus[k])
+        pi, pt = sets.unit("image", k), sets.unit(f"view:{level}", k)
+        value, d_zi, d_zt, d_lt = _infonce_grad(pi, pt, batch.dim, taus[k], work)
         sets.add_grad("image", weight * d_zi)
         sets.add_grad(f"view:{level}", weight * d_zt)
         d_log_temps[tau_slot[k]] += weight * d_lt
@@ -298,30 +316,21 @@ def total_loss_and_gradient(
                     values["ret"] += alpha * infonce_into(k, level, config.lambda_ret * alpha)
 
     def hinge_pair(r: str, k: int, threshold: float, weight: float, invariance: bool) -> float:
-        zi = sets.z("image")
-        zp = sets.z(f"view:{STYLE_VIEW[r]}")
-        zn = sets.z(f"neg:{r}")
-        cp, ctx_p = _paired_cosine(zi, zp, k)
-        cn, ctx_n = _paired_cosine(zi, zn, k)
+        positive, negative = f"view:{STYLE_VIEW[r]}", f"neg:{r}"
+        cp, ctx_p = sets.paired_cosine(positive, k)
+        cn, ctx_n = sets.paired_cosine(negative, k)
         gap = cp - cn
-        if invariance:
-            h = np.abs(gap) - threshold
-            act = h > 0
-            value = float(np.maximum(0.0, h).mean())
-            d_gap = np.where(act, np.sign(gap), 0.0) / n
-        else:
-            h = threshold - gap
-            act = h > 0
-            value = float(np.maximum(0.0, h).mean())
-            d_gap = np.where(act, -1.0, 0.0) / n
-        d_zi = np.zeros_like(zi)
-        d_zp = np.zeros_like(zp)
-        d_zn = np.zeros_like(zn)
+        h = np.abs(gap) - threshold if invariance else threshold - gap
+        value = float(np.maximum(0.0, h).mean())
+        d_gap = np.where(h > 0, np.sign(gap) if invariance else -1.0, 0.0) / n
+        d_zi = np.zeros((n, batch.dim))
+        d_zp = np.zeros((n, batch.dim))
+        d_zn = np.zeros((n, batch.dim))
         _paired_cosine_backprop(weight * d_gap, ctx_p, d_zi, d_zp, k)
         _paired_cosine_backprop(-weight * d_gap, ctx_n, d_zi, d_zn, k)
         sets.add_grad("image", d_zi)
-        sets.add_grad(f"view:{STYLE_VIEW[r]}", d_zp)
-        sets.add_grad(f"neg:{r}", d_zn)
+        sets.add_grad(positive, d_zp)
+        sets.add_grad(negative, d_zn)
         return value
 
     if "rank" in active and config.lambda_rank > 0.0:

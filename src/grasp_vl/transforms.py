@@ -244,13 +244,6 @@ def fit_pca(rows: np.ndarray) -> LinearTransform:
     return t
 
 
-def captured_variance(rows: np.ndarray, pca: LinearTransform, k: int) -> float:
-    """Variance of the training rows captured by the top-k principal prefix."""
-    centered = rows - rows.mean(axis=0, keepdims=True)
-    proj = centered @ pca.matrix.T
-    return float(proj[:, :k].var(axis=0, ddof=1).sum())
-
-
 # ---------------------------------------------------------------------------
 # Butterfly-Givens stacks
 
@@ -364,13 +357,6 @@ def prefix_normalize(rows: np.ndarray, k: int) -> np.ndarray:
     if np.any(norms < 1e-12):
         raise GraspError("ZERO_PREFIX", f"prefix of length {k} has near-zero norm")
     return sl / norms
-
-
-def prefix_score(z_img: np.ndarray, z_txt: np.ndarray, k: int, tau: float) -> float:
-    """Temperature-scaled cosine of the independently renormalized k-prefixes."""
-    u = prefix_normalize(np.atleast_2d(z_img), k)[0]
-    v = prefix_normalize(np.atleast_2d(z_txt), k)[0]
-    return float(u @ v / tau)
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,28 @@ class TestErrors:
         rc = main(["synth", "--spec", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
         assert self._one_data_error(rc, capsys)["code"] == "IO_ERROR"
 
+    # {cache} is a readable cache, so the missing file is read after it where the verb has one
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--spec", "{missing}"],
+            ["validate", "--input", "{missing}"],
+            ["train", "--cache", "{cache}", "--config", "{missing}"],
+            ["eval", "--cache", "{cache}", "--checkpoint", "{missing}"],
+            ["report", "--cache", "{cache}", "--checkpoint", "{missing}"],
+            ["compare", "--cache", "{missing}"],
+            ["kappa", "--cache", "{missing}"],
+            ["pool", "--cache", "{cache}", "--checkpoint", "{missing}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_input_leaves_no_out_directory(self, synth_dir, tmp_path, capsys, argv):
+        paths = {"cache": str(synth_dir / "cache" / "manifest.json"), "missing": str(tmp_path / "missing")}
+        out = tmp_path / "o1"
+        rc = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+        assert self._one_data_error(rc, capsys)["code"] == "IO_ERROR"
+        assert not out.exists()
+
     def test_cache_without_ids_file_is_data_error(self, synth_dir, tmp_path, capsys):
         import shutil
 

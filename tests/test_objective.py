@@ -352,6 +352,95 @@ class TestTotalLossAndGradient:
             assert a == pytest.approx(b, abs=1e-14)
 
 
+def reference_infonce_grad(zi, zt, k, tau):
+    """Symmetric InfoNCE with a fresh array for every intermediate; the buffered kernel must match it bit for bit."""
+
+    def unit_prefix(rows):
+        sl = rows[:, :k]
+        norms = np.maximum(np.linalg.norm(sl, axis=1, keepdims=True), 1e-12)
+        return sl / norms, norms
+
+    def unit_prefix_backprop(d_unit, unit, norms, d_rows):
+        inner = (d_unit * unit).sum(axis=1, keepdims=True)
+        d_rows[:, :k] += (d_unit - inner * unit) / norms
+
+    ui, ni = unit_prefix(zi)
+    ut, nt = unit_prefix(zt)
+    s = (ui @ ut.T) / tau
+    n = s.shape[0]
+    diag = np.arange(n)
+    lse, soft = {}, {}
+    for axis in (1, 0):
+        m = s.max(axis=axis, keepdims=True)
+        e = np.exp(s - m)
+        total = e.sum(axis=axis, keepdims=True)
+        lse[axis] = (m + np.log(total)).squeeze(axis)
+        soft[axis] = e / total
+    value = 0.5 * float(np.mean(lse[1] - s[diag, diag]) + np.mean(lse[0] - s[diag, diag]))
+    ds = (soft[1] + soft[0]) / (2.0 * n)
+    ds[diag, diag] -= 1.0 / n
+    d_log_tau = -float((ds * s).sum())
+    dc = ds / tau
+    d_zi = np.zeros_like(zi)
+    d_zt = np.zeros_like(zt)
+    unit_prefix_backprop(dc @ ut, ui, ni, d_zi)
+    unit_prefix_backprop(dc.T @ ui, ut, nt, d_zt)
+    return value, d_zi, d_zt, d_log_tau
+
+
+class TestInfoNCEKernel:
+    DIM = 64
+
+    @pytest.mark.parametrize("tau", [0.07, 1.0])
+    @pytest.mark.parametrize("k", [1, 4, DIM])
+    @pytest.mark.parametrize("n", [2, 3, 256])
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
+    def test_bit_identical_to_the_fresh_array_reference(self, n, k, tau, duplicated):
+        rng = np.random.default_rng(n * 1000 + k)
+        zi = rng.standard_normal((n, self.DIM))
+        zt = rng.standard_normal((n, self.DIM))
+        if duplicated:
+            # two equal image rows and two equal text rows: row and column maxima tie
+            zi[1] = zi[0]
+            zt[1] = zt[0]
+        work = np.full((2, n, n), np.nan)  # whatever the buffers held must not leak into the result
+        got = O._infonce_grad(O._unit_prefix(zi, k), O._unit_prefix(zt, k), self.DIM, tau, work)
+        want = reference_infonce_grad(zi, zt, k, tau)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        assert got[3] == want[3]
+
+
+class TestStepCaches:
+    def test_each_prefix_and_paired_cosine_is_computed_once_per_step(self, monkeypatch):
+        dim = 64
+        contract = T.InterfaceContract.default_ladder(dim)
+        batch = make_batch(np.random.default_rng(0), 8, dim)
+        model = T.make_model(T.TransformSpec("dense_cayley", dim))
+        params = model.init_params(np.random.default_rng(1))
+        normalized, paired = [], []
+        unit_prefix, paired_cosine = O._unit_prefix, O._paired_cosine
+
+        def counting_unit_prefix(rows, k):
+            normalized.append((id(rows), k))
+            return unit_prefix(rows, k)
+
+        def counting_paired_cosine(pi, pt):
+            paired.append((id(pi[0]), id(pt[0])))
+            return paired_cosine(pi, pt)
+
+        monkeypatch.setattr(O, "_unit_prefix", counting_unit_prefix)
+        monkeypatch.setattr(O, "_paired_cosine", counting_paired_cosine)
+        O.total_loss_and_gradient(
+            model, params, np.zeros(len(contract.prefixes)), batch, O.LossConfig.default(contract), contract
+        )
+        # 11 row sets (image, 4 views, 6 negatives) x 5 prefixes, each normalized once
+        assert len(normalized) == len(set(normalized)) == 55
+        others = {f"view:{T.STYLE_VIEW[r]}" for r in T.NEGATIVE_TYPES} | {f"neg:{r}" for r in T.NEGATIVE_TYPES}
+        assert len(paired) == len(set(paired)) == len(others) * len(contract.prefixes)
+
+
 class TestFiniteDifferences:
     def test_quadratic_oracle_is_exact(self):
         rng = np.random.default_rng(0)
