@@ -54,20 +54,40 @@ def _score_blocks(transform, query_rows, cand_rows, k: int):
         start = stop
 
 
-def _unique_max(s: np.ndarray):
-    """Row maxima of a score block, and whether exactly one candidate reaches each."""
-    top = s.max(axis=1)
-    return top, (s == top[:, None]).sum(axis=1) == 1
+def _unique_top(s: np.ndarray):
+    """Each row's first maximal column, and whether it beats every other score of its row.
+
+    The top cells are set to -inf for one pass over the block and then
+    restored, so ``s`` ends as it began.  A NaN in the row is never a unique
+    top; as in ``_strict_top1_hits``, a lone candidate scoring -inf is not one
+    either.
+    """
+    rows = np.arange(s.shape[0])
+    best = s.argmax(axis=1)
+    top = s[rows, best]
+    s[rows, best] = -np.inf
+    unique = top > s.max(axis=1)
+    s[rows, best] = top
+    return best, unique
 
 
 def _strict_top1_hits(blocks, targets: np.ndarray) -> np.ndarray:
-    """Whether each query's target candidate is the strict row maximum; a tie at the top misses."""
+    """Whether each query's target candidate is the strict row maximum; a tie at the top misses.
+
+    One pass per block: the target's score is read, its cell set to -inf (each
+    block is a fresh array), and the target hits if it beats every other score.
+    A NaN anywhere in the row misses.  This is "equals the row maximum, and is
+    its only candidate" for every score except a target of -inf in a
+    one-candidate pool, which a cosine of finite rows cannot take.
+    """
     hits = np.zeros(len(targets), dtype=bool)
     for start, s in blocks:
         stop = start + s.shape[0]
-        top, unique = _unique_max(s)
-        own = s[np.arange(s.shape[0]), targets[start:stop]]
-        hits[start:stop] = (own == top) & unique
+        rows = np.arange(s.shape[0])
+        cols = targets[start:stop]
+        own = s[rows, cols]
+        s[rows, cols] = -np.inf
+        hits[start:stop] = own > s.max(axis=1)
     return hits
 
 
@@ -325,8 +345,8 @@ def rank_stats(
         # rows whose positive is not in the pool read column 0 here and are dropped below
         own = s[rows, np.maximum(positives[start:stop], 0)]
         ranks[start:stop] = (s >= own[:, None]).sum(axis=1)  # counts self; ties rank above
-        _, unique = _unique_max(s)
-        label_hits[start:stop] = unique & (cand_codes[s.argmax(axis=1)] == q_codes[start:stop])
+        best, unique = _unique_top(s)
+        label_hits[start:stop] = unique & (cand_codes[best] == q_codes[start:stop])
         ordered = np.sort(s, axis=1)
         maybe_tied = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1) | np.isnan(ordered[:, -1])
         for r in rows:

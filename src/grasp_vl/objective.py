@@ -259,6 +259,11 @@ class _RowSets:
             self._cosine[other, k] = _paired_cosine(self.unit("image", k), self.unit(other, k))
         return self._cosine[other, k]
 
+    def drop_prefixes(self) -> None:
+        """Free the cached prefixes and cosines once the last term that reads them has run."""
+        self._unit.clear()
+        self._cosine.clear()
+
     def add_grad(self, name: str, g: np.ndarray) -> None:
         self._dz[name] += g
 
@@ -344,6 +349,11 @@ def total_loss_and_gradient(
                 values["inv"] += hinge_pair(r, k, config.tolerances[r], config.lambda_inv, invariance=True)
 
     if "pres" in active and config.lambda_pres > 0.0 and not state.orthogonal:
+        # no later term reads the prefixes or the InfoNCE buffers: free them before the three 2n x 2n
+        # matrices.  Without this term there is nothing to make room for, and an early free only
+        # lets the allocator trim the heap top and fault it back in on the next step.
+        sets.drop_prefixes()
+        del work
         d = batch.dim
         e_rows = np.concatenate([sets.raw("image"), sets.raw("view:G3")], axis=0)
         z_img = sets.z("image")

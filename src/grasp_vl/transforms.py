@@ -9,11 +9,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import GraspError
 
@@ -109,32 +108,37 @@ class InterfaceContract:
 # Built transforms
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearTransform:
-    """A dense linear map with provenance and (claimed) orthogonality."""
+    """A dense linear map with provenance and (claimed) orthogonality.
+
+    ``matrix`` is a read-only float64 copy of the given matrix, so its
+    ``max|R^T R - I|``, computed once here, cannot go stale.
+    """
 
     matrix: np.ndarray
     provenance: str
     orthogonal: bool
+    _orthogonality_error: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+        m = np.array(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise GraspError("DIM_MISMATCH", f"transform matrix must be square, got {m.shape}")
+        m.flags.writeable = False
+        error = float(np.abs(m.T @ m - np.eye(m.shape[0])).max())
         object.__setattr__(self, "matrix", m)
-        if self.orthogonal and not self.orthogonality_error() <= 1e-8:  # a NaN error fails too
-            raise GraspError(
-                "ORTHOGONALITY_VIOLATION",
-                f"{self.provenance} map deviates from orthogonality by {self.orthogonality_error():.2e}",
-            )
+        object.__setattr__(self, "_orthogonality_error", error)
+        if self.orthogonal and not error <= 1e-8:  # a NaN error fails too
+            raise GraspError("ORTHOGONALITY_VIOLATION", f"{self.provenance} map deviates from orthogonality by {error:.2e}")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def orthogonality_error(self) -> float:
-        rtr = self.matrix.T @ self.matrix
-        return float(np.abs(rtr - np.eye(self.dim)).max())
+        """``max|R^T R - I|`` of the stored matrix."""
+        return self._orthogonality_error
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
@@ -446,9 +450,21 @@ def _sinkhorn_vjp(logits: np.ndarray, trace: list, d_out: np.ndarray) -> np.ndar
     return g * trace[0]  # chain through exp
 
 
+def _solve_assignment(cost: np.ndarray):
+    """``(rows, cols)`` of the minimum-cost assignment of a square cost matrix.
+
+    scipy.optimize costs about half a second and 40 MiB to import, and only
+    the permutation baselines and ``permutation_energy`` solve an assignment,
+    so it is imported here, on the first solve, and not with this module.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(cost)
+
+
 def harden_doubly_stochastic(p: np.ndarray) -> np.ndarray:
     """Optimal-assignment rounding of a doubly-stochastic matrix to a permutation."""
-    rows, cols = linear_sum_assignment(-p)
+    rows, cols = _solve_assignment(-p)
     perm = np.zeros_like(p)
     perm[rows, cols] = 1.0
     return perm
@@ -708,7 +724,7 @@ def permutation_energy(r: np.ndarray | LinearTransform) -> float:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GraspError("DIM_MISMATCH", "permutation energy needs a square matrix")
     sq = m * m
-    rows, cols = linear_sum_assignment(-sq)
+    rows, cols = _solve_assignment(-sq)
     best = sq[rows, cols].sum()
     total = sq.sum()
     return float(100.0 * best / total)

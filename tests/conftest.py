@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from grasp_vl.cli import _thread_limit
 from grasp_vl.datastore import SyntheticSpec, generate_synthetic
 from grasp_vl.objective import Batch, LossConfig
 from grasp_vl.transforms import (
@@ -22,6 +23,13 @@ SMALL_SPEC = SyntheticSpec(
     n_examples=240,
     seed=0,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """Numpy's BLAS on one thread for the whole session, so printed errors do not depend on the host's cores."""
+    with _thread_limit(1):
+        yield
 
 
 @pytest.fixture(scope="session")

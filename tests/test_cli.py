@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import grasp_vl
 from grasp_vl.cli import _build_parser, main
 
 SPEC = {
@@ -232,6 +237,32 @@ class TestKappa:
             "compressed_attr_rel",
         }
         assert (out / "kappa.csv").exists()
+
+
+class TestColdStart:
+    def test_scipy_optimize_loads_only_where_an_assignment_is_solved(self, tmp_path):
+        # a fresh interpreter: this one imported scipy.optimize long ago
+        (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+        script = textwrap.dedent(
+            """
+            import sys
+            from grasp_vl import cli
+            assert cli.main(["synth", "--spec", "spec.json", "--out", "synth", "--seed", "0"]) == 0
+            cache = "synth/cache/manifest.json"
+            assert cli.main(["train", "--cache", cache, "--out", "train", "--variant", "dense_cayley",
+                             "--epochs", "1", "--seed", "0"]) == 0
+            assert cli.main(["eval", "--cache", cache, "--checkpoint", "train/checkpoint.ckpt", "--out", "eval"]) == 0
+            assert "scipy.optimize" not in sys.modules, "a dense run imported scipy.optimize"
+            import numpy as np
+            from grasp_vl.transforms import harden_doubly_stochastic
+            harden_doubly_stochastic(np.full((3, 3), 1.0 / 3.0))
+            assert "scipy.optimize" in sys.modules, "hardening a permutation did not import scipy.optimize"
+            """
+        )
+        src = str(Path(grasp_vl.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr[-2000:]
 
 
 def _blas_threads():

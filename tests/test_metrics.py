@@ -460,6 +460,68 @@ def reference_zero_shot(image_rows, true_labels, class_rows, k, transform):
     return float(100.0 * np.mean((own == top) & (n_at_top == 1)))
 
 
+def reference_unique_max(s):
+    """Row maxima of a score block, and whether exactly one candidate reaches each (the two-pass form)."""
+    top = s.max(axis=1)
+    return top, (s == top[:, None]).sum(axis=1) == 1
+
+
+def _planted_blocks(seed=0):
+    """Random score blocks with ties at the top, NaNs, a one-candidate pool and duplicated candidates."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for n, m in [(12, 9), (7, 1), (30, 40), (5, 2)]:
+        s = np.round(rng.uniform(-1.0, 1.0, (n, m)), 1)  # one decimal: many exact ties
+        targets = rng.integers(0, m, n)
+        blocks.append((s, targets))
+    s, targets = rng.uniform(-1.0, 1.0, (40, 10)), rng.integers(0, 10, 40)
+    s[:, 5] = s[:, 2]  # candidates 2 and 5 are the same row
+    rows = np.arange(40)
+    top = s.max(axis=1)
+    s[:10, 7] = s[:10, 8] = top[:10] + 0.5  # a tie at the top, some involving the target
+    s[10:16, 0] = np.nan  # a NaN in another cell, or in the own cell
+    s[rows[16:20], targets[16:20]] = np.nan
+    s[rows[20:25], targets[20:25]] = top[20:25] + 0.5  # a target strictly on top
+    s[rows[25:28], targets[25:28]] = s[rows[25:28], (targets[25:28] + 1) % 10] = top[25:28] + 0.5  # a tied target
+    s[28, :] = 0.0  # a whole row tied
+    s[29, :] = np.nan
+    s[30:34, 2] = s[30:34, 5] = top[30:34] + 0.5  # the duplicated candidates share the top
+    blocks.append((s, targets))
+    return blocks
+
+
+class TestOnePassTop1:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_strict_hits_equal_the_two_pass_reference(self, seed):
+        for s, targets in _planted_blocks(seed):
+            top, unique = reference_unique_max(s)
+            want = (s[np.arange(len(s)), targets] == top) & unique
+            got = M._strict_top1_hits([(0, s.copy())], targets)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unique_top_equals_the_two_pass_reference(self, seed):
+        for s, _ in _planted_blocks(seed):
+            _, want = reference_unique_max(s)
+            block = s.copy()
+            best, unique = M._unique_top(block)
+            assert np.array_equal(unique, want)
+            assert np.array_equal(best, s.argmax(axis=1))
+            assert block.tobytes() == s.tobytes()  # the block is restored, NaN bits included
+
+    def test_planted_cases_are_present(self):
+        s, targets = _planted_blocks()[-1]
+        hits = M._strict_top1_hits([(0, s.copy())], targets)
+        _, unique = M._unique_top(s.copy())
+        assert hits[20:25].all() and not hits[25:30].any() and not hits[10:20].any()
+        assert not unique[:16].any() and unique[20:25].all() and not unique[25:34].any()
+
+    def test_one_candidate_pool_hits_unless_nan(self):
+        s = np.array([[0.3], [-1.0], [np.nan]])
+        assert M._strict_top1_hits([(0, s.copy())], np.zeros(3, dtype=np.intp)).tolist() == [True, True, False]
+        assert M._unique_top(s)[1].tolist() == [True, True, False]
+
+
 def _force_block_rows(monkeypatch, rows, n_cand):
     monkeypatch.setattr(M, "_BLOCK_BYTES", 8 * rows * n_cand)
 

@@ -441,6 +441,27 @@ class TestStepCaches:
         assert len(paired) == len(set(paired)) == len(others) * len(contract.prefixes)
 
 
+class TestStepMemory:
+    def test_prefix_caches_are_freed_before_the_preservation_term(self):
+        # a step that frees its prefix caches and InfoNCE buffers after the hinge terms peaks at
+        # 10.9 MiB here; one that holds them through the preservation term peaks at 14.8 MiB
+        import tracemalloc
+
+        dim = 64
+        contract = T.InterfaceContract.default_ladder(dim)
+        batch = make_batch(np.random.default_rng(0), 256, dim)
+        model = T.make_model(T.TransformSpec("mlp", dim))
+        params = model.init_params(np.random.default_rng(1))
+        args = (model, params, np.zeros(len(contract.prefixes)), batch, O.LossConfig.default(contract), contract)
+        tracemalloc.start()
+        try:
+            O.total_loss_and_gradient(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+
 class TestFiniteDifferences:
     def test_quadratic_oracle_is_exact(self):
         rng = np.random.default_rng(0)

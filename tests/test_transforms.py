@@ -122,6 +122,40 @@ class TestApply:
         assert e.value.code == "DIM_MISMATCH"
 
 
+class TestStoredMatrix:
+    def test_matrix_is_a_read_only_copy(self):
+        given = np.random.default_rng(0).standard_normal((5, 5))
+        t = T.LinearTransform(given, "linear", orthogonal=False)
+        with pytest.raises(ValueError):
+            t.matrix[0, 0] = 1.0
+        assert given.flags.writeable and not np.shares_memory(given, t.matrix)
+        assert np.array_equal(t.matrix, given)
+
+    def _low_rank_map(self):
+        model = T.make_model(T.TransformSpec("low_rank", 16, rank=3))
+        params = model.init_params(np.random.default_rng(2))
+        params["u"] *= 30.0  # a residual large enough to show in R^T R
+        return model.eval_transform(params)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda self: T.cayley_build(np.random.default_rng(0).standard_normal((24, 24))),
+            lambda self: T.fit_pca(np.random.default_rng(1).standard_normal((100, 12))),
+            _low_rank_map,
+        ],
+        ids=["cayley", "pca", "low_rank"],
+    )
+    def test_orthogonality_error_is_that_of_the_stored_matrix(self, build):
+        t = build(self)
+        m = t.matrix
+        assert t.orthogonality_error() == float(np.abs(m.T @ m - np.eye(t.dim)).max())
+
+    def test_low_rank_map_is_not_orthogonal(self):
+        t = self._low_rank_map()
+        assert not t.orthogonal and t.orthogonality_error() > 1e-3
+
+
 def prefix_score(z_img, z_txt, k, tau):
     """Temperature-scaled cosine of the independently renormalized k-prefixes of two vectors."""
     u = T.prefix_normalize(np.atleast_2d(z_img), k)[0]
