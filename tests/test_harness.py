@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from grasp_vl import harness as H
 from grasp_vl import transforms as T
 from grasp_vl.datastore import generate_synthetic
 from grasp_vl.errors import GraspError
-from grasp_vl.metrics import diagnostic_report
+from grasp_vl.metrics import DiagnosticReport, SelTable, diagnostic_report, stair_score
 
 from conftest import SMALL_SPEC
 
@@ -205,3 +206,173 @@ class TestTableWriters:
         ]
         assert e_lines[0].split(",") == ["method", "attribute", "relation", "action", "order", "full", "mean"]
         assert s_lines[1].startswith("oracle,")
+
+
+def _golden_rows():
+    method = [
+        H.MethodRow("frozen_full", None, None, 71.234, 55.5, 0.0, 0),
+        H.MethodRow("grasp_dense", 62.6875, 12.345, 80.0, 45.375, 3.2e-15, 4165),
+    ]
+    kappa = [
+        H.KappaRow("default", 8, 16, 66.125, 70.5, 88.875, 75.0, 4.0625, 62.5, 80.25, 1.5e-15),
+        H.KappaRow("relation_delayed", 8, 32, 65.0, 59.99, 90.005, 71.25, 0.0, 61.0, 79.5, 0.0),
+    ]
+    pool = [
+        H.PoolRow("full", 200, {4: 30.5, 8: 45.25, 16: 60.0, 32: 75.125}, 52.71875, 82.5, 67.609375, 2.25e-15),
+        H.PoolRow("test_only", 20, {4: 90.0, 8: 95.0, 16: 100.0, 32: 100.0}, 96.25, 82.5, 89.375, 2.25e-15),
+    ]
+    return {"method": method, "kappa": kappa, "pool": pool}
+
+
+def _golden_report():
+    ret_avg, hard_avg = 58.375, 81.0625
+    ks = T.InterfaceContract.default_ladder(64).prefixes
+    return DiagnosticReport(
+        retrieval={(4, "G0"): 40.0, (8, "G1"): 50.5, (16, "G2"): 61.25, (32, "G3"): 81.75, (4, "G3"): 10.0},
+        sel=SelTable(ks, T.NEGATIVE_TYPES, np.arange(30.0).reshape(5, 6) * 3.125),
+        ret_avg=ret_avg,
+        hard_avg=hard_avg,
+        stair=stair_score(ret_avg, hard_avg),
+        leak=12.5,
+        emergence_gaps={"attribute": 20.125, "relation": 30.0, "action": 31.5, "order": 29.875},
+        emergence_mean=27.875,
+        emergence_vs_first={},
+        drift=1e-15,
+        drift_raw=2e-15,
+        pool_mode="full",
+        pool_size=100,
+        n_queries=100,
+    )
+
+
+_GOLDEN_CSV = {
+    "method": (
+        b"method,stair,emergence_mean,cap_r1,hard_avg,drift,params\r\n"
+        b"frozen_full,,,71.23,55.50,0.0e+00,0\r\n"
+        b"grasp_dense,62.69,12.35,80.00,45.38,3.2e-15,4165\r\n"
+    ),
+    "kappa": (
+        b"setting,attr_kappa,rel_kappa,attr_at_kappa,rel_ao_at_kappa,full_at_kappa,"
+        b"contract_hard_avg,pre_kappa_leak,default_stair,cap_r1,drift\r\n"
+        b"default,8,16,66.12,70.50,88.88,75.00,4.06,62.50,80.25,1.5e-15\r\n"
+        b"relation_delayed,8,32,65.00,59.99,90.00,71.25,0.00,61.00,79.50,0.0e+00\r\n"
+    ),
+    "pool": (
+        b"pool_mode,candidates,r1@4,r1@8,r1@16,r1@32,ret_avg,hard_avg,stair,drift\r\n"
+        b"full,200,30.50,45.25,60.00,75.12,52.72,82.50,67.61,2.2e-15\r\n"
+        b"test_only,20,90.00,95.00,100.00,100.00,96.25,82.50,89.38,2.2e-15\r\n"
+    ),
+}
+
+_GOLDEN_JSON = {
+    "method": """[
+  {
+    "cap_r1": 71.234,
+    "drift": 0.0,
+    "emergence_mean": null,
+    "hard_avg": 55.5,
+    "method": "frozen_full",
+    "params": 0,
+    "stair": null
+  },
+  {
+    "cap_r1": 80.0,
+    "drift": 3.2e-15,
+    "emergence_mean": 12.345,
+    "hard_avg": 45.375,
+    "method": "grasp_dense",
+    "params": 4165,
+    "stair": 62.6875
+  }
+]""",
+    "kappa": """[
+  {
+    "attr_at_kappa": 66.125,
+    "attr_kappa": 8,
+    "cap_r1": 80.25,
+    "contract_hard_avg": 75.0,
+    "default_stair": 62.5,
+    "drift": 1.5e-15,
+    "full_at_kappa": 88.875,
+    "pre_kappa_leak": 4.0625,
+    "rel_ao_at_kappa": 70.5,
+    "rel_kappa": 16,
+    "setting": "default"
+  },
+  {
+    "attr_at_kappa": 65.0,
+    "attr_kappa": 8,
+    "cap_r1": 79.5,
+    "contract_hard_avg": 71.25,
+    "default_stair": 61.0,
+    "drift": 0.0,
+    "full_at_kappa": 90.005,
+    "pre_kappa_leak": 0.0,
+    "rel_ao_at_kappa": 59.99,
+    "rel_kappa": 32,
+    "setting": "relation_delayed"
+  }
+]""",
+    "pool": """[
+  {
+    "candidates": 200,
+    "drift": 2.25e-15,
+    "hard_avg": 82.5,
+    "pool_mode": "full",
+    "ret_avg": 52.71875,
+    "ret_cells": {
+      "16": 60.0,
+      "32": 75.125,
+      "4": 30.5,
+      "8": 45.25
+    },
+    "stair": 67.609375
+  },
+  {
+    "candidates": 20,
+    "drift": 2.25e-15,
+    "hard_avg": 82.5,
+    "pool_mode": "test_only",
+    "ret_avg": 96.25,
+    "ret_cells": {
+      "16": 100.0,
+      "32": 100.0,
+      "4": 90.0,
+      "8": 95.0
+    },
+    "stair": 89.375
+  }
+]""",
+}
+
+
+class TestTableBytes:
+    """Every table the harness writes, pinned byte for byte on hand-made rows."""
+
+    _WRITERS = {"method": H.write_method_csv, "kappa": H.write_kappa_csv, "pool": H.write_pool_csv}
+
+    @pytest.mark.parametrize("kind", sorted(_GOLDEN_CSV))
+    def test_row_csv(self, kind, tmp_path):
+        self._WRITERS[kind](_golden_rows()[kind], tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == _GOLDEN_CSV[kind]
+
+    @pytest.mark.parametrize("kind", sorted(_GOLDEN_JSON))
+    def test_row_json(self, kind):
+        rows = _golden_rows()[kind]
+        assert json.dumps([r.to_json_dict() for r in rows], indent=2, sort_keys=True) == _GOLDEN_JSON[kind]
+
+    def test_staircase_decomposition_csv(self, tmp_path):
+        rep = _golden_report()
+        contract = T.InterfaceContract.default_ladder(64)
+        H.write_staircase_decomposition_csv([("a", rep), ("b", rep)], contract, tmp_path / "s.csv")
+        row = b"40.00,50.50,61.25,81.75,58.38,0.00,21.88,43.75,71.88,81.06,69.72\r\n"
+        assert (tmp_path / "s.csv").read_bytes() == (
+            b"method,obj_r1,attr_r1,rel_r1,cap_r1,ret_avg,obj_neg,attr_neg,rel_neg,full_neg,hard_avg,staircase\r\n"
+            + b"a," + row + b"b," + row
+        )
+
+    def test_emergence_csv(self, tmp_path):
+        H.write_emergence_csv([("a", _golden_report())], tmp_path / "e.csv")
+        assert (tmp_path / "e.csv").read_bytes() == (
+            b"method,attribute,relation,action,order,full,mean\r\na,20.12,30.00,31.50,29.88,,27.88\r\n"
+        )
