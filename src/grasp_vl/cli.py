@@ -61,6 +61,7 @@ from .transforms import (
     load_checkpoint,
     load_matrix_transform,
     make_model,
+    save_checkpoint,
     save_matrix_transform,
 )
 
@@ -224,7 +225,7 @@ def _cmd_train(args) -> int:
     config = replace(config, **changed)  # re-runs TrainConfig's checks on the overridden values
     checkpoint, history = train(config, cache)
     out = _out_dir(args)
-    checkpoint.save(out / "checkpoint.ckpt")
+    save_checkpoint(out / "checkpoint.ckpt", checkpoint)
     with open(out / "history.jsonl", "w", encoding="utf-8") as fh:
         for stats in history:
             fh.write(json.dumps(stats.to_json_dict(), sort_keys=True) + "\n")
@@ -236,11 +237,8 @@ def _cmd_train(args) -> int:
         config.seed,
         ["checkpoint.ckpt", "history.jsonl", "train_config.json"],
     )
-    print(
-        json.dumps(
-            {"best_epoch": checkpoint.epoch, "val_stair": checkpoint.val_stair, "val_drift": checkpoint.val_drift}
-        )
-    )
+    meta = checkpoint.meta
+    print(json.dumps({"best_epoch": meta["epoch"], "val_stair": meta["val_stair"], "val_drift": meta["val_drift"]}))
     return 0
 
 
@@ -318,7 +316,7 @@ def _cmd_compare(args) -> int:
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     for name, checkpoint in comparison.checkpoints.items():
-        checkpoint.save(ckpt_dir / f"{name}.ckpt")
+        save_checkpoint(ckpt_dir / f"{name}.ckpt", checkpoint)
         artifacts.append(f"checkpoints/{name}.ckpt")
     _write_manifest(out, "compare", _args_payload(args), grid.seed, artifacts)
     return 0

@@ -214,7 +214,7 @@ def validate_jsonl(path: str | Path, extra_distractors: set[str] | None = None):
 # Embedding cache
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingCache:
     dim: int
     ids: tuple[str, ...]
@@ -454,7 +454,7 @@ class SyntheticSpec:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class SyntheticResult:
     cache: EmbeddingCache
     rows: list[AnnotationRow]

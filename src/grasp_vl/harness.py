@@ -4,7 +4,7 @@ candidate-pool sensitivity, and the scaling-cost estimator."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,8 @@ from .objective import LossConfig
 from .trainer import TrainConfig, train
 from .transforms import (
     NEGATIVE_TYPES,
+    VIEW_LEVELS,
+    Checkpoint,
     InterfaceContract,
     TransformSpec,
     fit_pca,
@@ -94,22 +96,14 @@ class MethodRow:
     params: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "stair": self.stair,
-            "emergence_mean": self.emergence_mean,
-            "cap_r1": self.cap_r1,
-            "hard_avg": self.hard_avg,
-            "drift": self.drift,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 @dataclass
 class MethodComparison:
     rows: list[MethodRow]
     reports: dict[str, DiagnosticReport]
-    checkpoints: dict[str, object]  # trainer.Checkpoint per trained method
+    checkpoints: dict[str, Checkpoint]
 
 
 def _method_seed(grid: GridConfig, method: str) -> int:
@@ -146,7 +140,7 @@ def run_method_comparison(cache: EmbeddingCache, grid: GridConfig) -> MethodComp
     n_prefixes = len(contract.prefixes)
     rows: list[MethodRow] = []
     reports: dict[str, DiagnosticReport] = {}
-    checkpoints: dict[str, object] = {}
+    checkpoints: dict[str, Checkpoint] = {}
 
     for method in METHOD_ORDER:
         if method not in methods:
@@ -231,19 +225,7 @@ class KappaRow:
     drift: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "setting": self.setting,
-            "attr_kappa": self.attr_kappa,
-            "rel_kappa": self.rel_kappa,
-            "attr_at_kappa": self.attr_at_kappa,
-            "rel_ao_at_kappa": self.rel_ao_at_kappa,
-            "full_at_kappa": self.full_at_kappa,
-            "contract_hard_avg": self.contract_hard_avg,
-            "pre_kappa_leak": self.pre_kappa_leak,
-            "default_stair": self.default_stair,
-            "cap_r1": self.cap_r1,
-            "drift": self.drift,
-        }
+        return asdict(self)
 
 
 def run_kappa_sensitivity(
@@ -431,21 +413,7 @@ def estimate_cost(dim: int, gallery: int, precision_bytes: int = 2) -> CostEstim
 
 
 def write_method_csv(rows: list[MethodRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "stair", "emergence_mean", "cap_r1", "hard_avg", "drift", "params"])
-        for r in rows:
-            w.writerow(
-                [
-                    r.method,
-                    _num(r.stair),
-                    _num(r.emergence_mean),
-                    _num(r.cap_r1),
-                    _num(r.hard_avg),
-                    f"{r.drift:.1e}",
-                    r.params,
-                ]
-            )
+    _write_records(MethodRow, rows, path)
 
 
 def write_staircase_decomposition_csv(
@@ -453,109 +421,58 @@ def write_staircase_decomposition_csv(
 ) -> None:
     """Columns mirror the staircase decomposition: per-view R@1, per-type
     boundary selectivity, then the two averages and their mean."""
-    ks = contract.prefixes
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "method",
-                "obj_r1",
-                "attr_r1",
-                "rel_r1",
-                "cap_r1",
-                "ret_avg",
-                "obj_neg",
-                "attr_neg",
-                "rel_neg",
-                "full_neg",
-                "hard_avg",
-                "staircase",
-            ]
-        )
-        for name, rep in named_reports:
-            w.writerow(
-                [
-                    name,
-                    _num(rep.retrieval[(ks[0], "G0")]),
-                    _num(rep.retrieval[(ks[1], "G1")]),
-                    _num(rep.retrieval[(ks[2], "G2")]),
-                    _num(rep.retrieval[(ks[3], "G3")]),
-                    _num(rep.ret_avg),
-                    _num(rep.sel.cell(contract.kappa["object"], "object")),
-                    _num(rep.sel.cell(contract.kappa["attribute"], "attribute")),
-                    _num(rep.sel.cell(contract.kappa["relation"], "relation")),
-                    _num(rep.sel.cell(contract.kappa["full"], "full")),
-                    _num(rep.hard_avg),
-                    _num(rep.stair),
-                ]
-            )
+    views = list(zip(contract.prefixes, VIEW_LEVELS))
+    header = ["method", "obj_r1", "attr_r1", "rel_r1", "cap_r1", "ret_avg"]
+    header += ["obj_neg", "attr_neg", "rel_neg", "full_neg", "hard_avg", "staircase"]
+    rows = []
+    for name, rep in named_reports:
+        ret = [rep.retrieval[kv] for kv in views]
+        sel = [rep.sel.cell(contract.kappa[t], t) for t in HARD_AVG_TYPES]
+        rows.append([name, *ret, rep.ret_avg, *sel, rep.hard_avg, rep.stair])
+    _write_csv(path, header, rows)
 
 
 def write_emergence_csv(named_reports: list[tuple[str, DiagnosticReport]], path: str | Path) -> None:
     cols = ("attribute", "relation", "action", "order", "full")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", *cols, "mean"])
-        for name, rep in named_reports:
-            w.writerow([name, *[_num(rep.emergence_gaps.get(c)) for c in cols], _num(rep.emergence_mean)])
+    rows = [[name, *[rep.emergence_gaps.get(c) for c in cols], rep.emergence_mean] for name, rep in named_reports]
+    _write_csv(path, ["method", *cols, "mean"], rows)
 
 
 def write_kappa_csv(rows: list[KappaRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "setting",
-                "attr_kappa",
-                "rel_kappa",
-                "attr_at_kappa",
-                "rel_ao_at_kappa",
-                "full_at_kappa",
-                "contract_hard_avg",
-                "pre_kappa_leak",
-                "default_stair",
-                "cap_r1",
-                "drift",
-            ]
-        )
-        for r in rows:
-            w.writerow(
-                [
-                    r.setting,
-                    r.attr_kappa,
-                    r.rel_kappa,
-                    _num(r.attr_at_kappa),
-                    _num(r.rel_ao_at_kappa),
-                    _num(r.full_at_kappa),
-                    _num(r.contract_hard_avg),
-                    _num(r.pre_kappa_leak),
-                    _num(r.default_stair),
-                    _num(r.cap_r1),
-                    f"{r.drift:.1e}",
-                ]
-            )
+    _write_records(KappaRow, rows, path)
 
 
 def write_pool_csv(rows: list[PoolRow], path: str | Path) -> None:
     if not rows:
         return
     ks = sorted(rows[0].ret_cells)
+    header = ["pool_mode", "candidates", *[f"r1@{k}" for k in ks], "ret_avg", "hard_avg", "stair", "drift"]
+    cells = [
+        [r.pool_mode, r.candidates, *[r.ret_cells[k] for k in ks], r.ret_avg, r.hard_avg, r.stair, r.drift]
+        for r in rows
+    ]
+    _write_csv(path, header, cells)
+
+
+def _write_records(record_type, rows, path: str | Path) -> None:
+    """One column per field of ``record_type``, in declaration order."""
+    names = [f.name for f in fields(record_type)]
+    _write_csv(path, names, [[getattr(r, n) for n in names] for r in rows])
+
+
+def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+    """Cells are formatted by column: ``None`` is empty, strings and integers are
+    written as they are, ``drift`` in ``.1e``, every other number in ``.2f``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["pool_mode", "candidates", *[f"r1@{k}" for k in ks], "ret_avg", "hard_avg", "stair", "drift"])
-        for r in rows:
-            w.writerow(
-                [
-                    r.pool_mode,
-                    r.candidates,
-                    *[_num(r.ret_cells[k]) for k in ks],
-                    _num(r.ret_avg),
-                    _num(r.hard_avg),
-                    _num(r.stair),
-                    f"{r.drift:.1e}",
-                ]
-            )
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_cell(column, x) for column, x in zip(header, row, strict=True)])
 
 
-def _num(x) -> str:
-    return "" if x is None else f"{x:.2f}"
+def _cell(column: str, x):
+    if x is None:
+        return ""
+    if isinstance(x, (str, int)):
+        return x
+    return f"{x:.1e}" if column == "drift" else f"{x:.2f}"

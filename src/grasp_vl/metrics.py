@@ -7,7 +7,7 @@ misses so that degenerate collapses are never credited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -133,7 +133,7 @@ def selectivity(
 # Selectivity table and aggregates
 
 
-@dataclass
+@dataclass(eq=False)
 class SelTable:
     prefixes: tuple[int, ...]
     types: tuple[str, ...]
@@ -292,13 +292,7 @@ class RankStats:
     same_label_r_at_1: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "purity_at_10": self.purity_at_10,
-            "category_map": self.category_map,
-            "median_rank": self.median_rank,
-            "r_at_1": self.r_at_1,
-            "same_label_r_at_1": self.same_label_r_at_1,
-        }
+        return asdict(self)
 
 
 def rank_stats(
@@ -408,7 +402,7 @@ def zero_shot(
 # The assembled diagnostic report
 
 
-@dataclass
+@dataclass(eq=False)
 class DiagnosticReport:
     retrieval: dict[tuple[int, str], float]  # (prefix, view) -> R@1
     sel: SelTable

@@ -108,7 +108,7 @@ class LossConfig:
 # Batches
 
 
-@dataclass
+@dataclass(eq=False)
 class Batch:
     """Aligned raw (e-space) row sets for one step."""
 
@@ -213,7 +213,7 @@ def _temps(contract: InterfaceContract, log_temps: np.ndarray) -> dict[int, floa
 # Full objective with gradients
 
 
-@dataclass
+@dataclass(eq=False)
 class Grads:
     """Mirrors the parameter containers: per-name arrays plus log-temperatures."""
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -16,12 +15,12 @@ from .metrics import full_drift, hard_average, recall_at_1, retrieval_average, s
 from .objective import Batch, LossConfig, TERM_NAMES, total_loss_and_gradient
 from .objective import flatten_grads, flatten_state, unflatten_state
 from .transforms import (
+    Checkpoint,
     InterfaceContract,
     NEGATIVE_TYPES,
     TransformSpec,
     VIEW_LEVELS,
     make_model,
-    save_checkpoint,
 )
 
 log = logging.getLogger(__name__)
@@ -137,39 +136,7 @@ class EpochStats:
     val_drift: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "term_means": dict(self.term_means),
-            "enabled_types": list(self.enabled_types),
-            "val_ret_avg": self.val_ret_avg,
-            "val_hard_avg": self.val_hard_avg,
-            "val_stair": self.val_stair,
-            "val_drift": self.val_drift,
-        }
-
-
-@dataclass
-class Checkpoint:
-    spec: TransformSpec
-    contract: InterfaceContract
-    params: dict[str, np.ndarray]
-    log_temps: np.ndarray
-    epoch: int
-    val_stair: float
-    val_drift: float
-    loss_trace: list[EpochStats] = field(default_factory=list)
-
-    def eval_transform(self):
-        return make_model(self.spec).eval_transform(self.params)
-
-    def save(self, path: str | Path) -> None:
-        meta = {
-            "epoch": self.epoch,
-            "val_stair": self.val_stair,
-            "val_drift": self.val_drift,
-            "loss_trace": [s.to_json_dict() for s in self.loss_trace],
-        }
-        save_checkpoint(path, self.spec, self.contract, self.log_temps, self.params, meta)
+        return asdict(self)
 
 
 class _Adam:
@@ -219,7 +186,7 @@ def validation_scores(cache: EmbeddingCache, transform, contract: InterfaceContr
     return ret_avg, hard_avg, stair_score(ret_avg, hard_avg), drift
 
 
-@dataclass
+@dataclass(eq=False)
 class CheckpointCandidate:
     epoch: int
     stair: float
@@ -323,14 +290,10 @@ def train(config: TrainConfig, cache: EmbeddingCache):
         )
 
     best = select_checkpoint(candidates, config.drift_gate)
-    checkpoint = Checkpoint(
-        spec=config.spec,
-        contract=config.contract,
-        params=best.params,
-        log_temps=best.log_temps,
-        epoch=best.epoch,
-        val_stair=best.stair,
-        val_drift=best.drift,
-        loss_trace=history,
-    )
-    return checkpoint, history
+    meta = {
+        "epoch": best.epoch,
+        "val_stair": best.stair,
+        "val_drift": best.drift,
+        "loss_trace": [s.to_json_dict() for s in history],
+    }
+    return Checkpoint(config.spec, config.contract, best.log_temps, best.params, meta), history

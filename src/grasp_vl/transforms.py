@@ -108,7 +108,7 @@ class InterfaceContract:
 # Built transforms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearTransform:
     """A dense linear map with provenance and (claimed) orthogonality.
 
@@ -153,7 +153,7 @@ def _mlp_forward(p: dict[str, np.ndarray], rows: np.ndarray):
     return (p["scale"] * h + p["shift"]) @ p["w2"].T + p["b2"], h
 
 
-@dataclass
+@dataclass(eq=False)
 class MlpTransform:
     """Nonlinear adapter: D -> 2D tanh hidden with per-feature scale/shift -> D."""
 
@@ -787,32 +787,10 @@ def load_matrix_transform(path: str | Path) -> LinearTransform:
 _CHECKPOINT_FORMAT = "grasp-checkpoint-v1"
 
 
-def save_checkpoint(
-    path: str | Path,
-    spec: TransformSpec,
-    contract: InterfaceContract,
-    log_temps: np.ndarray,
-    params: dict[str, np.ndarray],
-    meta: dict | None = None,
-) -> None:
-    names = sorted(params)
-    header = {
-        "format": _CHECKPOINT_FORMAT,
-        "spec": spec.to_json_dict(),
-        "contract": contract.to_json_dict(),
-        "log_temperatures": [float(x) for x in np.asarray(log_temps)],
-        "params": [{"name": n, "shape": list(params[n].shape)} for n in names],
-        "meta": meta or {},
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for n in names:
-            fh.write(np.ascontiguousarray(params[n], dtype="<f8").tobytes())
+@dataclass(eq=False)
+class Checkpoint:
+    """A trained map and its per-prefix log-temperatures; ``meta`` is free-form JSON."""
 
-
-@dataclass
-class CheckpointFile:
     spec: TransformSpec
     contract: InterfaceContract
     log_temps: np.ndarray
@@ -823,7 +801,24 @@ class CheckpointFile:
         return make_model(self.spec).eval_transform(self.params)
 
 
-def load_checkpoint(path: str | Path) -> CheckpointFile:
+def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
+    names = sorted(checkpoint.params)
+    header = {
+        "format": _CHECKPOINT_FORMAT,
+        "spec": checkpoint.spec.to_json_dict(),
+        "contract": checkpoint.contract.to_json_dict(),
+        "log_temperatures": [float(x) for x in np.asarray(checkpoint.log_temps)],
+        "params": [{"name": n, "shape": list(checkpoint.params[n].shape)} for n in names],
+        "meta": checkpoint.meta,
+    }
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        fh.write(b"\n")
+        for n in names:
+            fh.write(np.ascontiguousarray(checkpoint.params[n], dtype="<f8").tobytes())
+
+
+def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint; its parameter names and shapes must be those of its spec."""
     with open(path, "rb") as fh:
         header = _read_header(fh, _CHECKPOINT_FORMAT)
@@ -847,4 +842,4 @@ def load_checkpoint(path: str | Path) -> CheckpointFile:
             name: np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).copy()
             for (name, shape), size in zip(entries, sizes)
         }
-    return CheckpointFile(spec=spec, contract=contract, log_temps=log_temps, params=params, meta=meta)
+    return Checkpoint(spec=spec, contract=contract, log_temps=log_temps, params=params, meta=meta)

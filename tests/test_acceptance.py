@@ -44,8 +44,8 @@ ACCEPT_SPEC = D.SyntheticSpec(
 @dataclass
 class Bundle:
     synth: D.SyntheticResult
-    dense: TR.Checkpoint
-    perm: TR.Checkpoint
+    dense: T.Checkpoint
+    perm: T.Checkpoint
     build_seconds: float
 
 
@@ -80,7 +80,7 @@ def bundle() -> Bundle:
 
 
 @pytest.fixture(scope="session")
-def small_butterfly(bundle) -> TR.Checkpoint:
+def small_butterfly(bundle) -> T.Checkpoint:
     contract = bundle.synth.contract
     cfg = TR.TrainConfig(
         spec=T.TransformSpec("butterfly", 64, stacks=2),

@@ -74,7 +74,8 @@ def files(tmp_path_factory):
     base = tmp_path_factory.mktemp("fuzz")
     spec = T.TransformSpec("low_rank", 16, rank=2)
     params = T.make_model(spec).init_params(np.random.default_rng(0))
-    T.save_checkpoint(base / "good.ckpt", spec, T.InterfaceContract.default_ladder(16), np.zeros(5), params, {"epoch": 1})
+    checkpoint = T.Checkpoint(spec, T.InterfaceContract.default_ladder(16), np.zeros(5), params, {"epoch": 1})
+    T.save_checkpoint(base / "good.ckpt", checkpoint)
     T.save_matrix_transform(base / "good.transform", T.random_orthogonal(6, 0))
 
     rng = np.random.default_rng(0)

@@ -110,7 +110,7 @@ class TestTrain:
         b, _ = TR.train(cfg, small_cache)
         assert np.array_equal(a.params["b"], b.params["b"])
         assert np.array_equal(a.log_temps, b.log_temps)
-        assert a.epoch == b.epoch
+        assert a.meta["epoch"] == b.meta["epoch"]
 
     def test_warmup_has_no_typed_losses(self, small_cache, ladder32):
         cfg = small_train_config(ladder32, epochs=2, warmup_epochs=2)
@@ -128,7 +128,7 @@ class TestTrain:
     def test_more_epochs_never_reduce_selected_stair(self, small_cache, ladder32):
         short, _ = TR.train(small_train_config(ladder32, epochs=2), small_cache)
         long, _ = TR.train(small_train_config(ladder32, epochs=4), small_cache)
-        assert long.val_stair >= short.val_stair
+        assert long.meta["val_stair"] >= short.meta["val_stair"]
 
     def test_loss_trace_finite(self, small_cache, ladder32):
         _, history = TR.train(small_train_config(ladder32, epochs=2), small_cache)
@@ -168,10 +168,10 @@ class TestTrain:
     def test_checkpoint_round_trip(self, small_cache, ladder32, tmp_path):
         ckpt, _ = TR.train(small_train_config(ladder32, epochs=2), small_cache)
         path = tmp_path / "m.ckpt"
-        ckpt.save(path)
+        T.save_checkpoint(path, ckpt)
         loaded = T.load_checkpoint(path)
         assert np.array_equal(loaded.params["b"], ckpt.params["b"])
-        assert loaded.meta["epoch"] == ckpt.epoch
+        assert loaded.meta["epoch"] == ckpt.meta["epoch"]
         a = loaded.eval_transform().matrix
         b = ckpt.eval_transform().matrix
         assert np.array_equal(a, b)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
 from grasp_vl.errors import GraspError
+from grasp_vl import metrics as M
 from grasp_vl import objective as O
+from grasp_vl import trainer as TR
 from grasp_vl import transforms as T
 
 from conftest import unit_rows
@@ -448,7 +452,7 @@ class TestCheckpointFormat:
         contract = T.InterfaceContract.default_ladder(16)
         log_temps = np.log(0.07) * np.ones(5)
         path = tmp_path / "model.ckpt"
-        T.save_checkpoint(path, spec, contract, log_temps, params, meta={"epoch": 3})
+        T.save_checkpoint(path, T.Checkpoint(spec, contract, log_temps, params, meta={"epoch": 3}))
         loaded = T.load_checkpoint(path)
         assert loaded.spec == spec
         assert loaded.contract == contract
@@ -462,7 +466,7 @@ class TestCheckpointFormat:
         params = model.init_params(np.random.default_rng(0))
         contract = T.InterfaceContract.default_ladder(16)
         path = tmp_path / "model.ckpt"
-        T.save_checkpoint(path, spec, contract, np.zeros(5), params, meta={})
+        T.save_checkpoint(path, T.Checkpoint(spec, contract, np.zeros(5), params, meta={}))
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(GraspError) as e:
@@ -486,3 +490,50 @@ class TestCheckpointFormat:
         assert loaded.provenance == "random"
         assert loaded.orthogonal
         assert np.array_equal(loaded.matrix, t.matrix)
+
+
+@pytest.fixture(scope="module")
+def array_records(small_synth):
+    """One instance of each record type that holds arrays."""
+    spec = T.TransformSpec("mlp", 16)
+    params = T.make_model(spec).init_params(np.random.default_rng(0))
+    return {
+        "LinearTransform": T.identity_transform(3),
+        "MlpTransform": T.make_model(spec).eval_transform(params),
+        "Checkpoint": T.Checkpoint(spec, T.InterfaceContract.default_ladder(16), np.zeros(5), params, {}),
+        "CheckpointCandidate": TR.CheckpointCandidate(1, 50.0, 0.0, params, np.zeros(5)),
+        "SelTable": M.SelTable((4, 8), ("object", "full"), np.zeros((2, 2))),
+        "DiagnosticReport": M.diagnostic_report(small_synth.cache, small_synth.oracle, small_synth.contract),
+        "Batch": O.Batch.from_cache(small_synth.cache, np.arange(4)),
+        "Grads": O.Grads(params, np.zeros(5)),
+        "EmbeddingCache": small_synth.cache,
+        "SyntheticResult": small_synth,
+    }
+
+
+class TestArrayRecordEquality:
+    """A record holding arrays compares by identity: ``==`` gives a bool instead of raising."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "LinearTransform",
+            "MlpTransform",
+            "Checkpoint",
+            "CheckpointCandidate",
+            "SelTable",
+            "DiagnosticReport",
+            "Batch",
+            "Grads",
+            "EmbeddingCache",
+            "SyntheticResult",
+        ],
+    )
+    def test_equality_is_a_bool(self, array_records, name):
+        x = array_records[name]
+        assert x == x
+        assert isinstance(x == copy.deepcopy(x), bool)
+
+    def test_linear_transform_hashes(self):
+        x = T.identity_transform(3)
+        assert hash(x) == hash(x)
