@@ -247,7 +247,11 @@ class EmbeddingCache:
             raise GraspError("MALFORMED", f"unknown id {id_!r}") from None
 
     def indices_of(self, ids) -> np.ndarray:
-        return np.array([self.row_index(i) for i in ids], dtype=np.intp)
+        """Row indices of ``ids``, any iterable, in one pass; the first unknown id is ``MALFORMED``."""
+        try:
+            return np.fromiter(map(self._index.__getitem__, ids), np.intp)
+        except KeyError as e:
+            raise GraspError("MALFORMED", f"unknown id {e.args[0]!r}") from None
 
     def split_ids(self, split: str) -> tuple[str, ...]:
         return tuple(i for i in self.ids if self.split_of[i] == split)

@@ -26,32 +26,67 @@ def _rows64(rows: np.ndarray) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-# Bytes of one float64 score block: 52 query rows against 20000 candidates, or
-# a whole query set of up to 524 rows against 2000.
+# Top-1 scores 128 query rows against 1024 candidates at a time: a 1 MiB float64
+# tile, which stays in a core's L2 cache between the product and the max pass.
+# Column tiles start on multiples of 16, the column unroll of OpenBLAS's AVX-512
+# DGEMM kernel, so when the pool size is a multiple of 8 every score is summed
+# exactly as in a full-width product (README, "Score tiles and BLAS rounding").
+_TILE_ROWS = 128
+_TILE_COLS = 1024
+
+# Rank statistics sort whole rows, so they read full-width row blocks of at most
+# 8 MiB: 52 query rows against 20000 candidates, or 524 rows against 2000.
 _BLOCK_BYTES = 8 * 2**20
 
 
-def _score_blocks(transform, query_rows, cand_rows, k: int):
-    """Yield ``(start, scores)`` for consecutive blocks of query rows against every candidate.
+def _spans(n: int, size: int) -> list[tuple[int, int]]:
+    """Consecutive ``(start, stop)`` spans of at most ``size`` covering ``range(n)``.
 
-    Each query and candidate row is transformed once; only one block of scores
-    exists at a time, so memory is O(block x candidates) whatever the query
-    count.  A block never has a single row unless the query set does: numpy
-    hands a one-row product to BLAS's matrix-vector kernel, which rounds
-    differently from the matrix-matrix kernel that computes the other rows.
+    A last span of one is merged into the one before, so no span has length one
+    unless ``n`` is one.
+    """
+    size = max(2, size)
+    spans = []
+    start = 0
+    while start < n:
+        stop = n if start + size >= n - 1 else start + size
+        spans.append((start, stop))
+        start = stop
+    return spans
+
+
+def _score_tiles(transform, query_rows, cand_rows, k: int, full_width: bool = False):
+    """Yield ``(row_start, col_start, scores)`` for the tiles of the query x candidate scores.
+
+    Tiles cover the candidates of one span of query rows, then move to the next
+    span.  A tile has at most ``_TILE_ROWS`` x ``_TILE_COLS`` cells, or, with
+    ``full_width``, every candidate and as many query rows as fit in
+    ``_BLOCK_BYTES``.  Each row is transformed once, and each tile is written
+    into one buffer that the next tile overwrites: copy a tile to keep it.
+
+    No tile has one row or one column unless the query set or the pool does:
+    numpy hands such a product to BLAS's matrix-vector kernel, which rounds
+    differently.  A one-row query set or a one-candidate pool is one tile, and
+    a one-row query set keeps the operand layout it has always had.
     """
     zq = prefix_normalize(transform.apply(_rows64(query_rows)), k)
     zc = prefix_normalize(transform.apply(_rows64(cand_rows)), k)
-    rows = max(2, _BLOCK_BYTES // (8 * max(1, zc.shape[0])))
-    n = zq.shape[0]
-    # a contiguous copy of zc.T is cheaper for BLAS to pack once per block; a one-row
-    # product keeps the view, since the matrix-vector kernel rounds by operand layout
-    zct = zc.T if n == 1 else np.ascontiguousarray(zc.T)
-    start = 0
-    while start < n:
-        stop = n if start + rows >= n - 1 else start + rows
-        yield start, zq[start:stop] @ zct
-        start = stop
+    n, m = zq.shape[0], zc.shape[0]
+    if n == 1 or m == 1:
+        yield 0, 0, zq @ (zc.T if n == 1 else np.ascontiguousarray(zc.T))
+        return
+    if full_width:
+        rows, cols = _spans(n, _BLOCK_BYTES // (8 * m)), [(0, m)]
+    else:
+        rows, cols = _spans(n, _TILE_ROWS), _spans(m, _TILE_COLS)
+    # a contiguous copy of zc.T is cheaper for BLAS to pack; its column slices need no copy
+    zct = np.ascontiguousarray(zc.T)
+    buf = np.empty(max(b - a for a, b in rows) * max(b - a for a, b in cols))
+    for r0, r1 in rows:
+        for c0, c1 in cols:
+            s = buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+            np.matmul(zq[r0:r1], zct[:, c0:c1], out=s)
+            yield r0, c0, s
 
 
 def _unique_top(s: np.ndarray):
@@ -71,24 +106,35 @@ def _unique_top(s: np.ndarray):
     return best, unique
 
 
-def _strict_top1_hits(blocks, targets: np.ndarray) -> np.ndarray:
+def _strict_top1_hits(tiles, targets: np.ndarray) -> np.ndarray:
     """Whether each query's target candidate is the strict row maximum; a tie at the top misses.
 
-    One pass per block: the target's score is read, its cell set to -inf (each
-    block is a fresh array), and the target hits if it beats every other score.
-    A NaN anywhere in the row misses.  This is "equals the row maximum, and is
-    its only candidate" for every score except a target of -inf in a
-    one-candidate pool, which a cosine of finite rows cannot take.
+    One pass per tile: the target's score is read where the tile holds it, its
+    cell set to -inf, and each row's running maximum over the other cells is
+    carried across the row's column tiles with ``np.maximum``, which propagates
+    NaN.  The target hits if it beats that maximum, so a NaN anywhere in the
+    row misses, as does an equal score in any tile.  This is "equals the row
+    maximum, and is its only candidate" for every score except a target of
+    -inf in a one-candidate pool, which a cosine of finite rows cannot take.
     """
-    hits = np.zeros(len(targets), dtype=bool)
-    for start, s in blocks:
-        stop = start + s.shape[0]
-        rows = np.arange(s.shape[0])
-        cols = targets[start:stop]
-        own = s[rows, cols]
+    own = np.zeros(len(targets))
+    best = np.full(len(targets), -np.inf)
+    for r0, c0, s in tiles:
+        r1 = r0 + s.shape[0]
+        cols = targets[r0:r1] - c0
+        rows = np.flatnonzero((cols >= 0) & (cols < s.shape[1]))
+        cols = cols[rows]
+        own[r0 + rows] = s[rows, cols]
         s[rows, cols] = -np.inf
-        hits[start:stop] = own > s.max(axis=1)
-    return hits
+        np.maximum(best[r0:r1], s.max(axis=1), out=best[r0:r1])
+    return own > best
+
+
+def _pool_columns(cache: EmbeddingCache, q_idx: np.ndarray, c_idx: np.ndarray) -> np.ndarray:
+    """Each query's own column in the pool, or -1 where the pool does not hold it."""
+    col_of_row = np.full(cache.n, -1, dtype=np.intp)
+    col_of_row[c_idx] = np.arange(len(c_idx))
+    return col_of_row[q_idx]
 
 
 def recall_at_1(
@@ -99,17 +145,16 @@ def recall_at_1(
     query_ids,
 ) -> float:
     """Image-to-text R@1 percentage; the query's own text must rank strictly first."""
-    cand_pos = {cid: j for j, cid in enumerate(pool.candidate_ids)}
-    positives = []
-    for qid in query_ids:
-        if qid not in cand_pos:
-            raise GraspError("POSITIVE_NOT_IN_POOL", f"query {qid!r} has no positive in the pool")
-        positives.append(cand_pos[qid])
-    positives = np.array(positives, dtype=np.intp)
+    if len(query_ids) == 0:
+        raise GraspError("EMPTY_POOL", "no queries")
     q_idx = cache.indices_of(query_ids)
     c_idx = cache.indices_of(pool.candidate_ids)
-    blocks = _score_blocks(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k)
-    return float(100.0 * _strict_top1_hits(blocks, positives).mean())
+    positives = _pool_columns(cache, q_idx, c_idx)
+    missing = np.flatnonzero(positives < 0)
+    if missing.size:
+        raise GraspError("POSITIVE_NOT_IN_POOL", f"query {query_ids[missing[0]]!r} has no positive in the pool")
+    tiles = _score_tiles(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k)
+    return float(100.0 * _strict_top1_hits(tiles, positives).mean())
 
 
 def selectivity(
@@ -120,6 +165,8 @@ def selectivity(
     query_ids,
 ) -> float:
     """Percentage of queries whose style-matched positive beats the typed negative."""
+    if len(query_ids) == 0:
+        raise GraspError("EMPTY_POOL", "no queries")
     idx = cache.indices_of(query_ids)
     zi = prefix_normalize(transform.apply(_rows64(cache.images[idx])), k)
     zp = prefix_normalize(transform.apply(_rows64(cache.views[STYLE_VIEW[neg_type]][idx])), k)
@@ -309,16 +356,17 @@ def rank_stats(
     ranked above the positive.  Purity@10 and category mAP follow the stable
     descending order, in which equal scores keep candidate order.
     """
+    if len(query_ids) == 0:
+        raise GraspError("EMPTY_POOL", "no queries")
     for cid in pool.candidate_ids:
         if cid not in labels:
             raise GraspError("MISSING_LABELS", f"candidate {cid!r} has no label")
     for qid in query_ids:
         if qid not in labels:
             raise GraspError("MISSING_LABELS", f"query {qid!r} has no label")
-    cand_pos = {cid: j for j, cid in enumerate(pool.candidate_ids)}
     q_idx = cache.indices_of(query_ids)
     c_idx = cache.indices_of(pool.candidate_ids)
-    positives = np.array([cand_pos.get(qid, -1) for qid in query_ids], dtype=np.intp)
+    positives = _pool_columns(cache, q_idx, c_idx)
     if not np.any(positives >= 0):
         raise GraspError("POSITIVE_NOT_IN_POOL", "no query has its positive in the pool")
     codes: dict[str, int] = {}
@@ -333,7 +381,8 @@ def rank_stats(
     aps = np.zeros(len(query_ids))
     ranks = np.zeros(len(query_ids), dtype=np.intp)
     label_hits = np.zeros(len(query_ids), dtype=bool)
-    for start, s in _score_blocks(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k):
+    q_rows, c_rows = cache.images[q_idx], cache.views[pool.view_level][c_idx]
+    for start, _, s in _score_tiles(transform, q_rows, c_rows, k, full_width=True):
         stop = start + s.shape[0]
         rows = np.arange(s.shape[0])
         # rows whose positive is not in the pool read column 0 here and are dropped below
@@ -388,14 +437,18 @@ def zero_shot(
     transform,
 ) -> float:
     """Top-1 percentage classifying each image against class text rows; ties miss."""
+    if len(image_rows) == 0:
+        raise GraspError("EMPTY_POOL", "no queries")
     class_rows = _rows64(class_rows)
     if class_rows.shape[0] < 2:
         raise GraspError("DIM_MISMATCH", "zero-shot needs at least two classes")
     labels = np.asarray(true_labels, dtype=np.intp)
     if labels.shape != (len(image_rows),):
         raise GraspError("DIM_MISMATCH", f"{labels.size} labels for {len(image_rows)} images")
-    blocks = _score_blocks(transform, image_rows, class_rows, k)
-    return float(100.0 * np.mean(_strict_top1_hits(blocks, labels)))
+    if labels.min() < 0 or labels.max() >= class_rows.shape[0]:
+        raise GraspError("DIM_MISMATCH", f"labels must index the {class_rows.shape[0]} classes")
+    tiles = _score_tiles(transform, image_rows, class_rows, k)
+    return float(100.0 * np.mean(_strict_top1_hits(tiles, labels)))
 
 
 # ---------------------------------------------------------------------------

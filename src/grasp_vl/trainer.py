@@ -165,7 +165,11 @@ class _Adam:
 
 
 def validation_scores(cache: EmbeddingCache, transform, contract: InterfaceContract):
-    """(ret_avg, hard_avg, stair, drift) against the validation split; drift over its first 512 rows."""
+    """(ret_avg, hard_avg, stair, drift) against the validation split.
+
+    Drift is measured on the first 512 rows of the validation images followed
+    by their G3 captions: images only once there are 512 validation rows.
+    """
     val_ids = cache.split_ids("val")
     if not val_ids:
         raise GraspError("MISSING_SPLIT", "cache has no validation split")

@@ -353,6 +353,35 @@ class TestGradcheck:
         assert main(["gradcheck", "--dim", "8", "--seed", "1", "--tolerance", "1e-12"]) == 1
 
 
+class TestNoTestRows:
+    """A cache with no test split fails with one EMPTY_POOL line, not a NaN table."""
+
+    @pytest.fixture(scope="class")
+    def no_test_cache(self, synth_dir, tmp_path_factory):
+        from grasp_vl import datastore as D
+
+        cache = D.load_cache(synth_dir / "cache" / "manifest.json")
+        cache.split_of = {i: "train" if s == "test" else s for i, s in cache.split_of.items()}
+        return str(D.write_cache(cache, tmp_path_factory.mktemp("no_test") / "cache"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--methods", "frozen_full"],
+            ["pool", "--matrix", "{oracle}"],
+        ],
+        ids=["compare", "pool"],
+    )
+    def test_one_error_line_and_no_out(self, synth_dir, no_test_cache, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        argv = [a.format(oracle=synth_dir / "oracle.transform") for a in argv]
+        assert main(argv + ["--cache", no_test_cache, "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "DATA", "code": "EMPTY_POOL", "message": "no queries"}
+        assert not out.exists()
+
+
 class TestErrors:
     def test_unknown_verb_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:

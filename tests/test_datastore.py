@@ -228,6 +228,30 @@ class TestPools:
         assert e.value.code == "EMPTY_POOL"
 
 
+class TestIndicesOf:
+    def test_rows_in_the_order_given(self, small_cache):
+        ids = [small_cache.ids[5], small_cache.ids[0], small_cache.ids[5]]
+        got = small_cache.indices_of(ids)
+        assert got.dtype == np.intp and got.tolist() == [5, 0, 5]
+
+    def test_unknown_id_names_the_first_one(self, small_cache):
+        with pytest.raises(GraspError) as e:
+            small_cache.indices_of([small_cache.ids[0], "nope-1", small_cache.ids[1], "nope-2"])
+        assert e.value.code == "MALFORMED"
+        assert "'nope-1'" in e.value.message and "nope-2" not in e.value.message
+
+    def test_no_ids_is_an_empty_index_array(self, small_cache):
+        for ids in ([], (), iter(())):
+            got = small_cache.indices_of(ids)
+            assert got.dtype == np.intp and got.shape == (0,)
+
+    def test_accepts_a_generator(self, small_cache):
+        ids = small_cache.split_ids("val")
+        got = small_cache.indices_of(i for i in ids)
+        assert np.array_equal(got, small_cache.indices_of(list(ids)))
+        assert got.tolist() == [small_cache.row_index(i) for i in ids]
+
+
 class TestSynthetic:
     def test_equal_specs_equal_outputs(self):
         a = D.generate_synthetic(SMALL_SPEC)

@@ -102,6 +102,15 @@ class TestRecallAt1:
             M.recall_at_1(small_cache, T.identity_transform(small_cache.dim), pool, 4, [train_id])
         assert e.value.code == "POSITIVE_NOT_IN_POOL"
 
+    def test_positive_not_in_pool_names_the_first_missing_query(self, small_cache):
+        pool = D.build_pool(small_cache, "test_only", "G3")
+        test_id = small_cache.split_ids("test")[0]
+        first, second = small_cache.split_ids("train")[:2]
+        with pytest.raises(GraspError) as e:
+            M.recall_at_1(small_cache, T.identity_transform(small_cache.dim), pool, 4, [test_id, first, second])
+        assert e.value.code == "POSITIVE_NOT_IN_POOL"
+        assert repr(first) in e.value.message and second not in e.value.message
+
     def test_invariant_under_candidate_reordering(self, small_cache):
         ids = small_cache.split_ids("test")
         ordered = D.build_pool(small_cache, "test_only", "G3")
@@ -366,6 +375,27 @@ class TestRankStats:
         assert e.value.code == "MISSING_LABELS"
 
 
+class TestNoQueries:
+    """An empty query set is EMPTY_POOL, not a NaN mean."""
+
+    def test_every_query_metric_rejects_it(self, small_synth):
+        cache = small_synth.cache
+        ident = T.identity_transform(cache.dim)
+        pool = D.build_pool(cache, "full", "G3")
+        labels = {r.id: r.entity for r in small_synth.rows}
+        calls = [
+            lambda q: M.recall_at_1(cache, ident, pool, 4, q),
+            lambda q: M.selectivity(cache, ident, 4, "object", q),
+            lambda q: M.rank_stats(cache, ident, pool, 4, q, labels),
+            lambda q: M.zero_shot(cache.images[cache.indices_of(q)], [], small_synth.class_rows, 4, ident),
+        ]
+        for call in calls:
+            for q in ((), []):
+                with pytest.raises(GraspError) as e:
+                    call(q)
+                assert e.value.code == "EMPTY_POOL" and e.value.message == "no queries"
+
+
 class TestZeroShot:
     def test_image_equal_to_class_row_is_correct(self):
         classes = np.eye(3, 5)
@@ -385,6 +415,12 @@ class TestZeroShot:
     def test_needs_two_classes(self):
         with pytest.raises(GraspError):
             M.zero_shot(np.eye(1, 4), [0], np.eye(1, 4), 4, T.identity_transform(4))
+
+    def test_labels_must_index_a_class(self):
+        for labels in ([0, 3], [-1, 0]):
+            with pytest.raises(GraspError) as e:
+                M.zero_shot(np.eye(2, 4), labels, np.eye(3, 4), 4, T.identity_transform(4))
+            assert e.value.code == "DIM_MISMATCH"
 
     def test_needs_one_label_per_image(self):
         with pytest.raises(GraspError) as e:
@@ -490,13 +526,23 @@ def _planted_blocks(seed=0):
     return blocks
 
 
+def _tiles_of(s, rows, cols):
+    """Copies of the tiles the score generator would cut from ``s``, in its order."""
+    return [
+        (r0, c0, s[r0:r1, c0:c1].copy())
+        for r0, r1 in M._spans(s.shape[0], rows)
+        for c0, c1 in M._spans(s.shape[1], cols)
+    ]
+
+
 class TestOnePassTop1:
     @pytest.mark.parametrize("seed", range(5))
-    def test_strict_hits_equal_the_two_pass_reference(self, seed):
+    @pytest.mark.parametrize("rows, cols", [(None, None), (2, 2), (3, 4), (5, 3)])
+    def test_strict_hits_equal_the_two_pass_reference(self, seed, rows, cols):
         for s, targets in _planted_blocks(seed):
             top, unique = reference_unique_max(s)
             want = (s[np.arange(len(s)), targets] == top) & unique
-            got = M._strict_top1_hits([(0, s.copy())], targets)
+            got = M._strict_top1_hits(_tiles_of(s, rows or s.shape[0], cols or s.shape[1]), targets)
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -511,19 +557,86 @@ class TestOnePassTop1:
 
     def test_planted_cases_are_present(self):
         s, targets = _planted_blocks()[-1]
-        hits = M._strict_top1_hits([(0, s.copy())], targets)
+        hits = M._strict_top1_hits([(0, 0, s.copy())], targets)
         _, unique = M._unique_top(s.copy())
         assert hits[20:25].all() and not hits[25:30].any() and not hits[10:20].any()
         assert not unique[:16].any() and unique[20:25].all() and not unique[25:34].any()
 
     def test_one_candidate_pool_hits_unless_nan(self):
         s = np.array([[0.3], [-1.0], [np.nan]])
-        assert M._strict_top1_hits([(0, s.copy())], np.zeros(3, dtype=np.intp)).tolist() == [True, True, False]
+        assert M._strict_top1_hits([(0, 0, s.copy())], np.zeros(3, dtype=np.intp)).tolist() == [True, True, False]
         assert M._unique_top(s)[1].tolist() == [True, True, False]
 
 
+class TestTiledTop1:
+    """The running row maximum across column tiles, on hand-made score blocks."""
+
+    def _block(self, n=6, m=11, seed=0):
+        return np.random.default_rng(seed).uniform(-1.0, 1.0, (n, m))
+
+    def test_target_in_the_last_column_tile(self):
+        s = self._block()
+        targets = np.full(6, 10, dtype=np.intp)  # column tiles [0, 3) [3, 6) [6, 9) [9, 11)
+        s[:3, 10] = s[:3].max(axis=1) + 0.5
+        s[3:, 10] = s[3:].min(axis=1) - 0.5
+        got = M._strict_top1_hits(_tiles_of(s, 4, 3), targets)
+        assert got.tolist() == [True] * 3 + [False] * 3
+
+    def test_nan_in_a_tile_without_the_target_misses(self):
+        s = self._block()
+        targets = np.ones(6, dtype=np.intp)
+        s[:, 1] = s.max(axis=1) + 0.5
+        s[[0, 4], 7] = np.nan  # the tile of columns 6 to 8
+        got = M._strict_top1_hits(_tiles_of(s, 2, 3), targets)
+        assert got.tolist() == [False, True, True, True, False, True]
+
+    def test_equal_maxima_in_two_column_tiles_miss(self):
+        s = self._block()
+        targets = np.full(6, 2, dtype=np.intp)
+        s[:, 2] = s.max(axis=1) + 0.5
+        s[:4, 9] = s[:4, 2]  # a tie at the top, three column tiles away
+        got = M._strict_top1_hits(_tiles_of(s, 3, 3), targets)
+        assert got.tolist() == [False] * 4 + [True] * 2
+
+    def test_one_row_and_one_column_blocks(self):
+        s = np.array([[0.1, 0.9, 0.9, 0.2, 0.95]])
+        assert M._strict_top1_hits(_tiles_of(s, 1, 2), np.array([4])).tolist() == [True]
+        assert M._strict_top1_hits(_tiles_of(s, 1, 2), np.array([1])).tolist() == [False]
+        col = np.array([[0.2], [np.nan], [0.7]])
+        assert M._strict_top1_hits(_tiles_of(col, 2, 1), np.zeros(3, dtype=np.intp)).tolist() == [True, False, True]
+
+
 def _force_block_rows(monkeypatch, rows, n_cand):
+    """Full-width blocks of ``rows`` query rows, as rank statistics read them."""
     monkeypatch.setattr(M, "_BLOCK_BYTES", 8 * rows * n_cand)
+
+
+def _force_tiles(monkeypatch, rows, cols):
+    """Top-1 tiles of ``rows`` x ``cols``.
+
+    ``cols`` is a multiple of 16, as ``_TILE_COLS`` is: a tile that starts inside
+    an AVX-512 DGEMM kernel's 16-column unroll would sum some candidates in a
+    different order from the dense product.
+    """
+    assert cols % 16 == 0
+    monkeypatch.setattr(M, "_TILE_ROWS", rows)
+    monkeypatch.setattr(M, "_TILE_COLS", cols)
+
+
+def _copies(tiles):
+    """The generator overwrites one buffer, so each tile is copied to be kept."""
+    return [(r0, c0, s.copy()) for r0, c0, s in tiles]
+
+
+def _assemble(tiles, shape):
+    """The dense matrix the tiles cover, checking that each cell is written once."""
+    out = np.zeros(shape)
+    written = np.zeros(shape, dtype=np.intp)
+    for r0, c0, s in tiles:
+        out[r0 : r0 + s.shape[0], c0 : c0 + s.shape[1]] = s
+        written[r0 : r0 + s.shape[0], c0 : c0 + s.shape[1]] += 1
+    assert (written == 1).all()
+    return out
 
 
 def _tied_corpus(n=40, dim=6, seed=0, n_labels=3):
@@ -562,18 +675,51 @@ class TestStreamingMatchesDenseReference:
         c = cache.views["G2"]
         if rows:
             _force_block_rows(monkeypatch, rows, len(c))
-        blocks = list(M._score_blocks(small_synth.oracle, q, c, 8))
-        assert [len(s) for _, s in blocks] == sizes
-        assert [start for start, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
+        blocks = _copies(M._score_tiles(small_synth.oracle, q, c, 8, full_width=True))
+        assert [len(s) for _, _, s in blocks] == sizes
+        assert [start for start, _, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
+        assert all(c0 == 0 and s.shape[1] == len(c) for _, c0, s in blocks)
         dense = _dense_scores(small_synth.oracle, q, c, 8)
-        assert np.array_equal(np.concatenate([s for _, s in blocks]), dense)
+        assert np.array_equal(np.concatenate([s for _, _, s in blocks]), dense)
 
-    @pytest.mark.parametrize("rows", [2, 3, 7, None])
-    def test_synthetic_corpus_in_blocks(self, small_synth, monkeypatch, rows):
+    @pytest.mark.parametrize("rows, cols", [(2, 16), (3, 32), (7, 64), (None, None)])
+    def test_tiles_concatenate_to_the_dense_matrix(self, small_synth, monkeypatch, rows, cols):
+        cache = small_synth.cache
+        q = cache.images[cache.indices_of(cache.split_ids("test")[:-1])]
+        c = cache.views["G2"]
+        if rows:
+            _force_tiles(monkeypatch, rows, cols)
+        row_spans, col_spans = M._spans(len(q), M._TILE_ROWS), M._spans(len(c), M._TILE_COLS)
+        if rows:  # short last row tiles, and short last column tiles at 32 and 64
+            assert row_spans[-1][1] - row_spans[-1][0] != rows
+            assert cols == 16 or col_spans[-1][1] - col_spans[-1][0] < cols
+        for k in (2, 8, 32):
+            tiles = _copies(M._score_tiles(small_synth.oracle, q, c, k))
+            assert [(r0, c0) for r0, c0, _ in tiles] == [(r0, c0) for r0, _ in row_spans for c0, _ in col_spans]
+            assert all(s.shape[0] > 1 and s.shape[1] > 1 for _, _, s in tiles)
+            dense = _dense_scores(small_synth.oracle, q, c, k)
+            assert np.array_equal(_assemble(tiles, dense.shape), dense)
+
+    def test_one_row_query_set_and_one_candidate_pool_are_one_tile(self, small_synth, monkeypatch):
+        cache = small_synth.cache
+        q = cache.images[cache.indices_of(cache.split_ids("test"))]
+        c = cache.views["G2"]
+        _force_tiles(monkeypatch, 2, 16)
+        _force_block_rows(monkeypatch, 2, 1)
+        for qr, cr in ((q[:1], c), (q, c[:1]), (q[:1], c[:1])):
+            for full_width in (False, True):
+                tiles = _copies(M._score_tiles(small_synth.oracle, qr, cr, 8, full_width=full_width))
+                assert [(r0, c0, s.shape) for r0, c0, s in tiles] == [(0, 0, (len(qr), len(cr)))]
+                assert np.array_equal(tiles[0][2], _dense_scores(small_synth.oracle, qr, cr, 8))
+
+    @pytest.mark.parametrize("rows, cols", [(2, 16), (3, 32), (7, 48), (None, None)])
+    def test_synthetic_corpus_in_tiles(self, small_synth, monkeypatch, rows, cols):
         cache = small_synth.cache
         ids = cache.split_ids("test")[:-1]
-        assert len(ids) % 7 and len(ids) % 3 and len(ids) % 2  # a short last block at every forced size
+        assert len(ids) % 7 and len(ids) % 3 and len(ids) % 2  # a short last tile at every forced size
         labels = {r.id: r.entity for r in small_synth.rows}
+        if rows:
+            _force_tiles(monkeypatch, rows, cols)
         for mode in ("full", "test_only"):
             pool = D.build_pool(cache, mode, "G3")
             if rows:
@@ -587,27 +733,30 @@ class TestStreamingMatchesDenseReference:
                 )
         images = cache.images[cache.indices_of(ids)]
         objects = [small_synth.assignments["object"][cache.row_index(i)] for i in ids]
-        if rows:
-            _force_block_rows(monkeypatch, rows, small_synth.class_rows.shape[0])
         for k in (2, 32):
             want = reference_zero_shot(images, objects, small_synth.class_rows, k, small_synth.oracle)
             assert M.zero_shot(images, objects, small_synth.class_rows, k, small_synth.oracle) == want
 
-    @pytest.mark.parametrize("rows", [2, 7, None])
-    def test_duplicated_candidates(self, monkeypatch, rows):
+    @pytest.mark.parametrize("rows, cols", [(2, 16), (7, 16), (None, None)])
+    def test_duplicated_candidates(self, monkeypatch, rows, cols):
         cache, labels, rot = _tied_corpus()
-        pool = D.build_pool(cache, "full", "G3")
+        full = D.build_pool(cache, "full", "G3")
+        # shifted by one, twins sit in columns (15, 16) and (31, 32): a tie across two column tiles
+        shifted = D.CandidatePool(mode="custom", candidate_ids=full.candidate_ids[1:] + full.candidate_ids[:1], view_level="G3")
         if rows:
-            _force_block_rows(monkeypatch, rows, len(pool.candidate_ids))
+            _force_tiles(monkeypatch, rows, cols)
         ids = list(cache.ids[:-1])
-        for k in (2, 6):
-            want = reference_recall_at_1(cache, rot, pool, k, ids)
-            assert want < 60.0  # every positive ties with its twin, so only broken twins can hit
-            assert M.recall_at_1(cache, rot, pool, k, ids) == want
-            _assert_same_rank_stats(
-                M.rank_stats(cache, rot, pool, k, ids, labels),
-                reference_rank_stats(cache, rot, pool, k, ids, labels),
-            )
+        for pool in (full, shifted):
+            if rows:
+                _force_block_rows(monkeypatch, rows, len(pool.candidate_ids))
+            for k in (2, 6):
+                want = reference_recall_at_1(cache, rot, pool, k, ids)
+                assert want < 60.0  # every positive ties with its twin, so only broken twins can hit
+                assert M.recall_at_1(cache, rot, pool, k, ids) == want
+                _assert_same_rank_stats(
+                    M.rank_stats(cache, rot, pool, k, ids, labels),
+                    reference_rank_stats(cache, rot, pool, k, ids, labels),
+                )
 
     def _ladder_cache(self, tied_labels):
         """Query q sees 9 candidates above a tied pair (positions 10 and 11), then the rest."""
@@ -675,6 +824,7 @@ class TestStreamingMatchesDenseReference:
         pool = D.CandidatePool(mode="custom", candidate_ids=("c003",), view_level="G2")
         if rows:
             _force_block_rows(monkeypatch, rows, 1)
+            _force_tiles(monkeypatch, rows, 16)
         assert M.recall_at_1(cache, rot, pool, 4, ["c003"]) == reference_recall_at_1(cache, rot, pool, 4, ["c003"])
         ids = list(cache.ids)  # one query has its positive in the pool, the others do not
         _assert_same_rank_stats(

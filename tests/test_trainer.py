@@ -103,6 +103,42 @@ class TestAdam:
             assert np.array_equal(x, np.concatenate([xh, xt]))
 
 
+class TestValidationDrift:
+    """Checkpoint selection measures drift on the first 512 rows of the validation images followed by their G3 captions."""
+
+    @pytest.mark.parametrize("n_examples, n_images", [(3000, 300), (6000, 512)])
+    def test_drift_is_full_drift_over_those_rows(self, monkeypatch, n_examples, n_images):
+        from grasp_vl.datastore import SyntheticSpec, generate_synthetic
+        from grasp_vl.metrics import full_drift
+
+        spec = SyntheticSpec(
+            dim=16,
+            block_sizes={"object": 1, "attribute": 2, "relation": 4, "residual": 9},
+            cardinalities={"object": 3, "attribute": 3, "relation": 3},
+            noise_std=0.05,
+            n_examples=n_examples,
+            seed=0,
+        )
+        synth = generate_synthetic(spec)
+        cache = synth.cache
+        idx = cache.indices_of(cache.split_ids("val"))
+        assert len(idx) == n_examples // 10
+        want = np.concatenate([cache.images[idx][:n_images], cache.views["G3"][idx][: 512 - n_images]])
+        seen = []
+
+        def recording_drift(rows, transform, **kwargs):
+            seen.append(rows)
+            return full_drift(rows, transform, **kwargs)
+
+        monkeypatch.setattr(TR, "full_drift", recording_drift)
+        m = np.eye(16) + 0.3 * np.random.default_rng(0).standard_normal((16, 16))
+        transform = T.LinearTransform(matrix=m, provenance="test", orthogonal=False)
+        *_, drift = TR.validation_scores(cache, transform, synth.contract)
+        assert len(seen) == 1 and seen[0].dtype == np.float64
+        assert seen[0].tobytes() == want.astype(np.float64).tobytes()
+        assert drift == full_drift(want.astype(np.float64), transform, renormalize=True)
+
+
 class TestTrain:
     def test_identical_runs_are_bit_identical(self, small_cache, ladder32):
         cfg = small_train_config(ladder32, epochs=2)
