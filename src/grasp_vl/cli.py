@@ -2,7 +2,8 @@
 
 Every run with ``--out`` writes all artifacts under that directory plus a
 ``manifest.json`` recording the config hash, seed, tool version and artifact
-list.  Inputs are never mutated.  Failures print one machine-readable JSON
+list.  They are staged next to ``--out`` and moved into it only when the verb
+succeeds.  Inputs are never mutated.  Failures print one machine-readable JSON
 line to stderr; exit codes: 0 success, 1 gate failure, 2 usage, 3 config,
 4 data.
 """
@@ -17,7 +18,9 @@ import json
 import logging
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -115,11 +118,43 @@ def _write_manifest(out: Path, verb: str, payload: dict, seed: int | None, artif
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
 
 
+class _Stage:
+    """A verb's artifacts, written into a temporary sibling of ``--out`` and moved into ``--out`` only when the
+    verb returns, so a verb that fails part way leaves ``--out`` as it was."""
+
+    def __init__(self, out: str | None):
+        self.out = None if out is None else Path(out)
+        self.path: Path | None = None
+
+    def directory(self) -> Path:
+        """The directory to write artifacts into, created on the first call."""
+        if self.path is None:
+            self.out.parent.mkdir(parents=True, exist_ok=True)
+            self.path = Path(tempfile.mkdtemp(prefix=f".{self.out.name}.", dir=self.out.parent))
+        return self.path
+
+    def commit(self) -> None:
+        """Move every staged file into ``--out``, replacing files of the same name and keeping all others."""
+        if self.path is None:
+            return
+        self.out.mkdir(parents=True, exist_ok=True)
+        for staged in sorted(self.path.rglob("*")):  # a directory sorts before its contents
+            target = self.out / staged.relative_to(self.path)
+            if staged.is_dir():
+                target.mkdir(exist_ok=True)
+            else:
+                os.replace(staged, target)
+
+    def discard(self) -> None:
+        if self.path is not None:
+            shutil.rmtree(self.path, ignore_errors=True)
+            self.path = None
+
+
 def _out_dir(args) -> Path:
-    """Create ``--out``; each verb calls this only once its inputs have loaded and its work succeeded."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """Where the verb writes its artifacts; each verb calls this only once its inputs have loaded and its work
+    succeeded.  ``main`` moves them into ``--out`` when the verb returns."""
+    return args.stage.directory()
 
 
 def _write_json(path: Path, obj) -> None:
@@ -147,7 +182,7 @@ def _read_settings(path, from_json_dict):
 
 def _args_payload(args) -> dict:
     # out path and thread count affect where/how work runs, not what it computes
-    skip = {"func", "out", "threads"}
+    skip = {"func", "out", "stage", "threads"}
     return {k: (str(v) if isinstance(v, Path) else v) for k, v in vars(args).items() if k not in skip}
 
 
@@ -564,9 +599,12 @@ def main(argv=None) -> int:
             threads = _threads(os.environ.get("GRASP_THREADS", "1"))
         except (ValueError, argparse.ArgumentTypeError) as exc:
             parser.error(f"GRASP_THREADS: {exc}")
+    args.stage = _Stage(args.out)
     try:
         with _thread_limit(threads):
-            return args.func(args)
+            code = args.func(args)
+        args.stage.commit()
+        return code
     except GraspError as exc:
         category = "CONFIG" if exc.code in _CONFIG_CODES else "DATA"
         print(json.dumps({"error": category, "code": exc.code, "message": exc.message}), file=sys.stderr)
@@ -574,6 +612,8 @@ def main(argv=None) -> int:
     except OSError as exc:  # a missing or unreadable input or output file
         print(json.dumps({"error": "DATA", "code": "IO_ERROR", "message": str(exc)}), file=sys.stderr)
         return 4
+    finally:
+        args.stage.discard()
 
 
 if __name__ == "__main__":

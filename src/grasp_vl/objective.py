@@ -144,62 +144,78 @@ class Batch:
 # Differentiable primitives
 
 _NORM_FLOOR = 1e-12
+# A shifted exp sum below this has lost precision in its smallest terms and is redone with its own maximum;
+# at 1e-280 every term that can matter is still a normal float.
+_SUM_FLOOR = 1e-280
 
 
 def _unit_prefix(rows: np.ndarray, k: int):
     sl = rows[:, :k]
-    norms = np.maximum(np.linalg.norm(sl, axis=1, keepdims=True), _NORM_FLOOR)
+    norms = np.sqrt(np.einsum("ij,ij->i", sl, sl))[:, None]
+    np.maximum(norms, _NORM_FLOOR, out=norms)
     return sl / norms, norms
 
 
 def _unit_prefix_backprop(d_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray, d_rows: np.ndarray, k: int):
-    inner = (d_unit * unit).sum(axis=1, keepdims=True)
+    inner = np.einsum("ij,ij->i", d_unit, unit)[:, None]
     d_rows[:, :k] += (d_unit - inner * unit) / norms
 
 
-def _infonce_grad(pi, pt, dim: int, tau: float, work: np.ndarray):
-    """Symmetric InfoNCE over the ``(unit, norms)`` k-prefixes ``pi``, ``pt``.
+def _infonce_grad(ui: np.ndarray, ut: np.ndarray, tau: float, work: np.ndarray):
+    """Symmetric InfoNCE over the unit k-prefixes ``ui``, ``ut`` of paired rows.
 
-    Each direction's softmax fills one of the two n x n ``work`` buffers.
-    Returns (value, d_zi, d_zt, d_log_tau), the row gradients ``dim`` wide.
+    Both softmaxes come from one ``exp(s - 1/tau)`` in ``work[0]``: every
+    prefix cosine is at most 1, so 1/tau bounds every score ``s``.  A row or
+    column whose shifted sum falls below ``_SUM_FLOOR`` (only when tau is
+    below about 2/645) is redone with its own maximum.  The score gradient
+    is built once in ``work[1]``.  Returns (value, g_i, g_t, d_log_tau),
+    where g_i and g_t are the gradients with respect to ``ui`` and ``ut``.
     """
-    (ui, ni), (ut, nt) = pi, pt
-    k = ui.shape[1]
-    s = ui @ ut.T
-    s /= tau
-    n = s.shape[0]
+    n = ui.shape[0]
+    inv_tau = 1.0 / tau
+    e = np.matmul(ui, ut.T, out=work[0])
+    e -= 1.0
+    e *= inv_tau  # s - 1/tau
+    shifted_diag = e.diagonal().copy()
+    np.exp(e, out=e)
+    log_sums, scales, redone = [], [], []
+    for axis, own, other in ((1, ui, ut), (0, ut, ui)):
+        total = e.sum(axis=axis)
+        low = np.flatnonzero(total < _SUM_FLOOR)
+        total[low] = 1.0  # a placeholder: the redone sums replace these entries
+        log_sum = np.log(total)
+        scale = 1.0 / (total * (2.0 * n * tau))  # softmax / (2 n tau) = e * scale
+        if low.size:
+            s = own[low] @ other.T
+            s -= 1.0
+            s *= inv_tau
+            m = s.max(axis=1, keepdims=True)
+            lse = m + np.log(np.exp(s - m).sum(axis=1, keepdims=True))
+            log_sum[low] = lse[:, 0]
+            scale[low] = 0.0
+            s -= lse
+            redone.append((axis, low, np.exp(s, out=s) / (2.0 * n * tau)))
+        log_sums.append(log_sum)
+        scales.append(scale)
+    value = 0.5 * float(np.mean(log_sums[0] - shifted_diag) + np.mean(log_sums[1] - shifted_diag))
+    dc = np.add.outer(scales[0], scales[1], out=work[1])
+    dc *= e  # (row softmax + column softmax) / (2 n tau)
+    for axis, low, part in redone:
+        if axis == 1:
+            dc[low] += part
+        else:
+            dc[:, low] += part.T
     diag = np.arange(n)
-    lse = {}
-    for axis, soft in ((1, work[0]), (0, work[1])):
-        m = s.max(axis=axis, keepdims=True)
-        np.subtract(s, m, out=soft)
-        np.exp(soft, out=soft)
-        total = soft.sum(axis=axis, keepdims=True)
-        lse[axis] = (m + np.log(total)).squeeze(axis)
-        np.divide(soft, total, out=soft)
-    value = 0.5 * float(np.mean(lse[1] - s[diag, diag]) + np.mean(lse[0] - s[diag, diag]))
-    ds = np.add(work[0], work[1], out=work[0])
-    ds /= 2.0 * n
-    ds[diag, diag] -= 1.0 / n
-    d_log_tau = -float(np.multiply(ds, s, out=work[1]).sum())  # s = c * exp(-log tau)
-    ds /= tau
-    d_zi = np.zeros((n, dim))
-    d_zt = np.zeros((n, dim))
-    _unit_prefix_backprop(ds @ ut, ui, ni, d_zi, k)
-    _unit_prefix_backprop(ds.T @ ui, ut, nt, d_zt, k)
-    return value, d_zi, d_zt, d_log_tau
+    dc[diag, diag] -= 1.0 / (n * tau)  # dc is now d value / d cosine
+    g_i = dc @ ut
+    g_t = dc.T @ ui
+    d_log_tau = -float(np.vdot(ui, g_i))  # s = c * exp(-log tau)
+    return value, g_i, g_t, d_log_tau
 
 
-def _paired_cosine(pi, pt):
-    (ui, ni), (ut, nt) = pi, pt
-    c = np.einsum("ij,ij->i", ui, ut)
-    return c, (ui, ni, ut, nt)
-
-
-def _paired_cosine_backprop(dc: np.ndarray, ctx, d_zi: np.ndarray, d_zt: np.ndarray, k: int):
-    ui, ni, ut, nt = ctx
-    _unit_prefix_backprop(dc[:, None] * ut, ui, ni, d_zi, k)
-    _unit_prefix_backprop(dc[:, None] * ui, ut, nt, d_zt, k)
+def _paired_cosine(pi, pt) -> np.ndarray:
+    """Row-wise cosines of the ``(unit, norms)`` prefixes ``pi`` and ``pt``."""
+    return np.einsum("ij,ij->i", pi[0], pt[0])
 
 
 def _temps(contract: InterfaceContract, log_temps: np.ndarray) -> dict[int, float]:
@@ -231,7 +247,7 @@ class _RowSets:
         self._ctx: dict[str, object] = {}
         self._dz: dict[str, np.ndarray] = {}
         self._unit: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._cosine: dict[tuple[str, int], tuple[np.ndarray, tuple]] = {}
+        self._cosine: dict[tuple[str, int], np.ndarray] = {}
 
     def raw(self, name: str) -> np.ndarray:
         if name == "image":
@@ -247,14 +263,18 @@ class _RowSets:
             self._dz[name] = np.zeros_like(z)
         return self._z[name]
 
+    def dz(self, name: str) -> np.ndarray:
+        """The gradient accumulator of row set ``name``, which ``z(name)`` created."""
+        return self._dz[name]
+
     def unit(self, name: str, k: int):
         """``(unit, norms)`` of the k-prefixes of row set ``name``."""
         if (name, k) not in self._unit:
             self._unit[name, k] = _unit_prefix(self.z(name), k)
         return self._unit[name, k]
 
-    def paired_cosine(self, other: str, k: int):
-        """``(c, ctx)``: the row-wise prefix-k cosines of the images with row set ``other``."""
+    def paired_cosine(self, other: str, k: int) -> np.ndarray:
+        """The row-wise prefix-k cosines of the images with row set ``other``."""
         if (other, k) not in self._cosine:
             self._cosine[other, k] = _paired_cosine(self.unit("image", k), self.unit(other, k))
         return self._cosine[other, k]
@@ -264,8 +284,10 @@ class _RowSets:
         self._unit.clear()
         self._cosine.clear()
 
-    def add_grad(self, name: str, g: np.ndarray) -> None:
-        self._dz[name] += g
+    def add_unit_grad(self, name: str, k: int, d_unit: np.ndarray) -> None:
+        """Back-propagate a gradient with respect to the unit k-prefixes of ``name`` into its accumulator."""
+        unit, norms = self.unit(name, k)
+        _unit_prefix_backprop(d_unit, unit, norms, self._dz[name], k)
 
     def backprop(self) -> None:
         for name, dz in self._dz.items():
@@ -301,10 +323,12 @@ def total_loss_and_gradient(
     work = np.empty((2, n, n))  # the InfoNCE buffers, shared by every align and retention term
 
     def infonce_into(k: int, level: str, weight: float) -> float:
-        pi, pt = sets.unit("image", k), sets.unit(f"view:{level}", k)
-        value, d_zi, d_zt, d_lt = _infonce_grad(pi, pt, batch.dim, taus[k], work)
-        sets.add_grad("image", weight * d_zi)
-        sets.add_grad(f"view:{level}", weight * d_zt)
+        view = f"view:{level}"
+        value, g_i, g_t, d_lt = _infonce_grad(sets.unit("image", k)[0], sets.unit(view, k)[0], taus[k], work)
+        g_i *= weight
+        g_t *= weight
+        sets.add_unit_grad("image", k, g_i)
+        sets.add_unit_grad(view, k, g_t)
         d_log_temps[tau_slot[k]] += weight * d_lt
         return value
 
@@ -322,20 +346,15 @@ def total_loss_and_gradient(
 
     def hinge_pair(r: str, k: int, threshold: float, weight: float, invariance: bool) -> float:
         positive, negative = f"view:{STYLE_VIEW[r]}", f"neg:{r}"
-        cp, ctx_p = sets.paired_cosine(positive, k)
-        cn, ctx_n = sets.paired_cosine(negative, k)
-        gap = cp - cn
+        gap = sets.paired_cosine(positive, k) - sets.paired_cosine(negative, k)
         h = np.abs(gap) - threshold if invariance else threshold - gap
         value = float(np.maximum(0.0, h).mean())
-        d_gap = np.where(h > 0, np.sign(gap) if invariance else -1.0, 0.0) / n
-        d_zi = np.zeros((n, batch.dim))
-        d_zp = np.zeros((n, batch.dim))
-        d_zn = np.zeros((n, batch.dim))
-        _paired_cosine_backprop(weight * d_gap, ctx_p, d_zi, d_zp, k)
-        _paired_cosine_backprop(-weight * d_gap, ctx_n, d_zi, d_zn, k)
-        sets.add_grad("image", d_zi)
-        sets.add_grad(positive, d_zp)
-        sets.add_grad(negative, d_zn)
+        # d value / d gap, weighted; gap = <u_image, u_positive> - <u_image, u_negative>
+        d_gap = weight * (np.where(h > 0, np.sign(gap) if invariance else -1.0, 0.0) / n)[:, None]
+        u_image = sets.unit("image", k)[0]
+        sets.add_unit_grad("image", k, d_gap * (sets.unit(positive, k)[0] - sets.unit(negative, k)[0]))
+        sets.add_unit_grad(positive, k, d_gap * u_image)
+        sets.add_unit_grad(negative, k, -d_gap * u_image)
         return value
 
     if "rank" in active and config.lambda_rank > 0.0:
@@ -364,11 +383,9 @@ def total_loss_and_gradient(
         delta = uz @ uz.T - ue @ ue.T
         m = delta.shape[0]
         values["pres"] = float((delta * delta).mean())
-        d_uz = (4.0 / (m * m)) * delta @ uz
-        d_z = np.zeros_like(z_rows)
-        _unit_prefix_backprop(config.lambda_pres * d_uz, uz, nz, d_z, d)
-        sets.add_grad("image", d_z[: batch.n])
-        sets.add_grad("view:G3", d_z[batch.n :])
+        d_uz = config.lambda_pres * ((4.0 / (m * m)) * delta @ uz)
+        for name, rows in (("image", slice(0, n)), ("view:G3", slice(n, m))):
+            _unit_prefix_backprop(d_uz[rows], uz[rows], nz[rows], sets.dz(name), d)
 
     if "ortho" in active and config.lambda_ortho > 0.0 and not state.orthogonal and state.matrix is not None:
         w = state.matrix

@@ -134,6 +134,7 @@ class EpochStats:
     val_hard_avg: float
     val_stair: float
     val_drift: float
+    temperatures: list[float]  # exp(log_temps) per prefix at the end of the epoch
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -272,6 +273,7 @@ def train(config: TrainConfig, cache: EmbeddingCache):
             val_hard_avg=hard_avg,
             val_stair=stair,
             val_drift=drift,
+            temperatures=[float(t) for t in np.exp(log_temps)],
         )
         history.append(stats)
         candidates.append(

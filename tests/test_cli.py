@@ -9,10 +9,12 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grasp_vl
 from grasp_vl.cli import _build_parser, main
+from grasp_vl.transforms import load_checkpoint
 
 SPEC = {
     "dim": 32,
@@ -113,6 +115,13 @@ class TestTrainEvalReport:
         history = [json.loads(x) for x in (trained_dir / "history.jsonl").read_text().splitlines()]
         assert len(history) == 3
         assert all("term_means" in h for h in history)
+
+    def test_selected_epoch_records_the_checkpoint_temperatures(self, trained_dir):
+        checkpoint = load_checkpoint(trained_dir / "checkpoint.ckpt")
+        history = [json.loads(x) for x in (trained_dir / "history.jsonl").read_text().splitlines()]
+        record = history[checkpoint.meta["epoch"] - 1]
+        assert record["epoch"] == checkpoint.meta["epoch"]
+        assert record["temperatures"] == [float(t) for t in np.exp(checkpoint.log_temps)]
 
     def test_eval_report_and_pool(self, synth_dir, trained_dir, tmp_path):
         cache = str(synth_dir / "cache" / "manifest.json")
@@ -446,6 +455,52 @@ class TestErrors:
         rc = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
         assert self._one_data_error(rc, capsys)["code"] == "IO_ERROR"
         assert not out.exists()
+
+    @staticmethod
+    def _tree(root: Path) -> dict[str, bytes]:
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    def _verb_argv(self, verb, synth_dir, out):
+        if verb == "validate":
+            return ["validate", "--input", str(synth_dir / "annotations.jsonl"), "--out", str(out)]
+        return ["eval", "--cache", str(synth_dir / "cache" / "manifest.json"), "--matrix",
+                str(synth_dir / "oracle.transform"), "--out", str(out)]
+
+    @pytest.mark.parametrize("verb", ["validate", "eval"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["no_out", "existing_out"])
+    def test_writer_failure_leaves_out_as_it_was(self, synth_dir, tmp_path, capsys, monkeypatch, verb, existing):
+        from grasp_vl import cli
+
+        out = tmp_path / "o"
+        argv = self._verb_argv(verb, synth_dir, out)
+        if existing:
+            assert main(argv) == 0
+            (out / "notes.txt").write_text("not written by the verb")
+            (out / "report.json").write_text("stale")
+        before = self._tree(out) if existing else None
+        capsys.readouterr()
+
+        def failing_manifest(*args, **kwargs):  # runs after the verb's other artifacts are written
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "_write_manifest", failing_manifest)
+        assert self._one_data_error(main(argv), capsys)["code"] == "IO_ERROR"
+        if existing:
+            assert self._tree(out) == before
+        else:
+            assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == (["o"] if existing else [])  # no stage left behind
+
+    def test_rerun_replaces_its_artifacts_and_keeps_other_files(self, synth_dir, tmp_path):
+        out = tmp_path / "o"
+        argv = self._verb_argv("eval", synth_dir, out)
+        assert main(argv) == 0
+        first = self._tree(out)
+        (out / "notes.txt").write_text("not written by the verb")
+        (out / "report.json").write_text("stale")
+        assert main(argv) == 0
+        assert self._tree(out) == {**first, "notes.txt": b"not written by the verb"}
+        assert [p.name for p in tmp_path.iterdir()] == ["o"]
 
     def test_cache_without_ids_file_is_data_error(self, synth_dir, tmp_path, capsys):
         import shutil

@@ -353,7 +353,8 @@ class TestTotalLossAndGradient:
 
 
 def reference_infonce_grad(zi, zt, k, tau):
-    """Symmetric InfoNCE with a fresh array for every intermediate; the buffered kernel must match it bit for bit."""
+    """Symmetric InfoNCE with each softmax shifted by its own row or column maximum, a fresh array for every
+    intermediate: the oracle that bounds the shared-shift kernel's rounding.  Returns row gradients."""
 
     def unit_prefix(rows):
         sl = rows[:, :k]
@@ -388,14 +389,79 @@ def reference_infonce_grad(zi, zt, k, tau):
     return value, d_zi, d_zt, d_log_tau
 
 
+def reference_shared_shift_infonce(ui, ut, tau):
+    """The kernel's arithmetic written out with a fresh array for every intermediate; the kernel must match it
+    bit for bit.
+
+    Both softmaxes are shifted by 1/tau.  A row or column whose shifted sum is below 1e-280 is redone with its
+    own maximum.  Returns (value, g_i, g_t, d_log_tau), with the gradients taken with respect to ``ui``, ``ut``.
+    """
+    n = ui.shape[0]
+    shifted = (ui @ ut.T - 1.0) * (1.0 / tau)
+    e = np.exp(shifted)
+    log_sums, scales, redone = [], [], []
+    for own, other, total in ((ui, ut, e.sum(axis=1)), (ut, ui, e.sum(axis=0))):
+        low = np.flatnonzero(total < 1e-280)
+        kept = np.where(total < 1e-280, 1.0, total)
+        log_sum = np.log(kept)
+        scale = 1.0 / (kept * (2.0 * n * tau))
+        scale[low] = 0.0
+        s = (own[low] @ other.T - 1.0) * (1.0 / tau)
+        m = s.max(axis=1, keepdims=True)
+        lse = m + np.log(np.exp(s - m).sum(axis=1, keepdims=True))
+        log_sum[low] = lse[:, 0]
+        log_sums.append(log_sum)
+        scales.append(scale)
+        redone.append((low, np.exp(s - lse) / (2.0 * n * tau)))
+    value = 0.5 * float(np.mean(log_sums[0] - np.diag(shifted)) + np.mean(log_sums[1] - np.diag(shifted)))
+    dc = (scales[0][:, None] + scales[1][None, :]) * e
+    (rows, row_part), (cols, col_part) = redone
+    dc[rows] += row_part
+    dc[:, cols] += col_part.T
+    dc[np.arange(n), np.arange(n)] -= 1.0 / (n * tau)
+    g_i = dc @ ut
+    return value, g_i, dc.T @ ui, -float(np.vdot(ui, g_i))
+
+
+def kernel_row_gradients(zi, zt, k, tau):
+    """``_infonce_grad`` on the k-prefixes of ``zi``, ``zt``, its unit gradients carried back to the rows."""
+    (ui, ni), (ut, nt) = O._unit_prefix(zi, k), O._unit_prefix(zt, k)
+    n = zi.shape[0]
+    value, g_i, g_t, d_log_tau = O._infonce_grad(ui, ut, tau, np.full((2, n, n), np.nan))
+    d_zi, d_zt = np.zeros_like(zi), np.zeros_like(zt)
+    O._unit_prefix_backprop(g_i, ui, ni, d_zi, k)
+    O._unit_prefix_backprop(g_t, ut, nt, d_zt, k)
+    return value, d_zi, d_zt, d_log_tau
+
+
+def assert_within_rtol(got, want, rtol, scale):
+    """Every entry within ``rtol`` of the reference, relative to the larger of its size and ``scale``."""
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert np.all(np.isfinite(g))
+        assert np.all(np.abs(g - w) <= rtol * np.maximum(np.abs(w), scale))
+
+
+def underflow_batch(rng, n, d, far):
+    """Text rows clustered near e_0 and image rows near their own text, except the rows ``far``, which sit near
+    -e_0: their prefix cosines are near -1 with every text row."""
+    texts = np.zeros((n, d))
+    texts[:, 0] = 1.0
+    texts[:, 1:] = 0.15 * rng.standard_normal((n, d - 1))
+    images = texts + 0.02 * rng.standard_normal((n, d))
+    images[far] = -texts[far] + 0.02 * rng.standard_normal((len(far), d))
+    return images, texts
+
+
 class TestInfoNCEKernel:
     DIM = 64
+    # The shared shift rounds differently from the per-row one.  Relative to the larger of an entry's size and
+    # 1/tau, the kernel is within 9e-16 of the per-row-shift reference over the grid below, and within 1.4e-14
+    # at tau = 1e-3 with underflowing sums.  1/tau is the scale of the score gradient; it keeps entries whose
+    # exact value is 0 (the two-row duplicated batches) from turning rounding noise into a relative error.
+    RTOL = 1e-12
 
-    @pytest.mark.parametrize("tau", [0.07, 1.0])
-    @pytest.mark.parametrize("k", [1, 4, DIM])
-    @pytest.mark.parametrize("n", [2, 3, 256])
-    @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
-    def test_bit_identical_to_the_fresh_array_reference(self, n, k, tau, duplicated):
+    def batch(self, n, k, duplicated):
         rng = np.random.default_rng(n * 1000 + k)
         zi = rng.standard_normal((n, self.DIM))
         zt = rng.standard_normal((n, self.DIM))
@@ -403,13 +469,47 @@ class TestInfoNCEKernel:
             # two equal image rows and two equal text rows: row and column maxima tie
             zi[1] = zi[0]
             zt[1] = zt[0]
+        return zi, zt
+
+    @pytest.mark.parametrize("tau", [0.07, 1.0])
+    @pytest.mark.parametrize("k", [1, 4, DIM])
+    @pytest.mark.parametrize("n", [2, 3, 256])
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
+    def test_bit_identical_to_the_fresh_array_reference(self, n, k, tau, duplicated):
+        zi, zt = self.batch(n, k, duplicated)
+        ui, ut = O._unit_prefix(zi, k)[0], O._unit_prefix(zt, k)[0]
         work = np.full((2, n, n), np.nan)  # whatever the buffers held must not leak into the result
-        got = O._infonce_grad(O._unit_prefix(zi, k), O._unit_prefix(zt, k), self.DIM, tau, work)
-        want = reference_infonce_grad(zi, zt, k, tau)
+        got = O._infonce_grad(ui, ut, tau, work)
+        want = reference_shared_shift_infonce(ui, ut, tau)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2])
         assert got[3] == want[3]
+
+    @pytest.mark.parametrize("tau", [0.07, 1.0])
+    @pytest.mark.parametrize("k", [1, 4, DIM])
+    @pytest.mark.parametrize("n", [2, 3, 256])
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
+    def test_within_rtol_of_the_per_row_shift_reference(self, n, k, tau, duplicated):
+        zi, zt = self.batch(n, k, duplicated)
+        got = kernel_row_gradients(zi, zt, k, tau)
+        assert_within_rtol(got, reference_infonce_grad(zi, zt, k, tau), self.RTOL, 1.0 / tau)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    @pytest.mark.parametrize("side", ["rows", "columns"])
+    def test_underflowing_sums_are_redone_with_their_own_maximum(self, side, k):
+        tau = 1e-3
+        images, texts = underflow_batch(np.random.default_rng(0), 6, 8, far=[0, 3])
+        zi, zt = (images, texts) if side == "rows" else (texts, images)
+        ui, ut = O._unit_prefix(zi, k)[0], O._unit_prefix(zt, k)[0]
+        sums = np.exp((ui @ ut.T - 1.0) / tau).sum(axis=1 if side == "rows" else 0)
+        assert np.all(sums[[0, 3]] < 1e-280) and np.all(sums[[1, 2, 4, 5]] > 1e-280)
+        got = kernel_row_gradients(zi, zt, k, tau)
+        assert_within_rtol(got, reference_infonce_grad(zi, zt, k, tau), self.RTOL, 1.0 / tau)
+        kernel = O._infonce_grad(ui, ut, tau, np.full((2, 6, 6), np.nan))
+        want = reference_shared_shift_infonce(ui, ut, tau)
+        assert kernel[0] == want[0] and kernel[3] == want[3]
+        assert np.array_equal(kernel[1], want[1]) and np.array_equal(kernel[2], want[2])
 
 
 class TestStepCaches:
@@ -442,15 +542,15 @@ class TestStepCaches:
 
 
 class TestStepMemory:
-    def test_prefix_caches_are_freed_before_the_preservation_term(self):
-        # a step that frees its prefix caches and InfoNCE buffers after the hinge terms peaks at
-        # 10.9 MiB here; one that holds them through the preservation term peaks at 14.8 MiB
+    @staticmethod
+    def step_peak(variant: str) -> int:
+        """Traced peak bytes of one default-ladder step at n = 256, D = 64."""
         import tracemalloc
 
         dim = 64
         contract = T.InterfaceContract.default_ladder(dim)
         batch = make_batch(np.random.default_rng(0), 256, dim)
-        model = T.make_model(T.TransformSpec("mlp", dim))
+        model = T.make_model(T.TransformSpec(variant, dim))
         params = model.init_params(np.random.default_rng(1))
         args = (model, params, np.zeros(len(contract.prefixes)), batch, O.LossConfig.default(contract), contract)
         tracemalloc.start()
@@ -459,7 +559,18 @@ class TestStepMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20
+        return peak
+
+    def test_prefix_caches_are_freed_before_the_preservation_term(self):
+        # a step that frees its prefix caches and InfoNCE buffers after the hinge terms peaks at
+        # 10.9 MiB here; one that holds them through the preservation term peaks at 14.8 MiB
+        assert self.step_peak("mlp") < 12 * 2**20
+
+    def test_dense_step_holds_no_per_term_gradients(self):
+        # unit gradients go straight into their row set's accumulator: 6.97 MiB here, and 7.35 MiB with n x D
+        # gradient arrays per term.  Keeping one accumulator per (row set, k) to the end of the step would
+        # hold 55 more n x k arrays, about 2.8 MiB
+        assert self.step_peak("dense_cayley") < 7.5 * 2**20
 
 
 class TestFiniteDifferences:
@@ -502,6 +613,37 @@ class TestFiniteDifferences:
         params = model.init_params(np.random.default_rng(4))
         err = O.finite_difference_check(
             model, params, np.log(0.07) * np.ones(4), tiny_batch, tiny_loss_config, tiny_contract, step=1e-5
+        )
+        assert err <= 1e-4
+
+    @pytest.mark.parametrize("side", ["rows", "columns"])
+    def test_align_fd_where_shifted_sums_underflow(self, side, tiny_contract):
+        images, texts = underflow_batch(np.random.default_rng(0), 6, 8, far=[0, 3])
+        if side == "columns":
+            images, texts = texts, images
+        batch = O.Batch(
+            images=images,
+            views={g: texts for g in T.VIEW_LEVELS},
+            negatives={r: texts for r in T.NEGATIVE_TYPES},
+        )
+        model = T.make_model(T.TransformSpec("dense_cayley", 8))
+        params = model.init_params(np.random.default_rng(4))
+        tau = 1e-3
+        rotation = model.eval_transform(params)
+        for k in tiny_contract.prefixes:
+            # the gradient runs through the redone sums: rows (or columns) 0 and 3 underflow at every prefix
+            ui, ut = (O._unit_prefix(rotation.apply(rows), k)[0] for rows in (batch.images, texts))
+            sums = np.exp((ui @ ut.T - 1.0) / tau).sum(axis=1 if side == "rows" else 0)
+            assert np.array_equal(np.flatnonzero(sums < 1e-280), [0, 3])
+        err = O.finite_difference_check(
+            model,
+            params,
+            np.log(tau) * np.ones(4),
+            batch,
+            O.LossConfig.default(tiny_contract),
+            tiny_contract,
+            step=1e-5,
+            terms=("align",),
         )
         assert err <= 1e-4
 
