@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -89,6 +90,67 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec_path), "--out", str(a), "--seed", "0"]) == 0
         assert main(["synth", "--spec", str(spec_path), "--out", str(b), "--seed", "0"]) == 0
         assert tree_digest(a) == tree_digest(b)
+
+    # sha256 of every file `synth --spec spec.json --out synth --seed 3` writes, on numpy 2.4 with its bundled
+    # OpenBLAS on one thread: the perfbench test corpus (200 examples) and the same spec at an odd size
+    _GOLDEN_SHA256 = {
+        200: {
+            "annotations.jsonl": "89ebfaa8d6fda533c1005688d4f17aa24d6d6cfb148bd9019dcd4229073c4b1d",
+            "cache/ids.txt": "e804a9f9a42105e3136cc6aef12214d37ae53d019ea3ecc6e3307cbfd170f25f",
+            "cache/image.f32": "b5fd1efc3a8df8ae9a15f2fa66af2cf3efcb614306e1a482b1fe46b2b6de5bef",
+            "cache/manifest.json": "8f44e9b21c7ee2cda5ca0246d91d7c3c0df418fdddcbb8f3ee4d4d15d0b972ce",
+            "cache/neg_action.f32": "cd104060d5004c1b659faef6225902f815a870def028d31241a5fc6af567f547",
+            "cache/neg_attribute.f32": "ac9937966c8819fce29174c686450c3a62dd8f97c04db01117a91d9c7b26051c",
+            "cache/neg_full.f32": "34c79dd099932067dae918b2cc2dc9a4b1eb7916d0a49c4fbe91d4089fa1c4b0",
+            "cache/neg_object.f32": "be3498aace9239b97a9a606cca2e548337260c8ef674cb19951427373737303a",
+            "cache/neg_order.f32": "8c16f29036eaec2d91092789388eaa8e6cbc8419dea869eca5020264f6e43ffd",
+            "cache/neg_relation.f32": "bbb2e53bd0edbd0493abe91d0393fc210d46951e1c979b342bf3ded59e24898b",
+            "cache/splits.json": "b52b4ec6cb61535f057c8d434c144e476999ca60f5fa1d27f5d879a5e89beaf6",
+            "cache/text_G0.f32": "03fb5da6f22a1899c459fb731c183e27e1ddb2409c73e5531aea2f11df642d07",
+            "cache/text_G1.f32": "c6a0d034b9cf97bfcd82db93a48424f40ff8da9cc9ab1b491060d2091958de93",
+            "cache/text_G2.f32": "159f9c24f28bc539e309bf9a94000699e11287f17132e6723a05a8efa06b2b24",
+            "cache/text_G3.f32": "18205536fa86bdcd0dfdf53019329b355d47fe70f5221d87937307aeee1bd2a9",
+            "manifest.json": "2ecbb088085b000e1c5476d9a010ab0719b34a43c18b4a3093dd938d6c322c6c",
+            "oracle.transform": "4a3af44f038c5f332853c391888e4a166a5b15146d8c3d38d6ea17506d8f157e",
+            "spec.json": "25ddf43f8e0f726705d39c0e5e647280fbdbbe680f16b255d3443c156a44c2e3",
+        },
+        2001: {
+            "annotations.jsonl": "1e7d091ea629862d2b23166353e9986081ca7988c7af23839fef6b70127c6a01",
+            "cache/ids.txt": "ff4311c0cbf4fb12cd93262df698d4dde1441c75b88c300f8098f371f9bf7e49",
+            "cache/image.f32": "5243ee7c24adac4730f32fb9c9c5ee820a9535ed284f78315ce0226df9cb28b3",
+            "cache/manifest.json": "eb50cc89121be0e9179910df43ecff32998ca25547714ca80206b5aca8a9cae8",
+            "cache/neg_action.f32": "94c0025c9eb7b78327f4c056ffef07a5b6c2feaf97219af00ff02a1d39bc1fe3",
+            "cache/neg_attribute.f32": "f43c660783a2e9c6f5c153e784583300272059a74a462ce23def46383610f82d",
+            "cache/neg_full.f32": "54d72e86b205a80b77c9283e9dde4db27a0b3981ba0c48a85fa0b1da2a7efd65",
+            "cache/neg_object.f32": "3ff1b7e0cffa689f8080dbb1a1beb40397a501ab88ffe4fc1c99787d7debe728",
+            "cache/neg_order.f32": "afbe4edc5ff7236f093fab55f0caad80c5f4320ae62667c185ac3b926cec9452",
+            "cache/neg_relation.f32": "f878a0c8136d9959530bf2b1cbac25a7d558f2d293c8846e9da0e7148ff83673",
+            "cache/splits.json": "225824c15c7bc63e8fcceb9c8e3f35a090c3598b4aabf625123268c5392f6023",
+            "cache/text_G0.f32": "f1d64abff1dc4becf149b7bbfdd948af18c642f853476e320baea1f33238ea28",
+            "cache/text_G1.f32": "2b72975a6040c65ab876466d3ccf8b325292501a34a73fe9eeca3c1b52512e0c",
+            "cache/text_G2.f32": "73c61ab1f557112396c8c404035624f2b2aba4cb67e5c9a31b03dcf56ce20950",
+            "cache/text_G3.f32": "5f12968b0ef298e3c345a6e1cc7f3d864b030f780193a2daa535ecbacd27a041",
+            "manifest.json": "2ecbb088085b000e1c5476d9a010ab0719b34a43c18b4a3093dd938d6c322c6c",
+            "oracle.transform": "4a3af44f038c5f332853c391888e4a166a5b15146d8c3d38d6ea17506d8f157e",
+            "spec.json": "5a96686519cb3c2a003858b3f4dd948b8ca31cba354c3b81227fd9aa4e7c681d",
+        },
+    }
+
+    @pytest.mark.parametrize("n_examples", sorted(_GOLDEN_SHA256))
+    def test_every_written_byte_is_pinned(self, tmp_path, monkeypatch, n_examples):
+        spec = {
+            "dim": 64,
+            "block_sizes": {"object": 4, "attribute": 8, "relation": 16, "residual": 36},
+            "cardinalities": {"object": 8, "attribute": 8, "relation": 8},
+            "noise_std": 0.05,
+            "n_examples": n_examples,
+            "seed": 3,
+        }
+        monkeypatch.chdir(tmp_path)
+        Path("spec.json").write_text(json.dumps(spec))
+        assert main(["synth", "--spec", "spec.json", "--out", "synth", "--seed", "3"]) == 0
+        digests = {rel: hashlib.sha256(blob).hexdigest() for rel, blob in tree_digest(Path("synth")).items()}
+        assert digests == self._GOLDEN_SHA256[n_examples]
 
     def test_manifest_lists_artifacts(self, synth_dir):
         manifest = json.loads((synth_dir / "manifest.json").read_text())
