@@ -435,7 +435,7 @@ def _cmd_gradcheck(args) -> int:
         results[label] = err
         worst = max(worst, err)
         print(f"{label}\tmax_rel_error={err:.3e}")
-    passed = worst <= args.tolerance
+    passed = bool(worst <= args.tolerance)
     print(f"gradcheck\t{'PASS' if passed else 'FAIL'}\tworst={worst:.3e}\ttolerance={args.tolerance:g}")
     if args.out:
         out = _out_dir(args)

@@ -552,20 +552,6 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     residuals /= np.linalg.norm(residuals, axis=1, keepdims=True)
     residuals *= _BLOCK_AMPLITUDE["residual"]
 
-    def place(buf: np.ndarray, factor: str, values: np.ndarray) -> None:
-        s = starts[factor]
-        buf[:, s : s + spec.block_sizes[factor]] = _BLOCK_AMPLITUDE[factor] * tables[factor][values]
-
-    g0 = np.zeros((n, d))
-    place(g0, "object", assign["object"])
-    g1 = g0.copy()
-    place(g1, "attribute", assign["attribute"])
-    g2 = g1.copy()
-    place(g2, "relation", assign["relation"])
-    g3 = g2.copy()
-    g3[:, starts["residual"] :] = residuals
-    views_raw = {"G0": g0, "G1": g1, "G2": g2, "G3": g3}
-
     flips = {
         "object": np.array([_flip(rng, v, spec.cardinalities["object"]) for v in assign["object"]]),
         "attribute": np.array([_flip(rng, v, spec.cardinalities["attribute"]) for v in assign["attribute"]]),
@@ -578,27 +564,42 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     else:
         distractor_idx = np.zeros(n, dtype=np.intp)
 
-    negs_raw = {}
-    neg = np.zeros((n, d))
-    place(neg, "object", flips["object"])
-    negs_raw["object"] = neg
-    neg = g0.copy()
-    place(neg, "attribute", flips["attribute"])
-    negs_raw["attribute"] = neg
-    for r in ("relation", "action", "order"):
-        neg = g1.copy()
-        place(neg, "relation", flips[r])
-        negs_raw[r] = neg
-    negs_raw["full"] = g3[distractor_idx]
-
-    images_raw = g3 + spec.noise_std * rng.standard_normal((n, d))
-
     mixing = random_orthogonal(d, np.random.default_rng(spec.seed + 1))
 
     def mix(rows: np.ndarray) -> np.ndarray:
         mixed = rows @ mixing.matrix.T
         mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
         return mixed.astype("<f4")
+
+    def placed(buf: np.ndarray, factor: str, values: np.ndarray) -> np.ndarray:
+        s = starts[factor]
+        buf[:, s : s + spec.block_sizes[factor]] = _BLOCK_AMPLITUDE[factor] * tables[factor][values]
+        return buf
+
+    # Each matrix is mixed and cast to float32 before the next one is built, so at most two n x D float64
+    # matrices (besides mix's own) are alive at once.  G0 -> G1 -> G2 -> G3 grow in one buffer; a typed
+    # negative is a copy of the level whose factor it flips.
+    views, negatives = {}, {}
+    level = np.zeros((n, d))
+    for g, factor, types in (
+        ("G0", "object", ("object",)),
+        ("G1", "attribute", ("attribute",)),
+        ("G2", "relation", ("relation", "action", "order")),
+    ):
+        views[g] = mix(placed(level, factor, assign[factor]))
+        for r in types:
+            negatives[r] = mix(placed(level.copy(), factor, flips[r]))
+    level[:, starts["residual"] :] = residuals
+    del residuals
+    views["G3"] = mix(level)
+    negatives["full"] = mix(level[distractor_idx])
+
+    # the image noise is the last draw; adding G3 into it gives the bits of G3 + noise_std * noise
+    images = rng.standard_normal((n, d))
+    images *= spec.noise_std
+    images += level
+    del level
+    images = mix(images)
 
     n_train = int(round(0.8 * n))
     n_val = int(round(0.1 * n))
@@ -646,9 +647,9 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
         dim=d,
         ids=tuple(ids),
         split_of={ids[i]: splits[i] for i in range(n)},
-        images=mix(images_raw),
-        views={g: mix(v) for g, v in views_raw.items()},
-        negatives={r: mix(v) for r, v in negs_raw.items()},
+        images=images,
+        views=views,
+        negatives=negatives,
     )
     validate_cache(cache)
 

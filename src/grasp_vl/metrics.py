@@ -301,11 +301,16 @@ _DRIFT_ROWS = 1000
 
 
 def drift_rows(cache: EmbeddingCache) -> np.ndarray:
-    """The rows whose drift a report states: at most 1000, strided over the images then the G3 captions."""
-    rows = np.concatenate([cache.images, cache.views["G3"]], axis=0).astype(np.float64)
-    if rows.shape[0] > _DRIFT_ROWS:
-        rows = rows[:: rows.shape[0] // _DRIFT_ROWS][:_DRIFT_ROWS]
-    return rows
+    """The rows whose drift a report states: at most 1000, strided over the images then the G3 captions.
+
+    The rows are gathered before the cast to float64, so the result is a copy of those rows alone.
+    """
+    picks = np.arange(2 * cache.n)
+    if picks.size > _DRIFT_ROWS:
+        picks = picks[:: picks.size // _DRIFT_ROWS][:_DRIFT_ROWS]
+    images = picks[picks < cache.n]
+    texts = picks[images.size :] - cache.n
+    return np.concatenate([cache.images[images], cache.views["G3"][texts]]).astype(np.float64)
 
 
 def full_drift(rows: np.ndarray, transform, renormalize: bool = True) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,17 @@ def tiny_contract():
         view_of={1: "G0", 2: "G1", 4: "G2", 8: "G3"},
         kappa={"object": 1, "attribute": 2, "relation": 4, "action": 4, "order": 4, "full": 8},
     )
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

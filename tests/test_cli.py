@@ -423,6 +423,13 @@ class TestGradcheck:
     def test_fails_when_tolerance_is_absurd(self):
         assert main(["gradcheck", "--dim", "8", "--seed", "1", "--tolerance", "1e-12"]) == 1
 
+    @pytest.mark.parametrize("tolerance,rc", [(None, 0), ("1e-12", 1)])
+    def test_out_records_the_verdict(self, tmp_path, capsys, tolerance, rc):
+        argv = ["gradcheck", "--dim", "8", "--seed", "1", "--out", str(tmp_path / "gc")]
+        assert main(argv + (["--tolerance", tolerance] if tolerance else [])) == rc
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads((tmp_path / "gc" / "gradcheck.json").read_text())["passed"] is (rc == 0)
+
 
 class TestNoTestRows:
     """A cache with no test split fails with one EMPTY_POOL line, not a NaN table."""

@@ -310,6 +310,7 @@ class TestDrift:
         both = np.concatenate([images, texts]).astype(np.float32).astype(np.float64)
         stride = (2 * n) // 1000
         assert rows.shape == (1000, 4)
+        assert rows.base is None  # a copy of the picked rows, not a view of every row cast to float64
         assert np.array_equal(rows, both[::stride][:1000])
         # rows come from both halves, not from the images alone
         assert (np.arange(2 * n)[::stride][:1000] >= n).any()

@@ -11,7 +11,7 @@ from grasp_vl import objective as O
 from grasp_vl import transforms as T
 from grasp_vl.errors import GraspError
 
-from conftest import unit_rows
+from conftest import traced_peak, unit_rows
 
 
 def make_batch(rng, n, d):
@@ -545,21 +545,13 @@ class TestStepMemory:
     @staticmethod
     def step_peak(variant: str) -> int:
         """Traced peak bytes of one default-ladder step at n = 256, D = 64."""
-        import tracemalloc
-
         dim = 64
         contract = T.InterfaceContract.default_ladder(dim)
         batch = make_batch(np.random.default_rng(0), 256, dim)
         model = T.make_model(T.TransformSpec(variant, dim))
         params = model.init_params(np.random.default_rng(1))
         args = (model, params, np.zeros(len(contract.prefixes)), batch, O.LossConfig.default(contract), contract)
-        tracemalloc.start()
-        try:
-            O.total_loss_and_gradient(*args)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak
+        return traced_peak(O.total_loss_and_gradient, *args)
 
     def test_prefix_caches_are_freed_before_the_preservation_term(self):
         # a step that frees its prefix caches and InfoNCE buffers after the hinge terms peaks at
