@@ -21,7 +21,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,7 @@ from .objective import (
     TERM_NAMES,
     finite_difference_check,
 )
-from .trainer import TrainConfig, train
+from .trainer import CURRICULA, TrainConfig, train
 from .transforms import (
     InterfaceContract,
     NEGATIVE_TYPES,
@@ -194,7 +194,7 @@ def _cmd_synth(args) -> int:
     spec = _read_settings(args.spec, SyntheticSpec.from_json_dict)
     if args.seed is not None and args.seed != spec.seed:
         log.info("flag --seed %d overrides spec seed %d", args.seed, spec.seed)
-        spec = SyntheticSpec.from_json_dict({**spec.to_json_dict(), "seed": args.seed})
+        spec = replace(spec, seed=args.seed)
     result = generate_synthetic(spec)
     out = _out_dir(args)
     write_cache(result.cache, out / "cache")
@@ -325,15 +325,11 @@ def _cmd_report(args) -> int:
 
 
 def _grid_from_args(args, cache) -> GridConfig:
-    contract = InterfaceContract.default_ladder(cache.dim)
-    grid = GridConfig(contract=contract, seed=args.seed if args.seed is not None else 0)
-    for name in ("epochs", "batch_size", "lr", "warmup_epochs", "curriculum", "pool_mode", "stacks", "rank"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(grid, name, value)
-    if getattr(args, "methods", None):
-        grid.methods = tuple(args.methods.split(","))
-    return grid
+    """GridConfig's defaults, with each flag that is given in place of the field of its name."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(GridConfig)}
+    given["contract"] = InterfaceContract.default_ladder(cache.dim)
+    given["methods"] = tuple(given["methods"].split(",")) if given["methods"] else None
+    return GridConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _cmd_compare(args) -> int:
@@ -479,7 +475,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--curriculum", choices=("default", "all_after_warmup", "slow", "none"), default=None)
+    p.add_argument("--curriculum", choices=CURRICULA, default=None)
     p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int, default=None)
     common(p, seeded=True)
     p.set_defaults(func=_cmd_train)
@@ -504,7 +500,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int, default=None)
-    p.add_argument("--curriculum", choices=("default", "all_after_warmup", "slow", "none"), default=None)
+    p.add_argument("--curriculum", choices=CURRICULA, default=None)
     p.add_argument("--pool-mode", dest="pool_mode", choices=("full", "test_only"), default=None)
     p.add_argument("--stacks", type=int, default=None)
     p.add_argument("--rank", type=int, default=None)

@@ -9,7 +9,7 @@ rows.  Ids are one per line; splits are a JSON object id -> split.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,8 @@ from .transforms import (
     VIEW_LEVELS,
     InterfaceContract,
     LinearTransform,
+    fields_from_json,
+    fields_to_json,
     random_orthogonal,
 )
 
@@ -47,18 +49,9 @@ class AnnotationRow:
     surface_form: str | None = None
 
     def to_json_dict(self) -> dict:
-        d = {
-            "id": self.id,
-            "dataset": self.dataset,
-            "split": self.split,
-            "caption": self.caption,
-            "views": dict(self.views),
-            "negatives": dict(self.negatives),
-            "distractors": list(self.distractors),
-            "entity": self.entity,
-        }
-        if self.surface_form is not None:
-            d["surface_form"] = self.surface_form
+        d = fields_to_json(self)
+        if self.surface_form is None:
+            del d["surface_form"]
         return d
 
 
@@ -95,17 +88,7 @@ def parse_annotation_line(line: str) -> AnnotationRow:
     sf = obj.get("surface_form")
     if sf is not None and not isinstance(sf, str):
         raise GraspError("MALFORMED", "surface_form must be a string when present")
-    return AnnotationRow(
-        id=obj["id"],
-        dataset=obj["dataset"],
-        split=obj["split"],
-        caption=obj["caption"],
-        views=dict(obj["views"]),
-        negatives=dict(obj["negatives"]),
-        distractors=list(obj["distractors"]),
-        entity=obj["entity"],
-        surface_form=sf,
-    )
+    return AnnotationRow(**{f: obj[f] for f in _ROW_FIELDS}, surface_form=sf)
 
 
 @dataclass
@@ -437,25 +420,11 @@ class SyntheticSpec:
             raise GraspError("BLOCK_OVERFLOW", "seed must be nonnegative")
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "block_sizes": dict(self.block_sizes),
-            "cardinalities": dict(self.cardinalities),
-            "noise_std": self.noise_std,
-            "n_examples": self.n_examples,
-            "seed": self.seed,
-        }
+        return fields_to_json(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SyntheticSpec":
-        return cls(
-            dim=int(d["dim"]),
-            block_sizes={k: int(v) for k, v in d["block_sizes"].items()},
-            cardinalities={k: int(v) for k, v in d["cardinalities"].items()},
-            noise_std=float(d["noise_std"]),
-            n_examples=int(d["n_examples"]),
-            seed=int(d["seed"]),
-        )
+        return fields_from_json(cls, d)
 
 
 @dataclass(eq=False)

@@ -33,6 +33,7 @@ from .transforms import (
     Checkpoint,
     InterfaceContract,
     TransformSpec,
+    fields_to_json,
     fit_pca,
     identity_transform,
     param_count,
@@ -290,15 +291,7 @@ class PoolRow:
     drift: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "pool_mode": self.pool_mode,
-            "candidates": self.candidates,
-            "ret_cells": {str(k): v for k, v in self.ret_cells.items()},
-            "ret_avg": self.ret_avg,
-            "hard_avg": self.hard_avg,
-            "stair": self.stair,
-            "drift": self.drift,
-        }
+        return {**fields_to_json(self), "ret_cells": {str(k): v for k, v in self.ret_cells.items()}}
 
 
 def run_pool_sensitivity(
@@ -367,17 +360,8 @@ class CostEstimate:
         return rows
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "gallery": self.gallery,
-            "prefixes": list(self.prefixes),
-            "precision_bytes": self.precision_bytes,
-            "query_ops": self.query_ops,
-            "offline_ops": self.offline_ops,
-            "storage_bytes": {str(k): v for k, v in self.storage_bytes.items()},
-            "dense_params": self.dense_params,
-            "formatted": self.formatted(),
-        }
+        storage = {str(k): v for k, v in self.storage_bytes.items()}
+        return {**fields_to_json(self), "storage_bytes": storage, "formatted": self.formatted()}
 
 
 def _fmt_ops(n: int) -> str:

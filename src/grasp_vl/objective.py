@@ -18,6 +18,8 @@ from .transforms import (
     VIEW_LEVELS,
     InterfaceContract,
     VariantModel,
+    fields_from_json,
+    fields_to_json,
 )
 
 TERM_NAMES = ("align", "ret", "rank", "inv", "pres", "ortho")
@@ -41,6 +43,17 @@ def default_retention_weights(contract: InterfaceContract) -> dict[int, dict[str
     return weights
 
 
+# key in the JSON ``loss_weights`` object -> LossConfig field
+_WEIGHT_FIELDS = {
+    "ret": "lambda_ret",
+    "rank": "lambda_rank",
+    "inv": "lambda_inv",
+    "pres": "lambda_pres",
+    "ortho": "lambda_ortho",
+    "align": "align_weight",
+}
+
+
 @dataclass
 class LossConfig:
     lambda_ret: float = 0.5
@@ -55,7 +68,7 @@ class LossConfig:
     align_view_mode: str = "assigned"  # "assigned" aligns each prefix to its view; "g3" aligns all to G3
 
     def __post_init__(self):
-        for name in ("lambda_ret", "lambda_rank", "lambda_inv", "lambda_pres", "lambda_ortho", "align_weight"):
+        for name in _WEIGHT_FIELDS.values():
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise GraspError("CONFIG", f"{name} must be finite and >= 0, got {v}")
@@ -69,39 +82,21 @@ class LossConfig:
         return replace(cls(retention_weights=default_retention_weights(contract)), **overrides)
 
     def to_json_dict(self) -> dict:
-        return {
-            "loss_weights": {
-                "ret": self.lambda_ret,
-                "rank": self.lambda_rank,
-                "inv": self.lambda_inv,
-                "pres": self.lambda_pres,
-                "ortho": self.lambda_ortho,
-                "align": self.align_weight,
-            },
-            "margins": dict(self.margins),
-            "tolerances": dict(self.tolerances),
-            "retention_weights": {str(k): dict(v) for k, v in self.retention_weights.items()},
-            "align_view_mode": self.align_view_mode,
-        }
+        d = fields_to_json(self)
+        d["loss_weights"] = {key: d.pop(name) for key, name in _WEIGHT_FIELDS.items()}
+        d["retention_weights"] = {str(k): v for k, v in self.retention_weights.items()}
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LossConfig":
-        lw = d.get("loss_weights", {})
-        return cls(
-            lambda_ret=float(lw.get("ret", 0.5)),
-            lambda_rank=float(lw.get("rank", 1.0)),
-            lambda_inv=float(lw.get("inv", 0.5)),
-            lambda_pres=float(lw.get("pres", 10.0)),
-            lambda_ortho=float(lw.get("ortho", 1.0)),
-            align_weight=float(lw.get("align", 1.0)),
-            margins={r: float(v) for r, v in d.get("margins", {}).items()} or {r: 0.1 for r in NEGATIVE_TYPES},
-            tolerances={r: float(v) for r, v in d.get("tolerances", {}).items()}
-            or {r: 0.05 for r in NEGATIVE_TYPES},
-            retention_weights={
-                int(k): {g: float(w) for g, w in v.items()} for k, v in d.get("retention_weights", {}).items()
-            },
-            align_view_mode=d.get("align_view_mode", "assigned"),
-        )
+        """Settings from JSON, with the weights read from ``loss_weights`` only; a key that is left out, or an
+        empty ``margins`` or ``tolerances`` object, takes the default."""
+        kept = {k: v for k, v in d.items() if k not in _WEIGHT_FIELDS.values()}
+        for name in ("margins", "tolerances"):
+            if kept.get(name) == {}:
+                del kept[name]
+        weights = {_WEIGHT_FIELDS[k]: w for k, w in d.get("loss_weights", {}).items() if k in _WEIGHT_FIELDS}
+        return fields_from_json(cls, {**kept, **weights})
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from .transforms import (
     NEGATIVE_TYPES,
     TransformSpec,
     VIEW_LEVELS,
+    fields_from_json,
+    fields_to_json,
     make_model,
 )
 
@@ -92,37 +94,12 @@ class TrainConfig:
             raise GraspError("CONFIG", f"unknown curriculum {self.curriculum!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json_dict(),
-            "contract": self.contract.to_json_dict(),
-            "loss": self.loss.to_json_dict(),
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "lr_transform": self.lr_transform,
-            "lr_temps": self.lr_temps,
-            "curriculum": self.curriculum,
-            "warmup_epochs": self.warmup_epochs,
-            "drift_gate": self.drift_gate,
-            "temperature_init": self.temperature_init,
-        }
+        return fields_to_json(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainConfig":
-        return cls(
-            spec=TransformSpec.from_json_dict(d["spec"]),
-            contract=InterfaceContract.from_json_dict(d["contract"]),
-            loss=LossConfig.from_json_dict(d.get("loss", {})),
-            epochs=int(d.get("epochs", 12)),
-            batch_size=int(d.get("batch_size", 256)),
-            seed=int(d.get("seed", 0)),
-            lr_transform=float(d.get("lr_transform", 1e-3)),
-            lr_temps=float(d.get("lr_temps", 1e-3)),
-            curriculum=d.get("curriculum", "default"),
-            warmup_epochs=int(d.get("warmup_epochs", 3)),
-            drift_gate=float(d["drift_gate"]) if "drift_gate" in d else None,
-            temperature_init=float(d.get("temperature_init", 0.07)),
-        )
+        """Settings from JSON; a key that is left out takes its default, and a left-out ``loss`` is an empty one."""
+        return fields_from_json(cls, {"loss": {}, **d})
 
 
 @dataclass

@@ -9,7 +9,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +366,39 @@ def prefix_normalize(rows: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Settings and records as JSON: each dataclass field declares its key, type and default once.
+
+
+def fields_to_json(record) -> dict:
+    """A dataclass's fields by name, each nested setting through its own ``to_json_dict``; values are not copied.
+
+    The fields are read from the instance dict, which holds exactly them and costs a fifth of ``fields()``:
+    ``synth`` writes one record per annotation row."""
+    return {k: v.to_json_dict() if hasattr(v, "to_json_dict") else v for k, v in vars(record).items()}
+
+
+def _from_json(kind, value):
+    """``value`` read from JSON as type ``kind``: a nested setting through its ``from_json_dict``, a dict key by key
+    and value by value, a number through ``int`` or ``float``, anything else (such as a string) as it is."""
+    if isinstance(kind, types.UnionType):  # ``float | None``: a value present in the JSON is not None
+        kind = typing.get_args(kind)[0]
+    if hasattr(kind, "from_json_dict"):
+        return kind.from_json_dict(value)
+    if typing.get_origin(kind) is dict:
+        key_kind, value_kind = typing.get_args(kind)
+        return {_from_json(key_kind, k): _from_json(value_kind, v) for k, v in value.items()}
+    return kind(value) if kind in (int, float) else value
+
+
+def fields_from_json(cls, d: dict):
+    """A ``cls`` built from the keys of ``d`` that name its fields, each read as its field's type; a key that ``d``
+    leaves out takes the field's default."""
+    kinds = typing.get_type_hints(cls)
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: _from_json(kinds[k], v) for k, v in d.items() if k in names})
+
+
+# ---------------------------------------------------------------------------
 # Transform specs, parameter counting, trainable variant models
 
 
@@ -377,20 +412,17 @@ class TransformSpec:
     rank: int = 32  # low_rank only
 
     def __post_init__(self):
+        if not isinstance(self.variant, str) or self.variant not in _VARIANT_MODELS:
+            raise GraspError("UNKNOWN_VARIANT", f"no such transform variant: {self.variant}")
         if self.dim < 1 or self.stacks < 0 or self.rank < 0:
             raise GraspError("CONFIG", f"transform needs dim >= 1 and stacks, rank >= 0: {self}")
 
     def to_json_dict(self) -> dict:
-        return {"variant": self.variant, "dim": self.dim, "stacks": self.stacks, "rank": self.rank}
+        return fields_to_json(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TransformSpec":
-        return cls(
-            variant=d["variant"],
-            dim=int(d["dim"]),
-            stacks=int(d.get("stacks", 8)),
-            rank=int(d.get("rank", 32)),
-        )
+        return fields_from_json(cls, d)
 
 
 def param_shapes(spec: TransformSpec) -> dict[str, tuple[int, ...]]:
@@ -406,9 +438,7 @@ def param_shapes(spec: TransformSpec) -> dict[str, tuple[int, ...]]:
         return {"logits": (d, d), "sign_logits": (d,)}
     if spec.variant == "low_rank":
         return {"b": (d, d), "u": (d, spec.rank), "v": (d, spec.rank), "gate": ()}
-    if spec.variant == "mlp":
-        return {"w1": (h, d), "b1": (h,), "scale": (h,), "shift": (h,), "w2": (d, h), "b2": (d,)}
-    raise GraspError("UNKNOWN_VARIANT", f"no such transform variant: {spec.variant}")
+    return {"w1": (h, d), "b1": (h,), "scale": (h,), "shift": (h,), "w2": (d, h), "b2": (d,)}  # mlp
 
 
 def param_count(spec: TransformSpec, n_prefixes: int) -> int:
@@ -499,15 +529,12 @@ class _LinearStepState:
 
 
 class VariantModel:
-    """Base for trainable transform families."""
+    """Base for trainable transform families; ``param_names`` is the order of ``param_shapes``."""
 
     def __init__(self, spec: TransformSpec):
         self.spec = spec
         self.dim = spec.dim
-
-    @property
-    def param_names(self) -> tuple[str, ...]:  # pragma: no cover - overridden
-        raise NotImplementedError
+        self.param_names = tuple(param_shapes(spec))
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:  # pragma: no cover
         raise NotImplementedError
@@ -520,8 +547,6 @@ class VariantModel:
 
 
 class DenseCayleyModel(VariantModel):
-    param_names = ("b",)
-
     def init_params(self, rng):
         return {"b": 1e-3 * rng.standard_normal((self.dim, self.dim))}
 
@@ -534,8 +559,6 @@ class DenseCayleyModel(VariantModel):
 
 
 class ButterflyModel(VariantModel):
-    param_names = ("angles",)
-
     def init_params(self, rng):
         shape = butterfly_angle_shape(self.dim, self.spec.stacks)
         return {"angles": 1e-3 * rng.standard_normal(shape)}
@@ -552,8 +575,6 @@ class ButterflyModel(VariantModel):
 
 class PermutationModel(VariantModel):
     """Doubly-stochastic relaxation while training; hardened at evaluation."""
-
-    param_names = ("logits",)
 
     def init_params(self, rng):
         return {"logits": 1e-2 * rng.standard_normal((self.dim, self.dim))}
@@ -573,8 +594,6 @@ class PermutationModel(VariantModel):
 
 
 class SignedPermutationModel(VariantModel):
-    param_names = ("logits", "sign_logits")
-
     def init_params(self, rng):
         return {
             "logits": 1e-2 * rng.standard_normal((self.dim, self.dim)),
@@ -605,8 +624,6 @@ class SignedPermutationModel(VariantModel):
 
 class LowRankModel(VariantModel):
     """Shared Cayley rotation plus a gated rank-r residual; not orthogonal."""
-
-    param_names = ("b", "u", "v", "gate")
 
     def init_params(self, rng):
         d, r = self.dim, self.spec.rank
@@ -642,8 +659,6 @@ class LowRankModel(VariantModel):
 
 
 class MlpModel(VariantModel):
-    param_names = ("w1", "b1", "scale", "shift", "w2", "b2")
-
     def init_params(self, rng):
         d = self.dim
         h = 2 * d
@@ -703,11 +718,7 @@ _VARIANT_MODELS = {
 
 
 def make_model(spec: TransformSpec) -> VariantModel:
-    try:
-        cls = _VARIANT_MODELS[spec.variant]
-    except KeyError:
-        raise GraspError("UNKNOWN_VARIANT", f"no such transform variant: {spec.variant}") from None
-    return cls(spec)
+    return _VARIANT_MODELS[spec.variant](spec)
 
 
 # ---------------------------------------------------------------------------
