@@ -228,22 +228,27 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _default_train_config(cache, args) -> TrainConfig:
-    contract = InterfaceContract.default_ladder(cache.dim)
-    return TrainConfig(
-        spec=TransformSpec(args.variant, cache.dim, stacks=args.stacks, rank=args.rank),
-        contract=contract,
-        loss=LossConfig.default(contract),
-        seed=args.seed if args.seed is not None else 0,
-    )
+def _train_config(args, cache) -> TrainConfig:
+    """The --config file's settings, or the defaults for the cache, with each spec flag that is given in place of
+    the spec's setting.  The spec is set before the TrainConfig is built, which resolves the drift gate for it."""
+    given = {name: getattr(args, name) for name in ("variant", "stacks", "rank") if getattr(args, name) is not None}
+    if not args.config:
+        contract = InterfaceContract.default_ladder(cache.dim)
+        spec = TransformSpec(**{"variant": "dense_cayley", **given}, dim=cache.dim)
+        return TrainConfig(spec, contract, LossConfig.default(contract))
+
+    def with_spec_flags(d: dict) -> TrainConfig:
+        for name, value in given.items():
+            if d["spec"].get(name) != value:
+                log.info("flag overrides config: %s=%s", name, value)
+        return TrainConfig.from_json_dict({**d, "spec": {**d["spec"], **given}})
+
+    return _read_settings(args.config, with_spec_flags)
 
 
 def _cmd_train(args) -> int:
     cache = load_cache(args.cache)
-    if args.config:
-        config = _read_settings(args.config, TrainConfig.from_json_dict)
-    else:
-        config = _default_train_config(cache, args)
+    config = _train_config(args, cache)
     overrides = {
         "epochs": args.epochs,
         "batch_size": args.batch_size,
@@ -469,9 +474,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a transform on a cache")
     p.add_argument("--cache", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--variant", default="dense_cayley")
-    p.add_argument("--stacks", type=int, default=8)
-    p.add_argument("--rank", type=int, default=32)
+    p.add_argument("--variant", default=None)
+    p.add_argument("--stacks", type=int, default=None)
+    p.add_argument("--rank", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)

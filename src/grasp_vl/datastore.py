@@ -252,7 +252,7 @@ def _check_rows(name: str, rows: np.ndarray, n: int, dim: int, norm_tol: float) 
         raise GraspError("SHAPE_MISMATCH", f"{name}: expected {(n, dim)}, got {rows.shape}")
     norms = np.linalg.norm(rows.astype(np.float64), axis=1)
     worst = float(np.abs(norms - 1.0).max()) if len(norms) else 0.0
-    if worst > norm_tol:
+    if not worst <= norm_tol:  # a NaN norm fails too
         raise GraspError("NORM_VIOLATION", f"{name}: row norm off by {worst:.2e} (tolerance {norm_tol:g})")
 
 
@@ -412,8 +412,8 @@ class SyntheticSpec:
             raise GraspError("BLOCK_OVERFLOW", f"cardinalities must name exactly {sorted(_FACTORS)}")
         if any(c < 2 for c in self.cardinalities.values()):
             raise GraspError("BLOCK_OVERFLOW", "factor cardinalities must be >= 2")
-        if self.noise_std < 0:
-            raise GraspError("BLOCK_OVERFLOW", "noise_std must be nonnegative")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise GraspError("BLOCK_OVERFLOW", f"noise_std must be finite and nonnegative, got {self.noise_std}")
         if self.n_examples < 1:
             raise GraspError("BLOCK_OVERFLOW", "n_examples must be positive")
         if self.seed < 0:

@@ -238,26 +238,22 @@ def run_kappa_sensitivity(
     own contract and under the default ladder."""
     if variants is None:
         variants = default_kappa_variants(cache.dim)
+    default_contract = InterfaceContract.default_ladder(cache.dim)
     for name, contract in variants.items():
         if not isinstance(contract, InterfaceContract):
             raise GraspError("INVALID_CONTRACT", f"variant {name!r} is not an interface contract")
-        if contract.dim != cache.dim:
-            raise GraspError("INVALID_CONTRACT", f"variant {name!r} dim {contract.dim} != cache dim {cache.dim}")
-    default_contract = InterfaceContract.default_ladder(cache.dim)
-    test_ids = cache.split_ids("test")
+        if contract.prefixes != default_contract.prefixes:  # the default ladder's Sel table serves every variant
+            raise GraspError("INVALID_CONTRACT", f"variant {name!r} prefixes {contract.prefixes} are not the default")
     rows = []
     for name, contract in variants.items():
-        vgrid = replace(grid, contract=contract)
-        checkpoint = _train_method(cache, vgrid, "grasp_dense")
-        transform = checkpoint.eval_transform()
-        st = sel_table(cache, transform, contract, test_ids)
-        attr_cell = st.cell(contract.kappa["attribute"], "attribute")
-        rel_ao = float(np.mean([st.cell(contract.kappa[r], r) for r in ("relation", "action", "order")]))
-        full_cell = st.cell(contract.kappa["full"], "full")
-        obj_cell = st.cell(contract.kappa["object"], "object")
+        checkpoint = _train_method(cache, replace(grid, contract=contract), "grasp_dense")
+        rep = diagnostic_report(cache, checkpoint.eval_transform(), default_contract, pool_mode=grid.pool_mode)
+        attr_cell = rep.sel.cell(contract.kappa["attribute"], "attribute")
+        rel_ao = float(np.mean([rep.sel.cell(contract.kappa[r], r) for r in ("relation", "action", "order")]))
+        full_cell = rep.sel.cell(contract.kappa["full"], "full")
+        obj_cell = rep.sel.cell(contract.kappa["object"], "object")
         contract_hard = float(np.mean([obj_cell, attr_cell, rel_ao, full_cell]))
-        leak = leakage(st, contract)
-        rep = diagnostic_report(cache, transform, default_contract, pool_mode=grid.pool_mode)
+        leak = leakage(rep.sel, contract)
         rows.append(
             KappaRow(
                 setting=name,

@@ -12,7 +12,7 @@ import numpy as np
 from .datastore import EmbeddingCache, build_pool
 from .errors import GraspError
 from .metrics import full_drift, hard_average, recall_at_1, retrieval_average, sel_table, stair_score
-from .objective import Batch, LossConfig, TERM_NAMES, total_loss_and_gradient
+from .objective import Batch, LossConfig, TERM_NAMES, default_retention_weights, total_loss_and_gradient
 from .objective import flatten_grads, flatten_state, unflatten_state
 from .transforms import (
     Checkpoint,
@@ -98,8 +98,12 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainConfig":
-        """Settings from JSON; a key that is left out takes its default, and a left-out ``loss`` is an empty one."""
-        return fields_from_json(cls, {"loss": {}, **d})
+        """Settings from JSON; a key that is left out takes its default.  A left-out ``loss`` is an empty one, and a
+        ``loss`` without ``retention_weights`` takes the contract's default ones."""
+        config = fields_from_json(cls, {"loss": {}, **d})
+        if "retention_weights" not in d.get("loss", {}):
+            config.loss.retention_weights = default_retention_weights(config.contract)
+        return config
 
 
 @dataclass

@@ -15,7 +15,7 @@ import pytest
 
 import grasp_vl
 from grasp_vl.cli import _build_parser, main
-from grasp_vl.transforms import load_checkpoint
+from grasp_vl.transforms import TransformSpec, load_checkpoint
 
 SPEC = {
     "dim": 32,
@@ -251,6 +251,26 @@ class TestNonOrthogonalTrain:
         assert main(["train", "--cache", cache, "--config", str(first / "train_config.json"), "--out", str(again)]) == 0
         assert (again / "train_config.json").read_text() == config
         assert (again / "checkpoint.ckpt").read_bytes() == (first / "checkpoint.ckpt").read_bytes()
+
+
+class TestTrainConfigFile:
+    def test_spec_flags_override_the_file_and_its_gate_follows_them(self, synth_dir, trained_dir, tmp_path, caplog):
+        config = json.loads((trained_dir / "train_config.json").read_text())
+        assert config["spec"]["variant"] == "dense_cayley"
+        del config["drift_gate"]
+        path, out = tmp_path / "dense.json", tmp_path / "t"
+        path.write_text(json.dumps(config))
+        cache = str(synth_dir / "cache" / "manifest.json")
+        with caplog.at_level("INFO", logger="grasp"):
+            rc = main(["train", "--cache", cache, "--config", str(path), "--variant", "mlp", "--rank", "4",
+                       "--epochs", "1", "--out", str(out)])
+        assert rc == 0
+        saved = json.loads((out / "train_config.json").read_text())
+        assert (saved["spec"]["variant"], saved["spec"]["rank"], saved["drift_gate"]) == ("mlp", 4, float("inf"))
+        assert load_checkpoint(out / "checkpoint.ckpt").spec == TransformSpec("mlp", 32, rank=4)
+        notices = [r.getMessage() for r in caplog.records if r.getMessage().startswith("flag overrides config")]
+        assert notices == ["flag overrides config: variant=mlp", "flag overrides config: rank=4",
+                           "flag overrides config: epochs=1"]
 
 
 class TestCompare:
@@ -663,6 +683,38 @@ class TestErrors:
                    "--out", str(tmp_path / "o")])
         assert rc == 3
         assert one_error_line(capsys, "CONFIG")["code"] == "CONFIG"
+
+    def test_non_string_variant_in_train_config_is_config_error(self, synth_dir, trained_dir, tmp_path, capsys):
+        config = json.loads((trained_dir / "train_config.json").read_text())
+        config["spec"]["variant"] = ["x"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        rc = main(["train", "--cache", str(synth_dir / "cache" / "manifest.json"), "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert one_error_line(capsys, "CONFIG")["code"] == "UNKNOWN_VARIANT"
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_synth_noise_is_config_error(self, tmp_path, capsys, noise):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, "noise_std": noise}))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
+        assert one_error_line(capsys, "CONFIG")["code"] == "BLOCK_OVERFLOW"
+        assert not (tmp_path / "o").exists()
+
+    def test_cache_with_a_nan_entry_is_data_error(self, synth_dir, tmp_path, capsys):
+        import shutil
+
+        cache = tmp_path / "cache"
+        shutil.copytree(synth_dir / "cache", cache)
+        rows = np.fromfile(cache / "image.f32", dtype="<f4")
+        rows[5] = np.nan
+        rows.tofile(cache / "image.f32")
+        out = tmp_path / "o"
+        rc = main(["eval", "--cache", str(cache / "manifest.json"), "--matrix", str(synth_dir / "oracle.transform"),
+                   "--out", str(out)])
+        assert self._one_data_error(rc, capsys)["code"] == "NORM_VIOLATION"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "env,argv",

@@ -156,6 +156,14 @@ class TestKappa:
             H.run_kappa_sensitivity(small_cache, small_grid(ladder32), {"bad": "nope"})
         assert e.value.code == "INVALID_CONTRACT"
 
+    def test_contract_off_the_default_ladder_rejected(self, small_cache, ladder32):
+        short = T.InterfaceContract(
+            prefixes=(8, 32), view_of={8: "G0", 32: "G3"}, kappa={r: 8 for r in T.NEGATIVE_TYPES}
+        )
+        with pytest.raises(GraspError) as e:
+            H.run_kappa_sensitivity(small_cache, small_grid(ladder32), {"default": ladder32, "short": short})
+        assert e.value.code == "INVALID_CONTRACT"
+
 
 class TestPoolSensitivity:
     def test_hard_columns_shared_and_subset_pool_no_worse(self, small_synth):

@@ -149,3 +149,51 @@ def test_fuzzed_cache_manifest(files):
         _loads_or_grasp_error(D.load_cache, path)
 
     check()
+
+
+@pytest.fixture(scope="module")
+def settings_files(tmp_path_factory):
+    """A train_config.json and a synth spec.json as the CLI writes them."""
+    from grasp_vl import objective as O
+    from grasp_vl import trainer as TR
+
+    base = tmp_path_factory.mktemp("settings")
+    contract = T.InterfaceContract.default_ladder(16)
+    config = TR.TrainConfig(T.TransformSpec("low_rank", 16, rank=2), contract, O.LossConfig.default(contract))
+    (base / "train_config.json").write_text(json.dumps(config.to_json_dict()))
+    spec = D.SyntheticSpec(
+        dim=16,
+        block_sizes={"object": 1, "attribute": 2, "relation": 4, "residual": 9},
+        cardinalities={"object": 3, "attribute": 3, "relation": 3},
+        noise_std=0.05,
+        n_examples=10,
+        seed=0,
+    )
+    (base / "spec.json").write_text(json.dumps(spec.to_json_dict()))
+    return base
+
+
+@pytest.mark.parametrize("name", ["train_config.json", "spec.json"])
+def test_fuzzed_settings_load_or_are_config_errors(settings_files, name):
+    """Each edit either raises a GraspError the CLI reports as a configuration error (exit 3), or loads settings
+    whose transform spec builds a model."""
+    from grasp_vl import cli
+    from grasp_vl import trainer as TR
+
+    from_json_dict = TR.TrainConfig.from_json_dict if name == "train_config.json" else D.SyntheticSpec.from_json_dict
+    text = (settings_files / name).read_text()
+
+    @FUZZ
+    @given(headers(json.loads(text)).map(json.dumps) | st.integers(0, len(text) - 1).map(lambda cut: text[:cut]))
+    def check(content):
+        path = settings_files / f"fuzzed-{name}"
+        path.write_text(content)
+        try:
+            settings = cli._read_settings(path, from_json_dict)
+        except GraspError as exc:
+            assert exc.code in cli._CONFIG_CODES, exc
+            return
+        if isinstance(settings, TR.TrainConfig):
+            T.make_model(settings.spec)
+
+    check()

@@ -195,6 +195,19 @@ class TestTrain:
         assert TR.TrainConfig.from_json_dict(fields).drift_gate == gate
         assert TR.TrainConfig.from_json_dict({**fields, "drift_gate": 1e-3}).drift_gate == 1e-3
 
+    @pytest.mark.parametrize("left_out", ["retention_weights", "loss"])
+    def test_left_out_retention_weights_are_the_contracts(self, ladder32, left_out):
+        cfg = small_train_config(ladder32)
+        fields = cfg.to_json_dict()
+        assert TR.TrainConfig.from_json_dict(fields) == cfg
+        loss = fields.pop("loss")
+        if left_out == "retention_weights":
+            del loss["retention_weights"]
+            fields["loss"] = loss
+        loaded = TR.TrainConfig.from_json_dict(fields)
+        assert loaded.loss.retention_weights == O.default_retention_weights(ladder32) != {}
+        assert TR.TrainConfig.from_json_dict({**fields, "loss": {"retention_weights": {}}}).loss.retention_weights == {}
+
     def test_non_orthogonal_variant_can_fail_drift_gate(self, small_cache, ladder32):
         cfg = small_train_config(ladder32, variant="mlp", epochs=1, drift_gate=1e-12)
         with pytest.raises(GraspError) as e:
