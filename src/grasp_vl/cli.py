@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .datastore import (
     SyntheticSpec,
-    build_pool,
     generate_synthetic,
     load_cache,
     validate_jsonl,

@@ -28,7 +28,6 @@ from .metrics import (
 from .objective import LossConfig
 from .trainer import TrainConfig, train
 from .transforms import (
-    NEGATIVE_TYPES,
     VIEW_LEVELS,
     Checkpoint,
     InterfaceContract,

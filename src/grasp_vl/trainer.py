@@ -77,6 +77,8 @@ class TrainConfig:
             raise GraspError("CONFIG", f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
             raise GraspError("CONFIG", f"batch_size must be >= 2, got {self.batch_size}")
+        if self.spec.dim != self.contract.dim:
+            raise GraspError("CONFIG", f"spec dim {self.spec.dim} differs from contract dim {self.contract.dim}")
         for name in ("lr_transform", "lr_temps", "temperature_init"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):

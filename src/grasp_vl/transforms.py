@@ -480,23 +480,65 @@ def _sinkhorn_vjp(logits: np.ndarray, trace: list, d_out: np.ndarray) -> np.ndar
     return g * trace[0]  # chain through exp
 
 
-def _solve_assignment(cost: np.ndarray):
-    """``(rows, cols)`` of the minimum-cost assignment of a square cost matrix.
+def _solve_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost assignment of a square, finite cost matrix.
 
-    scipy.optimize costs about half a second and 40 MiB to import, and only
-    the permutation baselines and ``permutation_energy`` solve an assignment,
-    so it is imported here, on the first solve, and not with this module.
+    Shortest augmenting paths with dual potentials ``u``, ``v`` (Crouse, IEEE
+    TAES 2016, as in ``scipy.optimize.linear_sum_assignment``): each row in
+    turn is joined by a Dijkstra search over the reduced costs
+    ``c[i, j] - u[i] - v[j]`` that ends at the nearest free column, then the
+    path is flipped and the potentials updated.  A search step is one Python
+    iteration, vectorized over the columns; O(D^3) in all.  Among open columns
+    of equal path cost the lowest index is reached first, so tied costs give
+    the same assignment on every call.
     """
-    from scipy.optimize import linear_sum_assignment
-
-    return linear_sum_assignment(cost)
+    c = np.asarray(cost, dtype=np.float64)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise GraspError("DIM_MISMATCH", f"an assignment needs a square cost matrix, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise GraspError("NONFINITE_COST", "assignment costs must be finite")
+    n = len(c)
+    u, v = np.zeros(n), np.zeros(n)
+    col4row = np.full(n, -1, dtype=np.intp)
+    row4col = np.full(n, -1, dtype=np.intp)
+    for cur in range(n):
+        path_cost = np.full(n, np.inf)  # cheapest path from ``cur`` to each column
+        path = np.zeros(n, dtype=np.intp)  # the row before each column on that path
+        reached = np.zeros(n, dtype=bool)
+        rows = []  # assigned rows the search passed through
+        i, min_val = cur, 0.0
+        while True:
+            r = min_val + c[i]  # scipy's order of operations, so near-ties round the same way
+            r -= u[i]
+            r -= v
+            shorter = (r < path_cost) & ~reached
+            path_cost[shorter] = r[shorter]
+            path[shorter] = i
+            j = int(np.argmin(np.where(reached, np.inf, path_cost)))
+            min_val = path_cost[j]
+            reached[j] = True
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            rows.append(i)
+        u[cur] += min_val
+        rows = np.array(rows, dtype=np.intp)
+        u[rows] += min_val - path_cost[col4row[rows]]
+        v[reached] -= min_val - path_cost[reached]
+        while True:  # flip the path back from the free column ``j`` to ``cur``
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def harden_doubly_stochastic(p: np.ndarray) -> np.ndarray:
     """Optimal-assignment rounding of a doubly-stochastic matrix to a permutation."""
-    rows, cols = _solve_assignment(-p)
+    cols = _solve_assignment(-p)
     perm = np.zeros_like(p)
-    perm[rows, cols] = 1.0
+    perm[np.arange(len(cols)), cols] = 1.0
     return perm
 
 
@@ -732,12 +774,12 @@ def permutation_energy(r: np.ndarray | LinearTransform) -> float:
     assignment over squared entries.
     """
     m = r.matrix if isinstance(r, LinearTransform) else np.asarray(r, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise GraspError("DIM_MISMATCH", "permutation energy needs a square matrix")
     sq = m * m
-    rows, cols = _solve_assignment(-sq)
-    best = sq[rows, cols].sum()
+    cols = _solve_assignment(-sq)
     total = sq.sum()
+    if not 0.0 < total < np.inf:
+        raise GraspError("ZERO_MATRIX", "permutation energy needs a nonzero matrix with a finite squared norm")
+    best = sq[np.arange(len(sq)), cols].sum()
     return float(100.0 * best / total)
 
 

@@ -272,6 +272,17 @@ class TestTrainConfigFile:
         assert notices == ["flag overrides config: variant=mlp", "flag overrides config: rank=4",
                            "flag overrides config: epochs=1"]
 
+    def test_spec_dim_off_the_contract_is_a_config_error(self, synth_dir, trained_dir, tmp_path, capsys):
+        config = json.loads((trained_dir / "train_config.json").read_text())
+        config["spec"]["dim"] = 16
+        path, out = tmp_path / "dim16.json", tmp_path / "t"
+        path.write_text(json.dumps(config))
+        rc = main(["train", "--cache", str(synth_dir / "cache" / "manifest.json"), "--config", str(path),
+                   "--out", str(out)])
+        assert rc == 3
+        assert "dim" in one_error_line(capsys, "CONFIG")["message"]
+        assert not out.exists()
+
 
 class TestCompare:
     def test_subset_methods(self, synth_dir, tmp_path):
@@ -331,8 +342,8 @@ class TestKappa:
 
 
 class TestColdStart:
-    def test_scipy_optimize_loads_only_where_an_assignment_is_solved(self, tmp_path):
-        # a fresh interpreter: this one imported scipy.optimize long ago
+    def test_no_verb_imports_scipy(self, tmp_path):
+        # a fresh interpreter: this one imports scipy as the solver's test oracle
         (tmp_path / "spec.json").write_text(json.dumps(SPEC))
         script = textwrap.dedent(
             """
@@ -340,14 +351,15 @@ class TestColdStart:
             from grasp_vl import cli
             assert cli.main(["synth", "--spec", "spec.json", "--out", "synth", "--seed", "0"]) == 0
             cache = "synth/cache/manifest.json"
-            assert cli.main(["train", "--cache", cache, "--out", "train", "--variant", "dense_cayley",
-                             "--epochs", "1", "--seed", "0"]) == 0
-            assert cli.main(["eval", "--cache", cache, "--checkpoint", "train/checkpoint.ckpt", "--out", "eval"]) == 0
-            assert "scipy.optimize" not in sys.modules, "a dense run imported scipy.optimize"
-            import numpy as np
-            from grasp_vl.transforms import harden_doubly_stochastic
-            harden_doubly_stochastic(np.full((3, 3), 1.0 / 3.0))
-            assert "scipy.optimize" in sys.modules, "hardening a permutation did not import scipy.optimize"
+            for variant in ("dense_cayley", "permutation"):
+                assert cli.main(["train", "--cache", cache, "--out", variant, "--variant", variant,
+                                 "--epochs", "1", "--seed", "0"]) == 0
+                assert cli.main(["eval", "--cache", cache, "--checkpoint", f"{variant}/checkpoint.ckpt",
+                                 "--out", f"eval-{variant}"]) == 0
+            assert cli.main(["compare", "--cache", cache, "--out", "compare", "--epochs", "1", "--batch-size", "64",
+                             "--methods", "learned_permutation,learned_signed_permutation,grasp_dense"]) == 0
+            loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            assert not loaded, loaded
             """
         )
         src = str(Path(grasp_vl.__file__).resolve().parents[1])

@@ -6,6 +6,9 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from grasp_vl.errors import GraspError
 from grasp_vl import metrics as M
@@ -400,6 +403,61 @@ class TestPermutationEnergy:
         colp = r[:, rng.permutation(10)]
         assert T.permutation_energy(rowp) == pytest.approx(base, abs=1e-9)
         assert T.permutation_energy(colp) == pytest.approx(base, abs=1e-9)
+
+
+ORACLE = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+class TestSolveAssignment:
+    """The numpy solver against scipy's ``linear_sum_assignment``, the test-only oracle."""
+
+    @ORACLE
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.sampled_from(["gaussian", "squared_rotation", "sinkhorn"]))
+    def test_float_costs_get_scipys_assignment(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "gaussian":
+            cost = rng.standard_normal((n, n))
+        elif kind == "squared_rotation":
+            cost = -T.random_orthogonal(n, rng).matrix ** 2
+        else:  # near-uniform, as a permutation baseline is hardened early in training
+            cost = -T._sinkhorn(1e-2 * rng.standard_normal((n, n)))[0]
+        assert np.array_equal(T._solve_assignment(cost), linear_sum_assignment(cost)[1])
+
+    @ORACLE
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_tied_integer_costs_reach_scipys_optimum_the_same_way_each_call(self, n, seed, levels):
+        cost = np.random.default_rng(seed).integers(0, levels, (n, n)).astype(np.float64)
+        cols = T._solve_assignment(cost)
+        assert np.array_equal(np.sort(cols), np.arange(n))
+        rows, ref = linear_sum_assignment(cost)
+        assert cost[rows, cols].sum() == cost[rows, ref].sum()
+        assert np.array_equal(T._solve_assignment(cost), cols)
+
+    def test_all_tied_costs_take_the_lowest_index_column(self):
+        assert np.array_equal(T._solve_assignment(np.zeros((5, 5))), np.arange(5))
+        assert np.array_equal(T.harden_doubly_stochastic(np.full((4, 4), 0.25)), np.eye(4))
+
+    @pytest.mark.parametrize("solve", [T._solve_assignment, T.harden_doubly_stochastic, T.permutation_energy])
+    @pytest.mark.parametrize(
+        "cost,code",
+        [
+            (np.ones((2, 3)), "DIM_MISMATCH"),
+            (np.ones(3), "DIM_MISMATCH"),
+            (np.ones((2, 2, 2)), "DIM_MISMATCH"),
+            (np.array([[0.0, np.nan], [1.0, 0.0]]), "NONFINITE_COST"),
+            (np.array([[0.0, np.inf], [1.0, 0.0]]), "NONFINITE_COST"),
+            (np.array([[0.0, -np.inf], [1.0, 0.0]]), "NONFINITE_COST"),
+        ],
+    )
+    def test_bad_cost_is_a_grasp_error(self, solve, cost, code):
+        with pytest.raises(GraspError) as e:
+            solve(cost)
+        assert e.value.code == code
+
+    def test_energy_of_a_zero_matrix_is_a_grasp_error(self):
+        with pytest.raises(GraspError) as e:
+            T.permutation_energy(np.zeros((3, 3)))
+        assert e.value.code == "ZERO_MATRIX"
 
 
 class TestHardening:
