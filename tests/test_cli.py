@@ -92,7 +92,8 @@ class TestSynth:
         assert tree_digest(a) == tree_digest(b)
 
     # sha256 of every file `synth --spec spec.json --out synth --seed 3` writes, on numpy 2.4 with its bundled
-    # OpenBLAS on one thread: the perfbench test corpus (200 examples) and the same spec at an odd size
+    # OpenBLAS on one thread: the perfbench test corpus (200 examples), the same spec at an odd size, and at a size
+    # that spans several row blocks and ends in a short one
     _GOLDEN_SHA256 = {
         200: {
             "annotations.jsonl": "89ebfaa8d6fda533c1005688d4f17aa24d6d6cfb148bd9019dcd4229073c4b1d",
@@ -133,6 +134,26 @@ class TestSynth:
             "manifest.json": "2ecbb088085b000e1c5476d9a010ab0719b34a43c18b4a3093dd938d6c322c6c",
             "oracle.transform": "4a3af44f038c5f332853c391888e4a166a5b15146d8c3d38d6ea17506d8f157e",
             "spec.json": "5a96686519cb3c2a003858b3f4dd948b8ca31cba354c3b81227fd9aa4e7c681d",
+        },
+        5000: {
+            "annotations.jsonl": "64f8e08e80c3b1b432aa0c57519fef5d15f45413d615f7379fce0c9dc01bf3a1",
+            "cache/ids.txt": "06c61e53750c1f4a965745b48c9319f013803ea398cdad24e9df6e5615f2c3a4",
+            "cache/image.f32": "4d1d3b498b08911ff7ce3ad6971b51efdb53dbcbcd32a372ad48c77d614b0615",
+            "cache/manifest.json": "b6b2fbc66a5d09f5874aa34e7cab6f1815c7fc5db2c8e32e5853a7f9ef6b678f",
+            "cache/neg_action.f32": "c2829f86e0c40f87d8c0e5ba910db1497db1968a1ec37433a7dc8882293769a9",
+            "cache/neg_attribute.f32": "4b185b9b232e0010c1ed2353260ea8d113bbe7d55be4ed058417d6e459b531c4",
+            "cache/neg_full.f32": "0290a9605dac93f8485745064bff6bb263c3e7ba7c7e5bf2bb2f068dd0e793b2",
+            "cache/neg_object.f32": "b969b45560244afe9efa28cb485cc7c2f7eb258b7d90199eb1f63fce630fa844",
+            "cache/neg_order.f32": "9bbe6a8130f98708d01b40e52bc8b0d0efb49c93362dd87570e5322275575a17",
+            "cache/neg_relation.f32": "ac1d01c05248ee5be6d61170f8cca5287ad8f0076d8e66704ed18e8b8d17521f",
+            "cache/splits.json": "18973666efdc1eda8db7726a1cca7d72c8eba1486fcb6cb88fd2b04bb86c8d9f",
+            "cache/text_G0.f32": "3cf4a200b23b91dbc8b9edee680c867f9845d1b17dee306c81e8e690ff5f0014",
+            "cache/text_G1.f32": "9f0745233017998674ebfe7df94017a3b975f087c00eca700dd257633b331e1d",
+            "cache/text_G2.f32": "9af41f94dc5d82bb9ef5856f7f2d697337836d360e13d85f430af7e5cc69e006",
+            "cache/text_G3.f32": "6e7b868d2c1007e604b0d76fc08e426f5c5aa42666ff65a54a3a11b68060430e",
+            "manifest.json": "2ecbb088085b000e1c5476d9a010ab0719b34a43c18b4a3093dd938d6c322c6c",
+            "oracle.transform": "4a3af44f038c5f332853c391888e4a166a5b15146d8c3d38d6ea17506d8f157e",
+            "spec.json": "673a64bfa47f45040fd6aa07427b676c2e3db37dcb3857df91c1857216b0ca46",
         },
     }
 
