@@ -198,7 +198,7 @@ def _cmd_synth(args) -> int:
     out = _out_dir(args)
     write_cache(result.cache, out / "cache")
     with open(out / "annotations.jsonl", "w", encoding="utf-8") as fh:
-        for row in result.rows:
+        for row in result.iter_rows():
             fh.write(json.dumps(row.to_json_dict(), sort_keys=True) + "\n")
     save_matrix_transform(out / "oracle.transform", result.oracle)
     _write_json(out / "spec.json", spec.to_json_dict())

@@ -9,6 +9,7 @@ rows.  Ids are one per line; splits are a JSON object id -> split.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,36 @@ SPLITS = ("train", "val", "test")
 CACHE_MANIFEST_VERSION = 1
 
 _ROW_FIELDS = ("id", "dataset", "split", "caption", "views", "negatives", "distractors", "entity")
+
+# Every transient whose size grows with the number of rows (the synthetic corpus as it is built, the float64 norm
+# check, the evaluated candidate side, score blocks and drift strips) is made in row blocks of about this many bytes.
+BLOCK_BYTES = 2**20
+
+
+def row_spans(n: int, size: int) -> list[tuple[int, int]]:
+    """Consecutive ``(start, stop)`` spans of at most ``size`` covering ``range(n)``.
+
+    A last span of one is merged into the one before, so no span has length one
+    unless ``n`` is one.
+    """
+    size = max(2, size)
+    spans = []
+    start = 0
+    while start < n:
+        stop = n if start + size >= n - 1 else start + size
+        spans.append((start, stop))
+        start = stop
+    return spans
+
+
+def block_spans(n: int, row_bytes: int) -> list[tuple[int, int]]:
+    """Spans of near-equal length covering ``range(n)``, each of at most about ``BLOCK_BYTES`` of ``row_bytes`` rows.
+
+    The rows are shared out evenly rather than leaving a short last block: a product of a few rows goes to
+    BLAS's small-matrix kernel, which rounds differently from the kernel that multiplies all the rows at once.
+    """
+    blocks = max(1, -(-n * row_bytes // BLOCK_BYTES))
+    return row_spans(n, -(-n // blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +281,11 @@ class EmbeddingCache:
 def _check_rows(name: str, rows: np.ndarray, n: int, dim: int, norm_tol: float) -> None:
     if rows.shape != (n, dim):
         raise GraspError("SHAPE_MISMATCH", f"{name}: expected {(n, dim)}, got {rows.shape}")
-    norms = np.linalg.norm(rows.astype(np.float64), axis=1)
-    worst = float(np.abs(norms - 1.0).max()) if len(norms) else 0.0
+    # the float64 norms are taken one row block at a time; np.max keeps a NaN that Python's max() may drop
+    block_worst = [
+        np.abs(np.linalg.norm(rows[a:b].astype(np.float64), axis=1) - 1.0).max() for a, b in block_spans(n, 8 * dim)
+    ]
+    worst = float(np.max(block_worst, initial=0.0))
     if not worst <= norm_tol:  # a NaN norm fails too
         raise GraspError("NORM_VIOLATION", f"{name}: row norm off by {worst:.2e} (tolerance {norm_tol:g})")
 
@@ -430,11 +464,48 @@ class SyntheticSpec:
 @dataclass(eq=False)
 class SyntheticResult:
     cache: EmbeddingCache
-    rows: list[AnnotationRow]
     oracle: LinearTransform
     contract: InterfaceContract
     class_rows: np.ndarray  # (object cardinality, D): mixed object-value embeddings
     assignments: dict[str, np.ndarray]  # factor -> value index per example
+    flips: dict[str, np.ndarray]  # typed negative other than full -> the flipped value index per example
+    distractors: np.ndarray  # the example whose caption is each example's full negative
+
+    def iter_rows(self) -> Iterator[AnnotationRow]:
+        """The annotation rows in id order, made one at a time, so that ``synth`` holds none of them."""
+        n = self.cache.n
+        obj, attr, rel = (self.assignments[f].tolist() for f in _FACTORS)
+        flips = {r: v.tolist() for r, v in self.flips.items()}
+        captions = [
+            f"a photo of obj{o} attr{a} rel{r} in scene {i:05d}" for i, (o, a, r) in enumerate(zip(obj, attr, rel))
+        ]
+        for i, (id_, j) in enumerate(zip(self.cache.ids, self.distractors.tolist())):
+            o, a, rl = f"obj{obj[i]}", f"attr{attr[i]}", f"rel{rel[i]}"
+            extra = captions[(i + n // 2) % n]
+            distractors = [captions[j]]
+            if extra != captions[j] and extra != captions[i]:
+                distractors.append(extra)
+            yield AnnotationRow(
+                id=id_,
+                dataset="synthetic",
+                split=self.cache.split_of[id_],
+                caption=captions[i],
+                views={"G0": o, "G1": f"{o} {a}", "G2": f"{o} {a} {rl}", "G3": captions[i]},
+                negatives={
+                    "object": f"obj{flips['object'][i]}",
+                    "attribute": f"{o} attr{flips['attribute'][i]}",
+                    "relation": f"{o} {a} rel{flips['relation'][i]}",
+                    "action": f"{o} {a} rel{flips['action'][i]}",
+                    "order": f"{o} {a} rel{flips['order'][i]}",
+                    "full": captions[j],
+                },
+                distractors=distractors,
+                entity=o,
+            )
+
+    @property
+    def rows(self) -> list[AnnotationRow]:
+        return list(self.iter_rows())
 
 
 _VISIBLE_ENERGY = 0.7  # value-vector energy placed inside the factor's assigned prefix
@@ -545,72 +616,45 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
         buf[:, s : s + spec.block_sizes[factor]] = _BLOCK_AMPLITUDE[factor] * tables[factor][values]
         return buf
 
-    # Each matrix is mixed and cast to float32 before the next one is built, so at most two n x D float64
-    # matrices (besides mix's own) are alive at once.  G0 -> G1 -> G2 -> G3 grow in one buffer; a typed
-    # negative is a copy of the level whose factor it flips.
-    views, negatives = {}, {}
-    level = np.zeros((n, d))
-    for g, factor, types in (
-        ("G0", "object", ("object",)),
-        ("G1", "attribute", ("attribute",)),
-        ("G2", "relation", ("relation", "action", "order")),
-    ):
-        views[g] = mix(placed(level, factor, assign[factor]))
-        for r in types:
-            negatives[r] = mix(placed(level.copy(), factor, flips[r]))
-    level[:, starts["residual"] :] = residuals
-    del residuals
-    views["G3"] = mix(level)
-    negatives["full"] = mix(level[distractor_idx])
+    def g3_rows(idx: np.ndarray) -> np.ndarray:
+        rows = np.zeros((len(idx), d))
+        for f in _FACTORS:
+            placed(rows, f, assign[f][idx])
+        rows[:, starts["residual"] :] = residuals[idx]
+        return rows
 
-    # the image noise is the last draw; adding G3 into it gives the bits of G3 + noise_std * noise
-    images = rng.standard_normal((n, d))
-    images *= spec.noise_std
-    images += level
-    del level
-    images = mix(images)
+    # The eleven matrices are built one row block at a time, each block mixed and cast straight into one float32
+    # array, so the float64 rows alive at once are a few blocks.  Within a block G0 -> G1 -> G2 -> G3 grow in one
+    # buffer, a typed negative is a copy of the level whose factor it flips, and the full negative is rebuilt from
+    # the G3 factors and residual of its distractor.  The image noise is the last draw from ``rng``, drawn block by
+    # block in row order, and adding G3 into it gives the bits of G3 + noise_std * noise.  Each row is computed as
+    # when every matrix was built whole, so the random draws and every written byte are unchanged.
+    out = np.empty((1 + len(VIEW_LEVELS) + len(NEGATIVE_TYPES), n, d), dtype="<f4")
+    images = out[0]
+    views = dict(zip(VIEW_LEVELS, out[1:]))
+    negatives = dict(zip(NEGATIVE_TYPES, out[1 + len(VIEW_LEVELS) :]))
+    for a, b in block_spans(n, 8 * d):
+        level = np.zeros((b - a, d))
+        for g, factor, types in (
+            ("G0", "object", ("object",)),
+            ("G1", "attribute", ("attribute",)),
+            ("G2", "relation", ("relation", "action", "order")),
+        ):
+            views[g][a:b] = mix(placed(level, factor, assign[factor][a:b]))
+            for r in types:
+                negatives[r][a:b] = mix(placed(level.copy(), factor, flips[r][a:b]))
+        level[:, starts["residual"] :] = residuals[a:b]
+        views["G3"][a:b] = mix(level)
+        negatives["full"][a:b] = mix(g3_rows(distractor_idx[a:b]))
+        noise = rng.standard_normal((b - a, d))
+        noise *= spec.noise_std
+        noise += level
+        images[a:b] = mix(noise)
 
     n_train = int(round(0.8 * n))
     n_val = int(round(0.1 * n))
     splits = ["train"] * n_train + ["val"] * n_val + ["test"] * (n - n_train - n_val)
-
-    obj_names = [f"obj{v}" for v in range(spec.cardinalities["object"])]
-    attr_names = [f"attr{v}" for v in range(spec.cardinalities["attribute"])]
-    rel_names = [f"rel{v}" for v in range(spec.cardinalities["relation"])]
     ids = [f"ex{i:05d}" for i in range(n)]
-    captions = [
-        f"a photo of {obj_names[assign['object'][i]]} {attr_names[assign['attribute'][i]]} "
-        f"{rel_names[assign['relation'][i]]} in scene {i:05d}"
-        for i in range(n)
-    ]
-
-    rows = []
-    for i in range(n):
-        o, a, rl = obj_names[assign["object"][i]], attr_names[assign["attribute"][i]], rel_names[assign["relation"][i]]
-        neg_strings = {
-            "object": obj_names[flips["object"][i]],
-            "attribute": f"{o} {attr_names[flips['attribute'][i]]}",
-            "relation": f"{o} {a} {rel_names[flips['relation'][i]]}",
-            "action": f"{o} {a} {rel_names[flips['action'][i]]}",
-            "order": f"{o} {a} {rel_names[flips['order'][i]]}",
-            "full": captions[distractor_idx[i]],
-        }
-        extra = captions[(i + n // 2) % n]
-        distractors = [captions[distractor_idx[i]]]
-        if extra != captions[distractor_idx[i]] and extra != captions[i]:
-            distractors.append(extra)
-        rows.append(
-            AnnotationRow(
-                id=ids[i],
-                dataset="synthetic",
-                split=splits[i],
-                caption=captions[i],
-                views={"G0": o, "G1": f"{o} {a}", "G2": f"{o} {a} {rl}", "G3": captions[i]},
-                negatives=neg_strings,
-                distractors=distractors,
-                entity=o,
-            )
-        )
 
     cache = EmbeddingCache(
         dim=d,
@@ -627,9 +671,10 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     oracle = LinearTransform(mixing.matrix.T, "random", orthogonal=True)
     return SyntheticResult(
         cache=cache,
-        rows=rows,
         oracle=oracle,
         contract=contract,
         class_rows=mix(class_raw).astype(np.float64),
         assignments=assign,
+        flips=flips,
+        distractors=distractor_idx,
     )

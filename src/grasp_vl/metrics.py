@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .datastore import CandidatePool, EmbeddingCache, build_pool
+from .datastore import BLOCK_BYTES, CandidatePool, EmbeddingCache, block_spans, build_pool, row_spans
 from .errors import GraspError
 from .transforms import (
     NEGATIVE_TYPES,
@@ -26,33 +26,16 @@ def _rows64(rows: np.ndarray) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-# Top-1 scores 128 query rows against 1024 candidates at a time: a 1 MiB float64
-# tile, which stays in a core's L2 cache between the product and the max pass.
-# Column tiles start on multiples of 16, the column unroll of OpenBLAS's AVX-512
-# DGEMM kernel, so when the pool size is a multiple of 8 every score is summed
-# exactly as in a full-width product (README, "Score tiles and BLAS rounding").
+# Top-1 scores 128 query rows against 1024 candidates at a time: a BLOCK_BYTES
+# (1 MiB) float64 tile, which stays in a core's L2 cache between the product and
+# the max pass.  Column tiles start on multiples of 16, the column unroll of
+# OpenBLAS's AVX-512 DGEMM kernel, so when the pool size is a multiple of 8 every
+# score is summed exactly as in a full-width product (README, "Score tiles and
+# BLAS rounding").  Rank statistics sort whole rows, so they read full-width row
+# blocks of at most BLOCK_BYTES: 6 query rows against 20000 candidates, or 65
+# rows against 2000.
 _TILE_ROWS = 128
-_TILE_COLS = 1024
-
-# Rank statistics sort whole rows, so they read full-width row blocks of at most
-# 8 MiB: 52 query rows against 20000 candidates, or 524 rows against 2000.
-_BLOCK_BYTES = 8 * 2**20
-
-
-def _spans(n: int, size: int) -> list[tuple[int, int]]:
-    """Consecutive ``(start, stop)`` spans of at most ``size`` covering ``range(n)``.
-
-    A last span of one is merged into the one before, so no span has length one
-    unless ``n`` is one.
-    """
-    size = max(2, size)
-    spans = []
-    start = 0
-    while start < n:
-        stop = n if start + size >= n - 1 else start + size
-        spans.append((start, stop))
-        start = stop
-    return spans
+_TILE_COLS = BLOCK_BYTES // (8 * _TILE_ROWS)
 
 
 def _score_tiles(transform, query_rows, cand_rows, k: int, full_width: bool = False):
@@ -61,8 +44,10 @@ def _score_tiles(transform, query_rows, cand_rows, k: int, full_width: bool = Fa
     Tiles cover the candidates of one span of query rows, then move to the next
     span.  A tile has at most ``_TILE_ROWS`` x ``_TILE_COLS`` cells, or, with
     ``full_width``, every candidate and as many query rows as fit in
-    ``_BLOCK_BYTES``.  Each row is transformed once, and each tile is written
-    into one buffer that the next tile overwrites: copy a tile to keep it.
+    ``BLOCK_BYTES``.  Each row is transformed once, and each tile is written
+    into one buffer that the next tile overwrites: copy a tile to keep it.  The
+    candidate side is transformed and normalized one row block at a time,
+    straight into the contiguous (k, candidates) buffer that the tiles read.
 
     No tile has one row or one column unless the query set or the pool does:
     numpy hands such a product to BLAS's matrix-vector kernel, which rounds
@@ -70,17 +55,19 @@ def _score_tiles(transform, query_rows, cand_rows, k: int, full_width: bool = Fa
     a one-row query set keeps the operand layout it has always had.
     """
     zq = prefix_normalize(transform.apply(_rows64(query_rows)), k)
-    zc = prefix_normalize(transform.apply(_rows64(cand_rows)), k)
-    n, m = zq.shape[0], zc.shape[0]
+    n, m = zq.shape[0], len(cand_rows)
+    # the transposed candidate side is cheaper for BLAS to pack, and its column slices need no copy
+    zct = np.empty((k, m))
+    for c0, c1 in block_spans(m, 8 * cand_rows.shape[1]):
+        zct[:, c0:c1] = prefix_normalize(transform.apply(cand_rows[c0:c1]), k).T
     if n == 1 or m == 1:
-        yield 0, 0, zq @ (zc.T if n == 1 else np.ascontiguousarray(zc.T))
+        # a one-row query set multiplies the candidates in the row-major (m, k) layout it always has
+        yield 0, 0, zq @ (np.ascontiguousarray(zct.T).T if n == 1 else zct)
         return
     if full_width:
-        rows, cols = _spans(n, _BLOCK_BYTES // (8 * m)), [(0, m)]
+        rows, cols = row_spans(n, BLOCK_BYTES // (8 * m)), [(0, m)]
     else:
-        rows, cols = _spans(n, _TILE_ROWS), _spans(m, _TILE_COLS)
-    # a contiguous copy of zc.T is cheaper for BLAS to pack; its column slices need no copy
-    zct = np.ascontiguousarray(zc.T)
+        rows, cols = row_spans(n, _TILE_ROWS), row_spans(m, _TILE_COLS)
     buf = np.empty(max(b - a for a, b in rows) * max(b - a for a, b in cols))
     for r0, r1 in rows:
         for c0, c1 in cols:
@@ -296,7 +283,7 @@ def leakage(sel: SelTable, contract: InterfaceContract) -> float:
 # Full-space drift
 
 
-# Drift compares all pairs of at most this many rows: a 1000 x 1000 float64 matrix.
+# Drift compares all pairs of at most this many rows, in strips of about BLOCK_BYTES.
 _DRIFT_ROWS = 1000
 
 
@@ -328,7 +315,8 @@ def full_drift(rows: np.ndarray, transform, renormalize: bool = True) -> float:
     n = e.shape[0]
     if n < 2:
         raise GraspError("DIM_MISMATCH", "drift needs at least two rows")
-    return float(np.abs(z @ z.T - e @ e.T).max())
+    # the maximum over row strips of the pair matrices; np.max keeps a NaN that Python's max() may drop
+    return float(np.max([np.abs(z[a:b] @ z.T - e[a:b] @ e.T).max() for a, b in block_spans(n, 8 * n)]))
 
 
 # ---------------------------------------------------------------------------

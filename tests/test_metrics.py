@@ -10,7 +10,7 @@ from grasp_vl import metrics as M
 from grasp_vl import transforms as T
 from grasp_vl.errors import GraspError
 
-from conftest import unit_rows
+from conftest import traced_peak, unit_rows
 
 
 def tiny_cache(images, texts, ids=None, split="test", negatives=None):
@@ -295,6 +295,38 @@ class TestDrift:
         )
         assert M.full_drift(rows, t) == pytest.approx(expect, abs=1e-15)
 
+    @staticmethod
+    def _dense_drift(rows, transform, renormalize):
+        e = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        z = transform.apply(rows)
+        if renormalize:
+            z = z / np.linalg.norm(z, axis=1, keepdims=True)
+        return float(np.abs(z @ z.T - e @ e.T).max())
+
+    @pytest.mark.parametrize("n", [904, 1000])
+    def test_strips_equal_the_dense_maximum(self, n):
+        # 904 rows are 7 strips, the last one shorter; both row counts are multiples of 8, as every drift of the
+        # benchmark corpora is (README, "Score tiles and BLAS rounding")
+        rng = np.random.default_rng(n)
+        rows = unit_rows(rng, n, 64)
+        u = unit_rows(rng, 1, 64)[0]
+        bump = T.LinearTransform(np.eye(64) + 0.5 * np.outer(u, u), "linear", orthogonal=False)
+        assert len(D.block_spans(n, 8 * n)) > 1
+        for transform in (T.random_orthogonal(64, rng), bump):
+            for renormalize in (True, False):
+                want = self._dense_drift(rows, transform, renormalize)
+                assert M.full_drift(rows, transform, renormalize) == want
+
+    def test_a_nan_row_gives_nan_drift(self):
+        rows = unit_rows(np.random.default_rng(4), 1000, 64)
+        rows[700] = np.nan
+        assert np.isnan(M.full_drift(rows, T.random_orthogonal(64, np.random.default_rng(5))))
+
+    def test_memory_is_bounded_by_the_strip(self):
+        # the pair matrices are built in row strips of about 1 MiB; whole 1000 x 1000 matrices peaked at 16.2 MiB
+        rows = unit_rows(np.random.default_rng(6), 1000, 64)
+        assert traced_peak(M.full_drift, rows, T.random_orthogonal(64, np.random.default_rng(7))) < 6 * 2**20
+
     def test_drift_rows_of_a_small_cache_are_all_images_then_captions(self):
         rng = np.random.default_rng(3)
         images, texts = unit_rows(rng, 30, 4), unit_rows(rng, 30, 4)
@@ -531,8 +563,8 @@ def _tiles_of(s, rows, cols):
     """Copies of the tiles the score generator would cut from ``s``, in its order."""
     return [
         (r0, c0, s[r0:r1, c0:c1].copy())
-        for r0, r1 in M._spans(s.shape[0], rows)
-        for c0, c1 in M._spans(s.shape[1], cols)
+        for r0, r1 in M.row_spans(s.shape[0], rows)
+        for c0, c1 in M.row_spans(s.shape[1], cols)
     ]
 
 
@@ -609,7 +641,7 @@ class TestTiledTop1:
 
 def _force_block_rows(monkeypatch, rows, n_cand):
     """Full-width blocks of ``rows`` query rows, as rank statistics read them."""
-    monkeypatch.setattr(M, "_BLOCK_BYTES", 8 * rows * n_cand)
+    monkeypatch.setattr(M, "BLOCK_BYTES", 8 * rows * n_cand)
 
 
 def _force_tiles(monkeypatch, rows, cols):
@@ -690,7 +722,7 @@ class TestStreamingMatchesDenseReference:
         c = cache.views["G2"]
         if rows:
             _force_tiles(monkeypatch, rows, cols)
-        row_spans, col_spans = M._spans(len(q), M._TILE_ROWS), M._spans(len(c), M._TILE_COLS)
+        row_spans, col_spans = M.row_spans(len(q), M._TILE_ROWS), M.row_spans(len(c), M._TILE_COLS)
         if rows:  # short last row tiles, and short last column tiles at 32 and 64
             assert row_spans[-1][1] - row_spans[-1][0] != rows
             assert cols == 16 or col_spans[-1][1] - col_spans[-1][0] < cols
@@ -872,6 +904,90 @@ class TestStreamingMatchesDenseReference:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes / 4
+
+
+def _several_block_pool(n, dim=64, n_queries=300, seed=0):
+    """A cache of random unit rows, its labels, ``n_queries`` query ids and a rotation.
+
+    The images are noisy copies of their texts, so some queries miss; the ids sort in row order.
+    """
+    rng = np.random.default_rng(seed)
+    texts = unit_rows(rng, n, dim)
+    images = texts + 0.7 * unit_rows(rng, n, dim)
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    cache = tiny_cache(images, texts, ids=[f"c{i:05d}" for i in range(n)])
+    labels = {cid: f"L{rng.integers(8)}" for cid in cache.ids}
+    return cache, labels, list(cache.ids[::-1][:n_queries]), T.random_orthogonal(dim, seed + 1)
+
+
+class TestRowBlocks:
+    """Candidate row blocks, full-width query blocks and tiles against one block of everything, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def pool_case(self):
+        case = _several_block_pool(5000)
+        # three candidate blocks, the last one shorter; full-width blocks of 26 queries, the last one of 14
+        assert [b - a for a, b in D.block_spans(5000, 8 * 64)] == [1667, 1667, 1666]
+        return case
+
+    @pytest.mark.parametrize("k", [8, 64])
+    def test_scores_equal_the_dense_product(self, pool_case, k):
+        cache, _, query_ids, rot = pool_case
+        q, c = cache.images[cache.indices_of(query_ids)], cache.views["G3"]
+        dense = _dense_scores(rot, q, c, k)
+        for full_width in (False, True):
+            tiles = _copies(M._score_tiles(rot, q, c, k, full_width=full_width))
+            assert len(tiles) > 1
+            assert np.array_equal(_assemble(tiles, dense.shape), dense)
+
+    def test_metrics_equal_the_single_block_computation(self, pool_case, monkeypatch):
+        cache, labels, query_ids, rot = pool_case
+        pool = D.build_pool(cache, "full", "G3")
+        q_idx = cache.indices_of(query_ids)
+
+        def metrics():
+            return [
+                (
+                    M.recall_at_1(cache, rot, pool, k, query_ids),
+                    M.zero_shot(cache.images[q_idx], np.arange(len(q_idx)), cache.views["G3"], k, rot),
+                    M.rank_stats(cache, rot, pool, k, query_ids, labels).to_json_dict(),
+                )
+                for k in (8, 64)
+            ]
+
+        blocked = metrics()
+        monkeypatch.setattr(D, "BLOCK_BYTES", 2**62)
+        monkeypatch.setattr(M, "BLOCK_BYTES", 2**62)
+        monkeypatch.setattr(M, "_TILE_ROWS", len(query_ids))
+        monkeypatch.setattr(M, "_TILE_COLS", len(pool.candidate_ids))
+        assert blocked == metrics()
+        assert 0.0 < blocked[0][0] < 100.0  # some queries miss at k = 8
+        for k, (r1, _, ranks) in zip((8, 64), blocked):
+            assert r1 == reference_recall_at_1(cache, rot, pool, k, query_ids)
+            assert ranks == reference_rank_stats(cache, rot, pool, k, query_ids, labels).to_json_dict()
+
+    def test_zero_prefix_in_the_last_candidate_block_is_rejected(self, pool_case):
+        cache, _, query_ids, _ = pool_case
+        texts = cache.views["G3"].copy()
+        texts[-1] = 0.0
+        texts[-1, -1] = 1.0  # a unit row whose 8-prefix is zero
+        zeroed = tiny_cache(cache.images, texts, ids=cache.ids)
+        pool = D.build_pool(zeroed, "full", "G3")
+        ident = T.identity_transform(zeroed.dim)
+        for fn in (
+            lambda: M.recall_at_1(zeroed, ident, pool, 8, query_ids),
+            lambda: M.rank_stats(zeroed, ident, pool, 8, query_ids, dict.fromkeys(zeroed.ids, "x")),
+        ):
+            with pytest.raises(GraspError) as e:
+                fn()
+            assert e.value.code == "ZERO_PREFIX"
+
+    def test_rank_stats_memory_against_a_20000_row_pool(self):
+        # 1 MiB score blocks and a blocked candidate side; 8 MiB blocks and the whole candidate side in float64
+        # peaked at 40.0 MiB
+        cache, labels, query_ids, rot = _several_block_pool(20000)
+        pool = D.build_pool(cache, "full", "G3")
+        assert traced_peak(M.rank_stats, cache, rot, pool, 32, query_ids, labels) < 20 * 2**20
 
 
 class TestFullPrefixInvariance:
