@@ -32,8 +32,8 @@ CACHE_MANIFEST_VERSION = 1
 
 _ROW_FIELDS = ("id", "dataset", "split", "caption", "views", "negatives", "distractors", "entity")
 
-# Every transient whose size grows with the number of rows (the synthetic corpus as it is built, the float64 norm
-# check, the evaluated candidate side, score blocks and drift strips) is made in row blocks of about this many bytes.
+# Every transient whose size grows with the number of rows (the synthetic corpus as it is built, the evaluated
+# candidate side, score blocks and drift strips) is made in row blocks of about this many bytes.
 BLOCK_BYTES = 2**20
 
 
@@ -281,11 +281,9 @@ class EmbeddingCache:
 def _check_rows(name: str, rows: np.ndarray, n: int, dim: int, norm_tol: float) -> None:
     if rows.shape != (n, dim):
         raise GraspError("SHAPE_MISMATCH", f"{name}: expected {(n, dim)}, got {rows.shape}")
-    # the float64 norms are taken one row block at a time; np.max keeps a NaN that Python's max() may drop
-    block_worst = [
-        np.abs(np.linalg.norm(rows[a:b].astype(np.float64), axis=1) - 1.0).max() for a, b in block_spans(n, 8 * dim)
-    ]
-    worst = float(np.max(block_worst, initial=0.0))
+    # einsum sums the float32 rows in float64 through its own small cast buffers: no float64 copy of the rows
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+    worst = float(np.abs(norms - 1.0).max()) if n else 0.0
     if not worst <= norm_tol:  # a NaN norm fails too
         raise GraspError("NORM_VIOLATION", f"{name}: row norm off by {worst:.2e} (tolerance {norm_tol:g})")
 

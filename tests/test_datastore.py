@@ -209,33 +209,20 @@ class TestCacheIO:
         return tmp_path / "c"
 
 
-    @staticmethod
-    def _unit_cache(n=20000, dim=64):
-        """A cache of random unit rows, every role sharing one matrix of several norm-check row blocks."""
-        rows = unit_rows(np.random.default_rng(0), n, dim).astype(np.float32)
-        ids = tuple(f"r{i:05d}" for i in range(n))
-        return D.EmbeddingCache(
-            dim=dim,
+    def test_norm_check_makes_no_float64_copy_of_a_matrix(self):
+        # the squared norms are summed by einsum, which casts through its own small buffers; casting a whole
+        # 20,000 x 64 matrix to float64 first peaked at 19.8 MiB
+        rows = unit_rows(np.random.default_rng(0), 20000, 64).astype(np.float32)
+        ids = tuple(f"r{i:05d}" for i in range(len(rows)))
+        cache = D.EmbeddingCache(
+            dim=64,
             ids=ids,
             split_of=dict.fromkeys(ids, "test"),
             images=rows,
             views=dict.fromkeys(T.VIEW_LEVELS, rows),
             negatives=dict.fromkeys(T.NEGATIVE_TYPES, rows),
         )
-
-    def test_norm_check_memory_is_bounded_by_the_block(self):
-        # the float64 norms are taken one row block at a time; casting a whole matrix at once peaked at 19.8 MiB
-        cache = self._unit_cache()
-        assert len(D.block_spans(cache.n, 8 * cache.dim)) > 1
         assert traced_peak(D.validate_cache, cache) < 8 * 2**20
-
-    @pytest.mark.parametrize("row", [0, 9000, 19999])
-    def test_a_nan_entry_in_any_block_is_a_norm_violation(self, row):
-        cache = self._unit_cache()
-        cache.images[row, 5] = np.nan
-        with pytest.raises(GraspError) as e:
-            D.validate_cache(cache)
-        assert e.value.code == "NORM_VIOLATION"
 
 
 class TestPools:
