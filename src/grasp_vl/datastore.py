@@ -603,19 +603,41 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
         distractor_idx = np.zeros(n, dtype=np.intp)
 
     mixing = random_orthogonal(d, np.random.default_rng(spec.seed + 1))
+    spans = block_spans(n, 8 * d)
+    # three float64 buffers of the largest block (or the class rows), reused by every block through leading-row
+    # views: freed block temporaries would let the allocator trim the heap and fault it back on the next block
+    rows_max = max(max(b - a for a, b in spans), spec.cardinalities["object"])
+    level_buf, copy_buf, product_buf = (np.empty((rows_max, d)) for _ in range(3))
+    norm_buf = np.empty((rows_max, 1))
 
-    def mix(rows: np.ndarray) -> np.ndarray:
-        mixed = rows @ mixing.matrix.T
-        mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
-        return mixed.astype("<f4")
+    def mix(rows: np.ndarray, out: np.ndarray) -> None:
+        """Mix ``rows``, renormalize them and cast them into the float32 rows ``out``, with the bits of
+        ``rows @ mixing.T / np.linalg.norm(..., axis=1, keepdims=True)``.  The squares overwrite ``copy_buf``,
+        which is either free or holds ``rows``, read by then."""
+        m = len(rows)
+        mixed = np.matmul(rows, mixing.matrix.T, out=product_buf[:m])
+        norms = np.add.reduce(np.multiply(mixed, mixed, out=copy_buf[:m]), axis=1, keepdims=True, out=norm_buf[:m])
+        mixed /= np.sqrt(norms, out=norms)
+        out[...] = mixed
+
+    class_raw = np.zeros((spec.cardinalities["object"], d))
+    class_raw[:, : spec.block_sizes["object"]] = tables["object"]
+    class_rows = np.empty(class_raw.shape, dtype="<f4")
+    mix(class_raw, class_rows)
 
     def placed(buf: np.ndarray, factor: str, values: np.ndarray) -> np.ndarray:
         s = starts[factor]
         buf[:, s : s + spec.block_sizes[factor]] = _BLOCK_AMPLITUDE[factor] * tables[factor][values]
         return buf
 
+    def copied(rows: np.ndarray) -> np.ndarray:
+        copy = copy_buf[: len(rows)]
+        copy[...] = rows
+        return copy
+
     def g3_rows(idx: np.ndarray) -> np.ndarray:
-        rows = np.zeros((len(idx), d))
+        rows = copy_buf[: len(idx)]
+        rows.fill(0.0)
         for f in _FACTORS:
             placed(rows, f, assign[f][idx])
         rows[:, starts["residual"] :] = residuals[idx]
@@ -631,23 +653,25 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     images = out[0]
     views = dict(zip(VIEW_LEVELS, out[1:]))
     negatives = dict(zip(NEGATIVE_TYPES, out[1 + len(VIEW_LEVELS) :]))
-    for a, b in block_spans(n, 8 * d):
-        level = np.zeros((b - a, d))
+    for a, b in spans:
+        level = level_buf[: b - a]
+        level.fill(0.0)
         for g, factor, types in (
             ("G0", "object", ("object",)),
             ("G1", "attribute", ("attribute",)),
             ("G2", "relation", ("relation", "action", "order")),
         ):
-            views[g][a:b] = mix(placed(level, factor, assign[factor][a:b]))
+            mix(placed(level, factor, assign[factor][a:b]), views[g][a:b])
             for r in types:
-                negatives[r][a:b] = mix(placed(level.copy(), factor, flips[r][a:b]))
+                mix(placed(copied(level), factor, flips[r][a:b]), negatives[r][a:b])
         level[:, starts["residual"] :] = residuals[a:b]
-        views["G3"][a:b] = mix(level)
-        negatives["full"][a:b] = mix(g3_rows(distractor_idx[a:b]))
-        noise = rng.standard_normal((b - a, d))
+        mix(level, views["G3"][a:b])
+        mix(g3_rows(distractor_idx[a:b]), negatives["full"][a:b])
+        noise = rng.standard_normal((b - a, d), out=copy_buf[: b - a])
         noise *= spec.noise_std
         noise += level
-        images[a:b] = mix(noise)
+        mix(noise, images[a:b])
+    del level, noise, level_buf, copy_buf, product_buf, norm_buf  # before the cache is built and checked
 
     n_train = int(round(0.8 * n))
     n_val = int(round(0.1 * n))
@@ -664,14 +688,12 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     )
     validate_cache(cache)
 
-    class_raw = np.zeros((spec.cardinalities["object"], d))
-    class_raw[:, : spec.block_sizes["object"]] = tables["object"]
     oracle = LinearTransform(mixing.matrix.T, "random", orthogonal=True)
     return SyntheticResult(
         cache=cache,
         oracle=oracle,
         contract=contract,
-        class_rows=mix(class_raw).astype(np.float64),
+        class_rows=class_rows.astype(np.float64),
         assignments=assign,
         flips=flips,
         distractors=distractor_idx,

@@ -7,6 +7,7 @@ transform parameter plus one array of per-prefix log-temperatures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -152,8 +153,12 @@ def _unit_prefix(rows: np.ndarray, k: int):
 
 
 def _unit_prefix_backprop(d_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray, d_rows: np.ndarray, k: int):
+    """Add the gradient carried back from ``d_unit`` through the prefix normalization into ``d_rows[:, :k]``;
+    ``d_unit`` is overwritten."""
     inner = np.einsum("ij,ij->i", d_unit, unit)[:, None]
-    d_rows[:, :k] += (d_unit - inner * unit) / norms
+    d_unit -= inner * unit
+    d_unit /= norms
+    d_rows[:, :k] += d_unit
 
 
 def _infonce_grad(ui: np.ndarray, ut: np.ndarray, tau: float, work: np.ndarray):
@@ -193,15 +198,16 @@ def _infonce_grad(ui: np.ndarray, ut: np.ndarray, tau: float, work: np.ndarray):
         log_sums.append(log_sum)
         scales.append(scale)
     value = 0.5 * float(np.mean(log_sums[0] - shifted_diag) + np.mean(log_sums[1] - shifted_diag))
-    dc = np.add.outer(scales[0], scales[1], out=work[1])
+    dc = work[1]
+    dc[...] = scales[0][:, None]
+    dc += scales[1]
     dc *= e  # (row softmax + column softmax) / (2 n tau)
     for axis, low, part in redone:
         if axis == 1:
             dc[low] += part
         else:
             dc[:, low] += part.T
-    diag = np.arange(n)
-    dc[diag, diag] -= 1.0 / (n * tau)  # dc is now d value / d cosine
+    dc.flat[:: n + 1] -= 1.0 / (n * tau)  # dc is now d value / d cosine
     g_i = dc @ ut
     g_t = dc.T @ ui
     d_log_tau = -float(np.vdot(ui, g_i))  # s = c * exp(-log tau)
@@ -232,17 +238,51 @@ class Grads:
     log_temps: np.ndarray
 
 
-class _RowSets:
-    """Lazy row sets, k-prefixes and paired cosines, each computed once per step, with per-set gradient accumulators."""
+class StepWorkspace:
+    """Float64 buffers that the objective steps of one training run reuse, handed out as contiguous leading views.
 
-    def __init__(self, state, batch: Batch):
+    Each buffer is sized by the first request under its key and replaced only by a larger one, so a short last
+    batch reads leading views of the first batch's buffers.  A request for a key, user and shape seen before gets
+    the same view object back.  The steps then allocate little besides n x k temporaries, and the heap keeps its
+    shape from step to step instead of being trimmed and faulted back in.
+    """
+
+    def __init__(self):
+        self._flat: dict[object, np.ndarray] = {}
+        self._views: dict[tuple, np.ndarray] = {}
+
+    def array(self, key, shape: tuple[int, ...], size: int = 0, user=None) -> np.ndarray:
+        """An uninitialized array of ``shape`` over the leading elements of buffer ``key``, which holds at least
+        ``size`` elements.  Users that take turns in one buffer get their own view objects."""
+        view = self._views.get((key, user, shape))
+        if view is None:
+            used = math.prod(shape)
+            flat = self._flat.get(key)
+            if flat is None or flat.size < used:
+                flat = self._flat[key] = np.empty(max(used, size))
+                self._views = {k: v for k, v in self._views.items() if k[0] != key}
+            view = self._views[key, user, shape] = flat[:used].reshape(shape)
+        return view
+
+
+class _RowSets:
+    """Lazy row sets, k-prefixes and paired cosines of one step, with per-set gradient accumulators.
+
+    The transformed rows, the accumulators, the unit prefixes and the per-prefix unit-gradient sums live in a
+    ``StepWorkspace``, each set's in one n x D buffer.  Prefixes are built for one k at a time: ``end_prefix``
+    back-propagates each row set's summed unit gradient at k once and drops that k's prefixes and cosines.
+    """
+
+    def __init__(self, state, batch: Batch, workspace: StepWorkspace):
         self._state = state
         self._batch = batch
+        self._ws = workspace
         self._z: dict[str, np.ndarray] = {}
         self._ctx: dict[str, object] = {}
         self._dz: dict[str, np.ndarray] = {}
         self._unit: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
         self._cosine: dict[tuple[str, int], np.ndarray] = {}
+        self._d_unit: dict[str, np.ndarray] = {}  # row set -> summed gradient w.r.t. its unit prefixes at this k
 
     def raw(self, name: str) -> np.ndarray:
         if name == "image":
@@ -250,12 +290,19 @@ class _RowSets:
         kind, _, key = name.partition(":")
         return self._batch.views[key] if kind == "view" else self._batch.negatives[key]
 
+    def _rows(self, kind: str, name: str, k: int) -> np.ndarray:
+        """The (n, k) array of ``kind`` for row set ``name``, over the leading elements of its n x D buffer.  The
+        negatives' unit prefixes take turns in one buffer: each is read by one hinge, which drops it."""
+        n, d = self._batch.images.shape
+        owner = "neg" if kind == "unit" and name.startswith("neg:") else name
+        return self._ws.array((kind, owner), (n, k), n * d, user=name)
+
     def z(self, name: str) -> np.ndarray:
         if name not in self._z:
-            z, ctx = self._state.apply(self.raw(name))
-            self._z[name] = z
-            self._ctx[name] = ctx
-            self._dz[name] = np.zeros_like(z)
+            d = self._batch.dim
+            self._z[name], self._ctx[name] = self._state.apply(self.raw(name), out=self._rows("z", name, d))
+            self._dz[name] = self._rows("dz", name, d)
+            self._dz[name].fill(0.0)
         return self._z[name]
 
     def dz(self, name: str) -> np.ndarray:
@@ -265,7 +312,10 @@ class _RowSets:
     def unit(self, name: str, k: int):
         """``(unit, norms)`` of the k-prefixes of row set ``name``."""
         if (name, k) not in self._unit:
-            self._unit[name, k] = _unit_prefix(self.z(name), k)
+            unit, norms = _unit_prefix(self.z(name), k)
+            kept = self._rows("unit", name, k)
+            kept[...] = unit  # the fresh array is freed at once, and the next prefix reuses its block
+            self._unit[name, k] = (kept, norms)
         return self._unit[name, k]
 
     def paired_cosine(self, other: str, k: int) -> np.ndarray:
@@ -274,20 +324,55 @@ class _RowSets:
             self._cosine[other, k] = _paired_cosine(self.unit("image", k), self.unit(other, k))
         return self._cosine[other, k]
 
-    def drop_prefixes(self) -> None:
-        """Free the cached prefixes and cosines once the last term that reads them has run."""
+    def add_unit_grad(self, name: str, k: int, d_unit: np.ndarray) -> None:
+        """Add a gradient with respect to the unit k-prefixes of ``name`` into that prefix's sum."""
+        total = self._d_unit.get(name)
+        if total is None:
+            self._d_unit[name] = total = self._rows("d_unit", name, k)
+            np.copyto(total, d_unit)
+        else:
+            total += d_unit
+
+    def backprop_negative_grad(self, name: str, k: int, d_unit: np.ndarray) -> None:
+        """Back-propagate the only gradient that negative row set ``name`` gets at k straight into its accumulator,
+        and drop its k-prefix and cosine, whose buffer the next negative reuses."""
+        unit, norms = self._unit.pop((name, k))
+        del self._cosine[name, k]
+        _unit_prefix_backprop(d_unit, unit, norms, self._dz[name], k)
+
+    def end_prefix(self, k: int) -> None:
+        """Back-propagate each row set's unit-gradient sum at k into its accumulator; drop k's prefixes and cosines."""
+        for name, d_unit in self._d_unit.items():
+            unit, norms = self._unit[name, k]
+            _unit_prefix_backprop(d_unit, unit, norms, self._dz[name], k)
+        self._d_unit.clear()
         self._unit.clear()
         self._cosine.clear()
 
-    def add_unit_grad(self, name: str, k: int, d_unit: np.ndarray) -> None:
-        """Back-propagate a gradient with respect to the unit k-prefixes of ``name`` into its accumulator."""
-        unit, norms = self.unit(name, k)
-        _unit_prefix_backprop(d_unit, unit, norms, self._dz[name], k)
-
     def backprop(self) -> None:
-        for name, dz in self._dz.items():
-            if np.any(dz):
+        # one fixed set order, so the matrix gradient sums the same way whichever term first read a set
+        for name in ("image", *(f"view:{g}" for g in VIEW_LEVELS), *(f"neg:{r}" for r in NEGATIVE_TYPES)):
+            dz = self._dz.get(name)
+            if dz is not None and np.any(dz):
                 self._state.vjp(self._ctx[name], dz)
+
+
+def _preservation_into(sets: _RowSets, weight: float, square: np.ndarray) -> float:
+    """The preservation term over the image rows stacked on the G3 rows; its weighted gradient goes into both
+    row sets' accumulators.  ``square`` is a free 2n x 2n buffer; the term allocates one more."""
+    images, texts = sets.raw("image"), sets.raw("view:G3")
+    n, d = images.shape
+    ue, _ = _unit_prefix(np.concatenate([images, texts], axis=0), d)
+    uz, nz = _unit_prefix(np.concatenate([sets.z("image"), sets.z("view:G3")], axis=0), d)
+    m = 2 * n
+    delta = uz @ uz.T
+    delta -= np.matmul(ue, ue.T, out=square)
+    value = float(np.multiply(delta, delta, out=square).mean())
+    delta *= 4.0 / (m * m)
+    d_uz = weight * (delta @ uz)
+    for name, rows in (("image", slice(0, n)), ("view:G3", slice(n, m))):
+        _unit_prefix_backprop(d_uz[rows], uz[rows], nz[rows], sets.dz(name), d)
+    return value
 
 
 def total_loss_and_gradient(
@@ -299,26 +384,40 @@ def total_loss_and_gradient(
     contract: InterfaceContract,
     enabled_types=None,
     terms=None,
+    workspace: StepWorkspace | None = None,
 ):
     """Weighted objective value plus exact gradients.
 
     ``enabled_types`` gates which negative types feed rank/invariance
-    (curriculum); ``terms`` restricts to a subset of TERM_NAMES.  Returns
+    (curriculum); ``terms`` restricts to a subset of TERM_NAMES.  The step
+    runs prefix by prefix: every align, retention, rank and invariance term
+    that reads k runs, then each row set's summed unit gradient at k is
+    back-propagated once.  Each term value still sums in term-major order.
+    ``workspace`` holds the step's large buffers; a training run passes one
+    to every step, and without one the step builds its own.  Returns
     (total, Grads, per-term values).
     """
     active = set(TERM_NAMES if terms is None else terms)
     types = tuple(NEGATIVE_TYPES if enabled_types is None else enabled_types)
     taus = _temps(contract, log_temps)
+    if not set(config.retention_weights) <= set(contract.prefixes):
+        raise GraspError("CONFIG", f"retention weights name prefixes outside {contract.prefixes}")
     n = batch.n
     state = model.begin_step(params)
-    sets = _RowSets(state, batch)
+    ws = StepWorkspace() if workspace is None else workspace
+    sets = _RowSets(state, batch, ws)
     d_log_temps = np.zeros(len(contract.prefixes))
     tau_slot = {k: i for i, k in enumerate(contract.prefixes)}
     values = {t: 0.0 for t in TERM_NAMES}
-    work = np.empty((2, n, n))  # the InfoNCE buffers, shared by every align and retention term
+
+    if "pres" in active and config.lambda_pres > 0.0 and not state.orthogonal:
+        # first, while no prefix or unit-gradient sum is in use: the term's two 2n x 2n matrices are the largest
+        # arrays of the step, and one of them lives in the buffer that the InfoNCE terms share later
+        values["pres"] = _preservation_into(sets, config.lambda_pres, ws.array("square", (2 * n, 2 * n)))
 
     def infonce_into(k: int, level: str, weight: float) -> float:
         view = f"view:{level}"
+        work = ws.array("square", (2, n, n))  # shared by every align and retention term
         value, g_i, g_t, d_lt = _infonce_grad(sets.unit("image", k)[0], sets.unit(view, k)[0], taus[k], work)
         g_i *= weight
         g_t *= weight
@@ -327,18 +426,6 @@ def total_loss_and_gradient(
         d_log_temps[tau_slot[k]] += weight * d_lt
         return value
 
-    if "align" in active and config.align_weight > 0.0:
-        for k in contract.prefixes:
-            level = "G3" if config.align_view_mode == "g3" else contract.view_of[k]
-            values["align"] += infonce_into(k, level, config.align_weight)
-
-    if "ret" in active and config.lambda_ret > 0.0:
-        # ascending (prefix, level) order: a config read back from JSON sums and trains bit-identically
-        for k, per in sorted(config.retention_weights.items()):
-            for level, alpha in sorted(per.items()):
-                if alpha > 0.0:
-                    values["ret"] += alpha * infonce_into(k, level, config.lambda_ret * alpha)
-
     def hinge_pair(r: str, k: int, threshold: float, weight: float, invariance: bool) -> float:
         positive, negative = f"view:{STYLE_VIEW[r]}", f"neg:{r}"
         gap = sets.paired_cosine(positive, k) - sets.paired_cosine(negative, k)
@@ -346,41 +433,36 @@ def total_loss_and_gradient(
         value = float(np.maximum(0.0, h).mean())
         # d value / d gap, weighted; gap = <u_image, u_positive> - <u_image, u_negative>
         d_gap = weight * (np.where(h > 0, np.sign(gap) if invariance else -1.0, 0.0) / n)[:, None]
-        u_image = sets.unit("image", k)[0]
         sets.add_unit_grad("image", k, d_gap * (sets.unit(positive, k)[0] - sets.unit(negative, k)[0]))
-        sets.add_unit_grad(positive, k, d_gap * u_image)
-        sets.add_unit_grad(negative, k, -d_gap * u_image)
+        d_other = d_gap * sets.unit("image", k)[0]
+        sets.add_unit_grad(positive, k, d_other)
+        sets.backprop_negative_grad(negative, k, np.negative(d_other, out=d_other))  # no other term reads it at k
         return value
 
-    if "rank" in active and config.lambda_rank > 0.0:
+    align = "align" in active and config.align_weight > 0.0
+    ret = "ret" in active and config.lambda_ret > 0.0
+    rank = "rank" in active and config.lambda_rank > 0.0
+    inv = "inv" in active and config.lambda_inv > 0.0
+    hinges = {}  # (term, type, k) -> value, summed type-major below
+    for k in contract.prefixes:
+        if align:
+            level = "G3" if config.align_view_mode == "g3" else contract.view_of[k]
+            values["align"] += infonce_into(k, level, config.align_weight)
+        if ret:
+            # ascending (prefix, level) order: a config read back from JSON sums and trains bit-identically
+            for level, alpha in sorted(config.retention_weights.get(k, {}).items()):
+                if alpha > 0.0:
+                    values["ret"] += alpha * infonce_into(k, level, config.lambda_ret * alpha)
         for r in types:
-            for k in contract.rank_prefixes(r):
-                values["rank"] += hinge_pair(r, k, config.margins[r], config.lambda_rank, invariance=False)
-
-    if "inv" in active and config.lambda_inv > 0.0:
-        for r in types:
-            for k in contract.invariance_prefixes(r):
-                values["inv"] += hinge_pair(r, k, config.tolerances[r], config.lambda_inv, invariance=True)
-
-    if "pres" in active and config.lambda_pres > 0.0 and not state.orthogonal:
-        # no later term reads the prefixes or the InfoNCE buffers: free them before the three 2n x 2n
-        # matrices.  Without this term there is nothing to make room for, and an early free only
-        # lets the allocator trim the heap top and fault it back in on the next step.
-        sets.drop_prefixes()
-        del work
-        d = batch.dim
-        e_rows = np.concatenate([sets.raw("image"), sets.raw("view:G3")], axis=0)
-        z_img = sets.z("image")
-        z_txt = sets.z("view:G3")
-        z_rows = np.concatenate([z_img, z_txt], axis=0)
-        ue, _ = _unit_prefix(e_rows, d)
-        uz, nz = _unit_prefix(z_rows, d)
-        delta = uz @ uz.T - ue @ ue.T
-        m = delta.shape[0]
-        values["pres"] = float((delta * delta).mean())
-        d_uz = config.lambda_pres * ((4.0 / (m * m)) * delta @ uz)
-        for name, rows in (("image", slice(0, n)), ("view:G3", slice(n, m))):
-            _unit_prefix_backprop(d_uz[rows], uz[rows], nz[rows], sets.dz(name), d)
+            if rank and k >= contract.kappa[r]:
+                hinges["rank", r, k] = hinge_pair(r, k, config.margins[r], config.lambda_rank, invariance=False)
+            if inv and k < contract.kappa[r]:
+                hinges["inv", r, k] = hinge_pair(r, k, config.tolerances[r], config.lambda_inv, invariance=True)
+        sets.end_prefix(k)
+    for term, prefixes_of in (("rank", contract.rank_prefixes), ("inv", contract.invariance_prefixes)):
+        for r in types:  # type-major, the order of a step that ran each term whole
+            for k in prefixes_of(r):
+                values[term] += hinges.get((term, r, k), 0.0)
 
     if "ortho" in active and config.lambda_ortho > 0.0 and not state.orthogonal and state.matrix is not None:
         w = state.matrix

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -12,8 +13,8 @@ import numpy as np
 from .datastore import EmbeddingCache, build_pool
 from .errors import GraspError
 from .metrics import full_drift, hard_average, recall_at_1, retrieval_average, sel_table, stair_score
-from .objective import Batch, LossConfig, TERM_NAMES, default_retention_weights, total_loss_and_gradient
-from .objective import flatten_grads, flatten_state, unflatten_state
+from .objective import Batch, LossConfig, StepWorkspace, TERM_NAMES, default_retention_weights
+from .objective import flatten_grads, flatten_state, total_loss_and_gradient, unflatten_state
 from .transforms import (
     Checkpoint,
     InterfaceContract,
@@ -202,9 +203,10 @@ def train(config: TrainConfig, cache: EmbeddingCache):
 
     Each step rebuilds the transform from its parameters, transforms the
     batch rows, assembles the curriculum-gated objective, and updates the
-    transform parameters and log-temperatures.  After each epoch the hardened
-    transform is scored on the validation split; the returned checkpoint is
-    the drift-gated best by validation staircase.
+    transform parameters and log-temperatures.  Every step runs on one
+    ``StepWorkspace``, which is dropped when training returns.  After each
+    epoch the hardened transform is scored on the validation split; the
+    returned checkpoint is the drift-gated best by validation staircase.
     """
     if cache.dim != config.spec.dim or cache.dim != config.contract.dim:
         raise GraspError("DIM_MISMATCH", "cache, spec and contract disagree on dim")
@@ -225,29 +227,35 @@ def train(config: TrainConfig, cache: EmbeddingCache):
     train_idx = cache.indices_of(train_ids)
     history: list[EpochStats] = []
     candidates: list[CheckpointCandidate] = []
+    workspace = StepWorkspace()
 
     for epoch in range(1, config.epochs + 1):
         enabled = enabled_types_for_epoch(config.curriculum, config.warmup_epochs, epoch)
         order = rng.permutation(len(train_idx))
         term_sums = {t: 0.0 for t in TERM_NAMES}
         n_steps = 0
+        t0 = time.perf_counter()
         for start in range(0, len(order), config.batch_size):
             batch_idx = train_idx[order[start : start + config.batch_size]]
             if len(batch_idx) < 2:
                 continue  # a single pair makes the in-batch objective degenerate
             batch = Batch.from_cache(cache, batch_idx)
             _, grads, values = total_loss_and_gradient(
-                model, params, log_temps, batch, config.loss, config.contract, enabled_types=enabled
+                model, params, log_temps, batch, config.loss, config.contract, enabled, workspace=workspace
             )
             flat = opt.step(flat, flatten_grads(model, grads))
             params, log_temps = unflatten_state(model, params, n_prefixes, flat)
             for t in TERM_NAMES:
                 term_sums[t] += values[t]
             n_steps += 1
+            del batch  # so that two batches are never alive at once
+        step_s = time.perf_counter() - t0
         term_means = {t: (term_sums[t] / n_steps if n_steps else 0.0) for t in TERM_NAMES}
 
+        t0 = time.perf_counter()
         transform = model.eval_transform(params)
         ret_avg, hard_avg, stair, drift = validation_scores(cache, transform, config.contract)
+        val_s = time.perf_counter() - t0
         stats = EpochStats(
             epoch=epoch,
             term_means=term_means,
@@ -269,13 +277,15 @@ def train(config: TrainConfig, cache: EmbeddingCache):
             )
         )
         log.info(
-            "epoch %d/%d types=%s %s val_stair=%.2f val_drift=%.2e",
+            "epoch %d/%d types=%s %s val_stair=%.2f val_drift=%.2e step_ms=%.1f val_ms=%.1f",
             epoch,
             config.epochs,
             ",".join(enabled) or "-",
             " ".join(f"{t}={term_means[t]:.3e}" for t in TERM_NAMES),
             stair,
             drift,
+            1e3 * step_s,
+            1e3 * val_s,
         )
 
     best = select_checkpoint(candidates, config.drift_gate)

@@ -149,10 +149,12 @@ class LinearTransform:
         return rows @ self.matrix.T
 
 
-def _mlp_forward(p: dict[str, np.ndarray], rows: np.ndarray):
-    """The MLP adapter's output rows and its tanh hidden layer, ``(z, h)``."""
+def _mlp_forward(p: dict[str, np.ndarray], rows: np.ndarray, out: np.ndarray | None = None):
+    """The MLP adapter's output rows, written into ``out`` when given, and its tanh hidden layer, ``(z, h)``."""
     h = np.tanh(rows @ p["w1"].T + p["b1"])
-    return (p["scale"] * h + p["shift"]) @ p["w2"].T + p["b2"], h
+    z = np.matmul(p["scale"] * h + p["shift"], p["w2"].T, out=out)
+    z += p["b2"]
+    return z, h
 
 
 @dataclass(eq=False)
@@ -545,9 +547,10 @@ def harden_doubly_stochastic(p: np.ndarray) -> np.ndarray:
 class _LinearStepState:
     """Per-step differentiable view of a trainable linear map ``rows @ matrix.T``.
 
-    ``apply`` maps raw rows to transformed rows and returns a context for
-    ``vjp``, which accumulates dL/dmatrix; ``finish`` sends the accumulated
-    gradient back through ``matrix_vjp`` to the variant's parameters.
+    ``apply`` maps raw rows to transformed rows, written into ``out`` when it
+    is given, and returns them with a context for ``vjp``, which accumulates
+    dL/dmatrix; ``finish`` sends the accumulated gradient back through
+    ``matrix_vjp`` to the variant's parameters.
     """
 
     def __init__(self, matrix: np.ndarray, matrix_vjp, orthogonal: bool):
@@ -556,9 +559,9 @@ class _LinearStepState:
         self._matrix_vjp = matrix_vjp
         self._d_matrix = np.zeros_like(matrix)
 
-    def apply(self, rows):
+    def apply(self, rows, out=None):
         rows = np.asarray(rows, dtype=np.float64)
-        return rows @ self.matrix.T, rows
+        return np.matmul(rows, self.matrix.T, out=out), rows
 
     def vjp(self, ctx, d_rows):
         self._d_matrix += d_rows.T @ ctx
@@ -568,6 +571,37 @@ class _LinearStepState:
 
     def finish(self):
         return self._matrix_vjp(self._d_matrix)
+
+
+class _MlpStepState:
+    """Per-step differentiable view of the MLP adapter, with ``_LinearStepState``'s ``apply``/``vjp``/``finish``."""
+
+    orthogonal = False
+    matrix = None  # no effective linear matrix
+
+    def __init__(self, params: dict[str, np.ndarray]):
+        self._p = params
+        self._g = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def apply(self, rows, out=None):
+        rows = np.asarray(rows, dtype=np.float64)
+        z, h = _mlp_forward(self._p, rows, out)
+        return z, (rows, h)
+
+    def vjp(self, ctx, d_rows):
+        rows, h = ctx
+        p, g = self._p, self._g
+        g["w2"] += d_rows.T @ (p["scale"] * h + p["shift"])
+        g["b2"] += d_rows.sum(axis=0)
+        d_mod = d_rows @ p["w2"]
+        g["scale"] += (d_mod * h).sum(axis=0)
+        g["shift"] += d_mod.sum(axis=0)
+        d_h = d_mod * p["scale"] * (1.0 - h * h)
+        g["w1"] += d_h.T @ rows
+        g["b1"] += d_h.sum(axis=0)
+
+    def finish(self):
+        return self._g
 
 
 class VariantModel:
@@ -714,36 +748,7 @@ class MlpModel(VariantModel):
         }
 
     def begin_step(self, params):
-        p = params
-
-        class _State:
-            orthogonal = False
-            matrix = None  # no effective linear matrix
-
-            def __init__(self):
-                self._g = {k: np.zeros_like(v) for k, v in p.items()}
-
-            def apply(self, rows):
-                rows = np.asarray(rows, dtype=np.float64)
-                z, h = _mlp_forward(p, rows)
-                return z, (rows, h)
-
-            def vjp(self, ctx, d_rows):
-                rows, h = ctx
-                g = self._g
-                g["w2"] += d_rows.T @ (p["scale"] * h + p["shift"])
-                g["b2"] += d_rows.sum(axis=0)
-                d_mod = d_rows @ p["w2"]
-                g["scale"] += (d_mod * h).sum(axis=0)
-                g["shift"] += d_mod.sum(axis=0)
-                d_h = d_mod * p["scale"] * (1.0 - h * h)
-                g["w1"] += d_h.T @ rows
-                g["b1"] += d_h.sum(axis=0)
-
-            def finish(self):
-                return self._g
-
-        return _State()
+        return _MlpStepState(params)
 
     def eval_transform(self, params):
         return MlpTransform({k: v.copy() for k, v in params.items()})

@@ -295,6 +295,16 @@ class TestDrift:
         )
         assert M.full_drift(rows, t) == pytest.approx(expect, abs=1e-15)
 
+    def test_two_rows_are_one_pair(self):
+        rows = unit_rows(np.random.default_rng(3), 2, 5)
+        t = T.LinearTransform(np.diag([1.0, 2.0, 1.0, 1.0, 1.0]), "linear", orthogonal=False)
+        z = rows @ t.matrix.T
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        assert M.full_drift(rows, t) == pytest.approx(abs(float(z[0] @ z[1]) - float(rows[0] @ rows[1])), abs=1e-15)
+        with pytest.raises(GraspError) as e:
+            M.full_drift(rows[:1], t)
+        assert e.value.code == "DIM_MISMATCH"
+
     @staticmethod
     def _dense_drift(rows, transform, renormalize):
         e = rows / np.linalg.norm(rows, axis=1, keepdims=True)

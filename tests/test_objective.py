@@ -141,6 +141,12 @@ class TestRetention:
         align = term_value("align", z, sub, np.array([math.log(0.2)]))
         assert got == pytest.approx(0.5 * align, abs=1e-12)
 
+    def test_weights_for_a_prefix_outside_the_contract_are_a_configuration_error(self, tiny_contract):
+        z = make_batch(np.random.default_rng(2), 4, 8)
+        with pytest.raises(GraspError) as e:
+            term_value("ret", z, tiny_contract, np.zeros(4), retention_weights={3: {"G0": 0.5}})
+        assert e.value.code == "CONFIG"
+
     def test_default_weights_halve_per_gap(self, ladder32):
         w = O.default_retention_weights(ladder32)
         assert w[4] == {"G0": 0.25}
@@ -563,6 +569,83 @@ class TestStepMemory:
         # gradient arrays per term.  Keeping one accumulator per (row set, k) to the end of the step would
         # hold 55 more n x k arrays, about 2.8 MiB
         assert self.step_peak("dense_cayley") < 7.5 * 2**20
+
+
+VARIANTS = ("dense_cayley", "butterfly", "permutation", "signed_permutation", "low_rank", "mlp")
+
+
+def default_ladder_step(variant: str, n: int, dim: int = 64, seed: int = 0):
+    """(model, params, log_temps, batch, config, contract) of a full-curriculum default-ladder step."""
+    contract = T.InterfaceContract.default_ladder(dim)
+    batch = make_batch(np.random.default_rng(seed), n, dim)
+    model = T.make_model(T.TransformSpec(variant, dim, stacks=2, rank=4))
+    params = model.init_params(np.random.default_rng(1))
+    log_temps = np.log(0.07) + 0.01 * np.arange(len(contract.prefixes))
+    return model, params, log_temps, batch, O.LossConfig.default(contract), contract
+
+
+def assert_same_step(got, want):
+    """Two ``total_loss_and_gradient`` results are equal bit for bit."""
+    assert got[0] == want[0]
+    assert got[2] == want[2]
+    assert np.array_equal(got[1].log_temps, want[1].log_temps)
+    assert set(got[1].params) == set(want[1].params)
+    for name, g in got[1].params.items():
+        assert np.array_equal(g, want[1].params[name]), name
+
+
+class TestPrefixMajorStep:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_full_step_is_the_sum_of_its_single_term_steps(self, variant):
+        args = default_ladder_step(variant, 16, dim=16)
+        total, grads, values = O.total_loss_and_gradient(*args)
+        summed = {name: np.zeros_like(g) for name, g in grads.params.items()}
+        summed_temps = np.zeros_like(grads.log_temps)
+        for term in O.TERM_NAMES:
+            _, g, v = O.total_loss_and_gradient(*args, terms=(term,))
+            assert v[term] == values[term]
+            assert all(v[t] == 0.0 for t in O.TERM_NAMES if t != term)
+            for name in summed:
+                summed[name] += g.params[name]
+            summed_temps += g.log_temps
+        assert (values["pres"] > 0.0) == (variant not in ("dense_cayley", "butterfly"))  # the sum covers it where it runs
+        for name, g in grads.params.items():
+            assert np.abs(g - summed[name]).max() <= 1e-12 * np.abs(g).max(), name
+        assert np.abs(grads.log_temps - summed_temps).max() <= 1e-12 * np.abs(grads.log_temps).max()
+
+    @pytest.mark.parametrize("variant", ["dense_cayley", "low_rank", "mlp"])
+    @pytest.mark.parametrize("sizes", [(256, 64), (64, 256)], ids=["shrink", "grow"])
+    def test_a_reused_workspace_leaks_nothing_into_the_next_step(self, variant, sizes):
+        first, second = (default_ladder_step(variant, n, seed=n) for n in sizes)
+        workspace = O.StepWorkspace()
+        O.total_loss_and_gradient(*first, workspace=workspace)
+        reused = O.total_loss_and_gradient(*second, workspace=workspace)
+        assert_same_step(reused, O.total_loss_and_gradient(*second))
+        # and the first size again, now through a leading view or a grown buffer
+        assert_same_step(O.total_loss_and_gradient(*first, workspace=workspace), O.total_loss_and_gradient(*first))
+
+    def test_one_backprop_per_row_set_and_prefix(self, monkeypatch):
+        calls = []
+        backprop = O._unit_prefix_backprop
+
+        def counting_backprop(d_unit, unit, norms, d_rows, k):
+            calls.append(k)
+            return backprop(d_unit, unit, norms, d_rows, k)
+
+        monkeypatch.setattr(O, "_unit_prefix_backprop", counting_backprop)
+        O.total_loss_and_gradient(*default_ladder_step("dense_cayley", 8))
+        # 11 row sets (image, 4 views, 6 negatives) x 5 prefixes; one per term that reads a prefix would be 118
+        assert len(calls) == 55
+        assert sorted(set(calls)) == [4, 8, 16, 32, 64] and all(calls.count(k) == 11 for k in set(calls))
+
+    def test_a_warm_workspace_step_allocates_little(self):
+        # n = 256, D = 64: a step that allocates its own buffers peaks at 6.97 MiB without a workspace (6.4 MiB
+        # with a fresh one).  On a warm workspace the step allocates only a few n x k temporaries: 0.66 MiB
+        args = default_ladder_step("dense_cayley", 256)
+        workspace = O.StepWorkspace()
+        O.total_loss_and_gradient(*args, workspace=workspace)
+        peak = traced_peak(lambda: O.total_loss_and_gradient(*args, workspace=workspace))
+        assert peak < 1.5 * 2**20
 
 
 class TestFiniteDifferences:

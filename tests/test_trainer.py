@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +83,10 @@ class TestSelectCheckpoint:
         )
         assert picked.epoch == 1
 
+    def test_drift_equal_to_the_gate_is_eligible(self):
+        c = self._cand(1, 40.0, 1e-5)
+        assert TR.select_checkpoint([c], drift_gate=1e-5) is c
+
     def test_no_valid_checkpoint(self):
         with pytest.raises(GraspError) as e:
             TR.select_checkpoint([self._cand(1, 60.0, 0.3)], drift_gate=1e-5)
@@ -139,7 +145,57 @@ class TestValidationDrift:
         assert drift == full_drift(want.astype(np.float64), transform, renormalize=True)
 
 
+class TestConfigBoundaries:
+    @pytest.mark.parametrize(
+        "field, value", [("epochs", 1), ("batch_size", 2), ("warmup_epochs", 0), ("drift_gate", 1e-300)]
+    )
+    def test_smallest_valid_value(self, ladder32, field, value):
+        assert getattr(small_train_config(ladder32), field) != value
+        cfg = TR.TrainConfig(**{**vars(small_train_config(ladder32)), field: value})
+        assert getattr(cfg, field) == value
+
+    @pytest.mark.parametrize("field", ["lr_transform", "lr_temps", "drift_gate"])
+    def test_zero_is_a_configuration_error(self, ladder32, field):
+        with pytest.raises(GraspError) as e:
+            TR.TrainConfig(**{**vars(small_train_config(ladder32)), field: 0.0})
+        assert e.value.code == "CONFIG"
+
+    def test_retention_weights_may_name_every_view_level(self, ladder32):
+        k = ladder32.prefixes[-1]
+        loss = O.LossConfig.default(ladder32, retention_weights={k: {g: 0.1 for g in T.VIEW_LEVELS}})
+        cfg = TR.TrainConfig(**{**vars(small_train_config(ladder32)), "loss": loss})
+        assert set(cfg.loss.retention_weights[k]) == set(T.VIEW_LEVELS)
+
+
 class TestTrain:
+    @pytest.mark.parametrize("batch_size, sizes", [(95, [95, 95, 2]), (191, [191])])
+    def test_a_last_batch_of_two_rows_is_trained_and_one_row_is_skipped(
+        self, monkeypatch, small_cache, ladder32, batch_size, sizes
+    ):
+        assert len(small_cache.split_ids("train")) == 192
+        seen = []
+        step = TR.total_loss_and_gradient
+
+        def recording_step(model, params, log_temps, batch, *args, **kwargs):
+            seen.append(batch.n)
+            return step(model, params, log_temps, batch, *args, **kwargs)
+
+        monkeypatch.setattr(TR, "total_loss_and_gradient", recording_step)
+        TR.train(small_train_config(ladder32, epochs=1, batch_size=batch_size), small_cache)
+        assert seen == sizes
+
+    def test_epoch_log_line_carries_step_and_validation_times(self, caplog, small_cache, ladder32):
+        with caplog.at_level(logging.INFO, logger=TR.log.name):
+            _, history = TR.train(small_train_config(ladder32, epochs=2), small_cache)
+        lines = [r.getMessage() for r in caplog.records if r.name == TR.log.name]
+        assert len(lines) == len(history) == 2
+        for epoch, line in enumerate(lines, start=1):
+            assert line.startswith(f"epoch {epoch}/2 ")
+            step_ms, val_ms = (float(v) for v in re.search(r" step_ms=(\S+) val_ms=(\S+)$", line).groups())
+            assert step_ms > 0.0 and val_ms > 0.0
+        assert "step_ms" not in str(history[0].to_json_dict()) and "val_ms" not in str(history[0].to_json_dict())
+
+
     def test_identical_runs_are_bit_identical(self, small_cache, ladder32):
         cfg = small_train_config(ladder32, epochs=2)
         a, _ = TR.train(cfg, small_cache)

@@ -311,8 +311,9 @@ class TestButterfly:
                 self.angles = params["angles"]
                 self.d_angles = np.zeros_like(self.angles)
 
-            def apply(self, rows):
-                return T.butterfly_apply_with_ctx(self.angles, rows)
+            def apply(self, rows, out):
+                out[...], ctx = T.butterfly_apply_with_ctx(self.angles, rows)
+                return out, ctx
 
             def vjp(self, ctx, d_rows):
                 self.d_angles += T.butterfly_vjp(self.angles, ctx, d_rows)
