@@ -286,9 +286,11 @@ def _entity_labels(path) -> dict[str, str]:
 
     labels = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if line.strip():
                 row = parse_annotation_line(line)
+                if row.id in labels:
+                    raise GraspError("MALFORMED", f"line {lineno}: duplicate id {row.id!r} in the annotations")
                 labels[row.id] = row.entity
     return labels
 

@@ -28,26 +28,33 @@ def _rows64(rows: np.ndarray) -> np.ndarray:
 
 # Top-1 scores 128 query rows against 1024 candidates at a time: a BLOCK_BYTES
 # (1 MiB) float64 tile, which stays in a core's L2 cache between the product and
-# the max pass.  Column tiles start on multiples of 16, the column unroll of
-# OpenBLAS's AVX-512 DGEMM kernel, so when the pool size is a multiple of 8 every
-# score is summed exactly as in a full-width product (README, "Score tiles and
-# BLAS rounding").  Rank statistics sort whole rows, so they read full-width row
-# blocks of at most BLOCK_BYTES: 6 query rows against 20000 candidates, or 65
-# rows against 2000.
+# the max pass.  The candidate side is zero-padded to a multiple of 16 columns,
+# the column unroll of OpenBLAS's AVX-512 DGEMM kernel, and column tiles start on
+# multiples of 16, so every score is summed exactly as in one padded full-width
+# product, wherever its column sits (README, "Score tiles and BLAS rounding").
+# Candidate rows are transformed in blocks of at least 32 rows, zero rows padding
+# a shorter one: a product of a few rows goes to BLAS's small-matrix kernel,
+# which rounds differently.  Rank statistics sort whole rows, so they read
+# full-width row blocks of at most BLOCK_BYTES: 6 query rows against 20000
+# candidates, or 65 rows against 2000.
 _TILE_ROWS = 128
 _TILE_COLS = BLOCK_BYTES // (8 * _TILE_ROWS)
+_COL_ALIGN = 16
+_MIN_BLOCK_ROWS = 32
 
 
-def _score_tiles(transform, query_rows, cand_rows, k: int, full_width: bool = False):
+def _score_tiles(transform, query_rows, cand_matrix, cand_idx, k: int, full_width: bool = False):
     """Yield ``(row_start, col_start, scores)`` for the tiles of the query x candidate scores.
 
-    Tiles cover the candidates of one span of query rows, then move to the next
-    span.  A tile has at most ``_TILE_ROWS`` x ``_TILE_COLS`` cells, or, with
-    ``full_width``, every candidate and as many query rows as fit in
-    ``BLOCK_BYTES``.  Each row is transformed once, and each tile is written
-    into one buffer that the next tile overwrites: copy a tile to keep it.  The
-    candidate side is transformed and normalized one row block at a time,
-    straight into the contiguous (k, candidates) buffer that the tiles read.
+    The candidates are the rows ``cand_matrix[cand_idx]``, gathered one row
+    block at a time.  Tiles cover the candidates of one span of query rows,
+    then move to the next span.  A tile has at most ``_TILE_ROWS`` x
+    ``_TILE_COLS`` cells, or, with ``full_width``, every candidate and as many
+    query rows as fit in ``BLOCK_BYTES``.  Each row is transformed once, and
+    each tile is written into one buffer that the next tile overwrites: copy a
+    tile to keep it.  The candidate side is transformed and normalized one row
+    block at a time, straight into the contiguous (k, candidates) buffer that
+    the tiles read; its zero padding columns are computed but never yielded.
 
     No tile has one row or one column unless the query set or the pool does:
     numpy hands such a product to BLAS's matrix-vector kernel, which rounds
@@ -55,25 +62,49 @@ def _score_tiles(transform, query_rows, cand_rows, k: int, full_width: bool = Fa
     a one-row query set keeps the operand layout it has always had.
     """
     zq = prefix_normalize(transform.apply(_rows64(query_rows)), k)
-    n, m = zq.shape[0], len(cand_rows)
-    # the transposed candidate side is cheaper for BLAS to pack, and its column slices need no copy
-    zct = np.empty((k, m))
-    for c0, c1 in block_spans(m, 8 * cand_rows.shape[1]):
-        zct[:, c0:c1] = prefix_normalize(transform.apply(cand_rows[c0:c1]), k).T
+    zct = _candidate_side(transform, cand_matrix, cand_idx, k)
+    n, m = zq.shape[0], len(cand_idx)
     if n == 1 or m == 1:
         # a one-row query set multiplies the candidates in the row-major (m, k) layout it always has
-        yield 0, 0, zq @ (np.ascontiguousarray(zct.T).T if n == 1 else zct)
+        zc = zct[:, :m]
+        yield 0, 0, zq @ (np.ascontiguousarray(zc.T).T if n == 1 else np.ascontiguousarray(zc))
         return
     if full_width:
-        rows, cols = row_spans(n, BLOCK_BYTES // (8 * m)), [(0, m)]
+        rows, cols = row_spans(n, BLOCK_BYTES // (8 * zct.shape[1])), [(0, m)]
     else:
         rows, cols = row_spans(n, _TILE_ROWS), row_spans(m, _TILE_COLS)
-    buf = np.empty(max(b - a for a, b in rows) * max(b - a for a, b in cols))
+    # each product runs to the next multiple of 16 columns, into the padding; the yielded tile stops at the pool's end
+    width = [min(_aligned(c1 - c0), zct.shape[1] - c0) for c0, c1 in cols]
+    buf = np.empty(max(b - a for a, b in rows) * max(width))
     for r0, r1 in rows:
-        for c0, c1 in cols:
-            s = buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
-            np.matmul(zq[r0:r1], zct[:, c0:c1], out=s)
-            yield r0, c0, s
+        for (c0, c1), w in zip(cols, width):
+            s = buf[: (r1 - r0) * w].reshape(r1 - r0, w)
+            np.matmul(zq[r0:r1], zct[:, c0 : c0 + w], out=s)
+            yield r0, c0, s[:, : c1 - c0]
+
+
+def _candidate_side(transform, cand_matrix, cand_idx, k: int) -> np.ndarray:
+    """The transformed, k-prefix-normalized rows ``cand_matrix[cand_idx]`` as the columns of a (k, padded) array.
+
+    The transposed side is cheaper for BLAS to pack, and its column slices
+    need no copy.  Its columns past the candidates are zero.
+    """
+    m, d = len(cand_idx), cand_matrix.shape[1]
+    # np.empty and explicit zero fills: calloc'd buffers (np.zeros) raised compare_family's peak RSS by up to 1 MiB
+    zct = np.empty((k, _aligned(m)))
+    zct[:, m:] = 0.0
+    min_rows = _MIN_BLOCK_ROWS if m > 1 else 1  # a one-candidate pool is transformed as its one row
+    for c0, c1 in block_spans(m, 8 * d):
+        block = np.empty((max(c1 - c0, min_rows), d))
+        block[c1 - c0 :] = 0.0
+        block[: c1 - c0] = cand_matrix[cand_idx[c0:c1]]
+        zct[:, c0:c1] = prefix_normalize(transform.apply(block)[: c1 - c0], k).T
+    return zct
+
+
+def _aligned(m: int) -> int:
+    """``m`` rounded up to a multiple of ``_COL_ALIGN``."""
+    return -(-m // _COL_ALIGN) * _COL_ALIGN
 
 
 def _unique_top(s: np.ndarray):
@@ -124,6 +155,48 @@ def _pool_columns(cache: EmbeddingCache, q_idx: np.ndarray, c_idx: np.ndarray) -
     return col_of_row[q_idx]
 
 
+def _row_words(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The rows ``matrix[idx]`` as unsigned 32-bit words: equal words are equal bytes."""
+    return matrix[idx].view(np.uint32)
+
+
+def _row_keys(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of the bytes of each row ``matrix[idx]``, computed one row block at a time."""
+    words = matrix.shape[1] * matrix.itemsize // 4
+    # odd multipliers from a fixed seed; the products and their sum wrap modulo 2**64
+    mult = np.random.default_rng(0).integers(0, 2**63, size=words, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    keys = np.empty(len(idx), dtype=np.uint64)
+    for a, b in block_spans(len(idx), 8 * words):
+        keys[a:b] = _row_words(matrix, idx[a:b]) @ mult
+    return keys
+
+
+def _distinct_rows(matrix: np.ndarray, idx: np.ndarray):
+    """``(first, group)``: the positions in ``idx`` of its distinct rows, and each position's distinct row.
+
+    Rows are distinct unless byte-identical.  ``first`` holds the first
+    position of each distinct row, in ``idx`` order, and ``idx[first][group]``
+    has the bytes of ``matrix[idx]``.  Rows are grouped by a hash of their
+    bytes, and each is checked against its group's first row, byte for byte; a
+    row that fails the check, a hash collision, is a distinct row of its own.
+    """
+    keys = _row_keys(matrix, idx)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    new_key = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    rep = np.empty(len(idx), dtype=np.intp)
+    # the stable sort puts the first position of each run of equal keys first
+    rep[order] = order[np.flatnonzero(new_key)][np.cumsum(new_key) - 1]
+    twins = np.flatnonzero(rep != np.arange(len(idx)))
+    for a, b in block_spans(len(twins), 8 * matrix.shape[1]):
+        same = (_row_words(matrix, idx[twins[a:b]]) == _row_words(matrix, idx[rep[twins[a:b]]])).all(axis=1)
+        rep[twins[a:b][~same]] = twins[a:b][~same]
+    first = np.flatnonzero(rep == np.arange(len(idx)))
+    group = np.empty(len(idx), dtype=np.intp)
+    group[first] = np.arange(len(first))
+    return first, group[rep]
+
+
 def recall_at_1(
     cache: EmbeddingCache,
     transform,
@@ -131,7 +204,11 @@ def recall_at_1(
     k: int,
     query_ids,
 ) -> float:
-    """Image-to-text R@1 percentage; the query's own text must rank strictly first."""
+    """Image-to-text R@1 percentage; the query's own text must rank strictly first.
+
+    Each distinct candidate row is scored once.  A query whose positive has a
+    byte-identical twin in the pool misses: the twin's score ties with it.
+    """
     if len(query_ids) == 0:
         raise GraspError("EMPTY_POOL", "no queries")
     q_idx = cache.indices_of(query_ids)
@@ -140,8 +217,12 @@ def recall_at_1(
     missing = np.flatnonzero(positives < 0)
     if missing.size:
         raise GraspError("POSITIVE_NOT_IN_POOL", f"query {query_ids[missing[0]]!r} has no positive in the pool")
-    tiles = _score_tiles(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k)
-    return float(100.0 * _strict_top1_hits(tiles, positives).mean())
+    matrix = cache.views[pool.view_level]
+    first, group = _distinct_rows(matrix, c_idx)
+    targets = group[positives]
+    untwinned = np.bincount(group, minlength=len(first))[targets] == 1
+    tiles = _score_tiles(transform, cache.images[q_idx], matrix, c_idx[first], k)
+    return float(100.0 * (_strict_top1_hits(tiles, targets) & untwinned).mean())
 
 
 def selectivity(
@@ -374,8 +455,8 @@ def rank_stats(
     aps = np.zeros(len(query_ids))
     ranks = np.zeros(len(query_ids), dtype=np.intp)
     label_hits = np.zeros(len(query_ids), dtype=bool)
-    q_rows, c_rows = cache.images[q_idx], cache.views[pool.view_level][c_idx]
-    for start, _, s in _score_tiles(transform, q_rows, c_rows, k, full_width=True):
+    tiles = _score_tiles(transform, cache.images[q_idx], cache.views[pool.view_level], c_idx, k, full_width=True)
+    for start, _, s in tiles:
         stop = start + s.shape[0]
         rows = np.arange(s.shape[0])
         # rows whose positive is not in the pool read column 0 here and are dropped below
@@ -440,7 +521,7 @@ def zero_shot(
         raise GraspError("DIM_MISMATCH", f"{labels.size} labels for {len(image_rows)} images")
     if labels.min() < 0 or labels.max() >= class_rows.shape[0]:
         raise GraspError("DIM_MISMATCH", f"labels must index the {class_rows.shape[0]} classes")
-    tiles = _score_tiles(transform, image_rows, class_rows, k)
+    tiles = _score_tiles(transform, image_rows, class_rows, np.arange(class_rows.shape[0]), k)
     return float(100.0 * np.mean(_strict_top1_hits(tiles, labels)))
 
 

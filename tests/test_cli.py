@@ -649,6 +649,20 @@ class TestErrors:
                    "--out", str(tmp_path / "o")])
         assert self._one_data_error(rc, capsys)["code"] == "MALFORMED"
 
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_annotation_id_given_twice_is_data_error(self, synth_dir, tmp_path, capsys, where):
+        lines = (synth_dir / "annotations.jsonl").read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[3])
+        row["entity"] += "_other"
+        lines = [json.dumps(row)] + lines if where == "first" else lines + [json.dumps(row)]
+        bad, out = tmp_path / "twice.jsonl", tmp_path / "o"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(["eval", "--cache", str(synth_dir / "cache" / "manifest.json"), "--matrix",
+                   str(synth_dir / "oracle.transform"), "--annotations", str(bad), "--out", str(out)])
+        err = self._one_data_error(rc, capsys)
+        assert err["code"] == "MALFORMED" and repr(row["id"]) in err["message"]
+        assert not out.exists()
+
     def test_unreadable_cache_is_data_error(self, tmp_path, capsys):
         rc = main(["eval", "--cache", str(tmp_path / "nope.json"), "--matrix", "x", "--out", str(tmp_path / "o")])
         assert rc == 4

@@ -718,7 +718,7 @@ class TestStreamingMatchesDenseReference:
         c = cache.views["G2"]
         if rows:
             _force_block_rows(monkeypatch, rows, len(c))
-        blocks = _copies(M._score_tiles(small_synth.oracle, q, c, 8, full_width=True))
+        blocks = _copies(M._score_tiles(small_synth.oracle, q, c, np.arange(len(c)), 8, full_width=True))
         assert [len(s) for _, _, s in blocks] == sizes
         assert [start for start, _, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
         assert all(c0 == 0 and s.shape[1] == len(c) for _, c0, s in blocks)
@@ -737,7 +737,7 @@ class TestStreamingMatchesDenseReference:
             assert row_spans[-1][1] - row_spans[-1][0] != rows
             assert cols == 16 or col_spans[-1][1] - col_spans[-1][0] < cols
         for k in (2, 8, 32):
-            tiles = _copies(M._score_tiles(small_synth.oracle, q, c, k))
+            tiles = _copies(M._score_tiles(small_synth.oracle, q, c, np.arange(len(c)), k))
             assert [(r0, c0) for r0, c0, _ in tiles] == [(r0, c0) for r0, _ in row_spans for c0, _ in col_spans]
             assert all(s.shape[0] > 1 and s.shape[1] > 1 for _, _, s in tiles)
             dense = _dense_scores(small_synth.oracle, q, c, k)
@@ -751,7 +751,7 @@ class TestStreamingMatchesDenseReference:
         _force_block_rows(monkeypatch, 2, 1)
         for qr, cr in ((q[:1], c), (q, c[:1]), (q[:1], c[:1])):
             for full_width in (False, True):
-                tiles = _copies(M._score_tiles(small_synth.oracle, qr, cr, 8, full_width=full_width))
+                tiles = _copies(M._score_tiles(small_synth.oracle, qr, cr, np.arange(len(cr)), 8, full_width=full_width))
                 assert [(r0, c0, s.shape) for r0, c0, s in tiles] == [(0, 0, (len(qr), len(cr)))]
                 assert np.array_equal(tiles[0][2], _dense_scores(small_synth.oracle, qr, cr, 8))
 
@@ -946,7 +946,7 @@ class TestRowBlocks:
         q, c = cache.images[cache.indices_of(query_ids)], cache.views["G3"]
         dense = _dense_scores(rot, q, c, k)
         for full_width in (False, True):
-            tiles = _copies(M._score_tiles(rot, q, c, k, full_width=full_width))
+            tiles = _copies(M._score_tiles(rot, q, c, np.arange(len(c)), k, full_width=full_width))
             assert len(tiles) > 1
             assert np.array_equal(_assemble(tiles, dense.shape), dense)
 
@@ -998,6 +998,164 @@ class TestRowBlocks:
         cache, labels, query_ids, rot = _several_block_pool(20000)
         pool = D.build_pool(cache, "full", "G3")
         assert traced_peak(M.rank_stats, cache, rot, pool, 32, query_ids, labels) < 20 * 2**20
+
+
+def _padded_dense_scores(transform, query_rows, cand_rows, k):
+    """``_dense_scores`` with the candidate side zero-padded to a multiple of 16 columns before the product."""
+    zq = T.prefix_normalize(transform.apply(np.asarray(query_rows, dtype=np.float64)), k)
+    zc = T.prefix_normalize(transform.apply(np.asarray(cand_rows, dtype=np.float64)), k)
+    padded = np.zeros((k, -(-len(zc) // 16) * 16))
+    padded[:, : len(zc)] = zc.T
+    return (zq @ padded)[:, : len(zc)]
+
+
+def reference_twin_recall_at_1(cache, transform, pool, k, query_ids):
+    """R@1 from the padded dense product, with every byte-identical pair of candidates counted as a tie."""
+    c_idx = cache.indices_of(pool.candidate_ids)
+    cand = cache.views[pool.view_level][c_idx]
+    copies: dict[bytes, int] = {}
+    for row in cand:
+        copies[row.tobytes()] = copies.get(row.tobytes(), 0) + 1
+    twinned = np.array([copies[row.tobytes()] > 1 for row in cand])
+    positives = np.array([pool.candidate_ids.index(q) for q in query_ids], dtype=np.intp)
+    s = _padded_dense_scores(transform, cache.images[cache.indices_of(query_ids)], cand, k)
+    top = s.max(axis=1)
+    own = s[np.arange(len(positives)), positives]
+    hits = (own == top) & ((s == top[:, None]).sum(axis=1) == 1) & ~twinned[positives]
+    return float(100.0 * hits.mean())
+
+
+def _twin_pool(n, pairs, dim=64, seed=0):
+    """A cache of random unit texts, text ``b`` a byte copy of text ``a`` for each ``(a, b)`` in ``pairs``.
+
+    The images are noisy copies of their texts and the ids sort in row order.  The query ids are the first
+    200 ids, both ends of every pair, and the last id.
+    """
+    rng = np.random.default_rng(seed)
+    texts = unit_rows(rng, n, dim).astype(np.float32)
+    for a, b in pairs:
+        texts[b] = texts[a]
+    images = texts + 0.3 * unit_rows(rng, n, dim)
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    cache = tiny_cache(images, texts, ids=[f"c{i:05d}" for i in range(n)])
+    rows = sorted(set(range(200)) | {i for pair in pairs for i in pair} | {n - 1})
+    return cache, [cache.ids[i] for i in rows], T.random_orthogonal(dim, seed + 1)
+
+
+class TestDistinctCandidateRows:
+    """``recall_at_1`` scores each distinct candidate row once; byte-identical twins tie by construction."""
+
+    @pytest.mark.parametrize("n", [2000, 2013, 20147])
+    def test_planted_twins_equal_the_padded_dense_reference(self, n):
+        # twins across the 1024-column tiles, three-way, and in the last (n mod 8) columns
+        pairs = [(3, 1500), (7, 1024), (8, 1023), (10, 11), (10, 12), (40, n - 1), (n - 2, 50)]
+        cache, query_ids, rot = _twin_pool(n, pairs)
+        pool = D.build_pool(cache, "full", "G3")
+        twins = sorted({i for pair in pairs for i in pair})
+        twin_ids = [cache.ids[i] for i in twins]
+        for k in (8, 32, 64):
+            want = reference_twin_recall_at_1(cache, rot, pool, k, query_ids)
+            assert M.recall_at_1(cache, rot, pool, k, query_ids) == want
+            assert M.recall_at_1(cache, rot, pool, k, twin_ids) == 0.0
+        assert want > 50.0  # most untwinned queries hit at k = 64
+        q = cache.images[cache.indices_of(query_ids)]
+        scores = _padded_dense_scores(rot, q, cache.views["G3"], 64)
+        assert all(np.array_equal(scores[:, a], scores[:, b]) for a, b in pairs)
+        first, _ = M._distinct_rows(cache.views["G3"], cache.indices_of(pool.candidate_ids))
+        assert len(first) == n - 7
+        tiles = _copies(M._score_tiles(rot, q, cache.views["G3"], first, 64))
+        assert np.array_equal(_assemble(tiles, (len(q), len(first))), scores[:, first])
+
+    @pytest.mark.parametrize("n", [2013, 20147])
+    def test_tiles_and_blocks_equal_the_padded_dense_product_off_a_multiple_of_8(self, n):
+        # unpadded, the last (n mod 8) columns went through edge kernels and differed between blockings
+        cache, query_ids, rot = _twin_pool(n, [])
+        q, c = cache.images[cache.indices_of(query_ids)], cache.views["G3"]
+        for k in (8, 64):
+            dense = _padded_dense_scores(rot, q, c, k)
+            for full_width in (False, True):
+                tiles = _copies(M._score_tiles(rot, q, c, np.arange(n), k, full_width=full_width))
+                assert np.array_equal(_assemble(tiles, dense.shape), dense)
+
+    @pytest.mark.parametrize("collide", ["all_rows", "row_5_with_row_10"])
+    def test_a_hash_collision_is_scored_as_distinct_rows(self, monkeypatch, collide):
+        cache, query_ids, rot = _twin_pool(2013, [(3, 1500), (10, 11), (10, 2012), (40, 41)])
+        pool = D.build_pool(cache, "full", "G3")
+        c_idx = cache.indices_of(pool.candidate_ids)
+        first, group = M._distinct_rows(cache.views["G3"], c_idx)
+        assert len(first) == 2009 and group[11] == group[2012] == group[10] != group[5]
+        want = [reference_twin_recall_at_1(cache, rot, pool, k, query_ids) for k in (8, 64)]
+        row_keys = M._row_keys
+
+        def colliding_keys(matrix, idx):
+            keys = row_keys(matrix, idx)
+            if collide == "all_rows":
+                return np.zeros_like(keys)
+            keys[5] = keys[10]  # row 5 comes first, so 10, 11 and 2012 are checked against it
+            return keys
+
+        monkeypatch.setattr(M, "_row_keys", colliding_keys)
+        first, group = M._distinct_rows(cache.views["G3"], c_idx)
+        # the rows that failed the byte check are scored as distinct rows; their scores still tie
+        assert len(first) == (2013 if collide == "all_rows" else 2011)
+        assert len({group[10], group[11], group[2012]}) == 3
+        assert [M.recall_at_1(cache, rot, pool, k, query_ids) for k in (8, 64)] == want
+
+    @pytest.fixture(scope="class")
+    def quickstart(self):
+        spec = D.SyntheticSpec(
+            dim=64,
+            block_sizes={"object": 4, "attribute": 8, "relation": 16, "residual": 36},
+            cardinalities={"object": 8, "attribute": 8, "relation": 8},
+            noise_std=0.05,
+            n_examples=2000,
+            seed=0,
+        )
+        return D.generate_synthetic(spec)
+
+    def test_distinct_scores_equal_full_pool_scores_on_the_quickstart_corpus(self, quickstart):
+        cache = quickstart.cache
+        rng = np.random.default_rng(5)
+        model = T.make_model(T.TransformSpec(variant="mlp", dim=64))
+        mlp = model.eval_transform({k: v + 0.05 * rng.standard_normal(v.shape) for k, v in model.init_params(rng).items()})
+        q = cache.images[cache.indices_of(cache.split_ids("test"))]
+        distinct = {}
+        for g in ("G0", "G1", "G2"):
+            for mode in ("full", "test_only"):
+                c_idx = cache.indices_of(D.build_pool(cache, mode, g).candidate_ids)
+                first, group = M._distinct_rows(cache.views[g], c_idx)
+                distinct[g, mode] = len(first)
+                for transform in (quickstart.oracle, T.random_orthogonal(64, 9), mlp):
+                    for k in quickstart.contract.prefixes:
+                        full = _assemble(_copies(M._score_tiles(transform, q, cache.views[g], c_idx, k)), (len(q), len(c_idx)))
+                        tiles = _copies(M._score_tiles(transform, q, cache.views[g], c_idx[first], k))
+                        assert np.array_equal(_assemble(tiles, (len(q), len(first))), full[:, first])
+                        assert np.array_equal(full[:, first][:, group], full)  # twins score alike in the full pool too
+        assert (distinct["G0", "full"], distinct["G1", "full"], distinct["G2", "full"]) == (8, 64, 507)
+
+    def test_one_row_query_set_and_one_candidate_pool(self):
+        cache, query_ids, rot = _twin_pool(2000, [(3, 1500)])
+        pool = D.build_pool(cache, "full", "G3")
+        for qid in ("c00000", "c00003", "c01500", "c01999"):
+            want = reference_twin_recall_at_1(cache, rot, pool, 64, [qid])
+            assert M.recall_at_1(cache, rot, pool, 64, [qid]) == want
+            assert want == (0.0 if qid in ("c00003", "c01500") else 100.0)
+        one = D.CandidatePool(mode="custom", candidate_ids=("c00003",), view_level="G3")
+        pair = D.CandidatePool(mode="custom", candidate_ids=("c00003", "c01500"), view_level="G3")
+        assert M.recall_at_1(cache, rot, one, 8, ["c00003"]) == 100.0
+        assert M.recall_at_1(cache, rot, pair, 8, ["c00003", "c01500"]) == 0.0
+
+    def test_memory_against_a_20000_row_twin_heavy_pool(self):
+        # 8 distinct rows, as the G0 view of the benchmark corpus. Scoring all 20,000 rows traced 17.1 MiB here
+        # (the gathered pool, 4.9 MiB, and the 64 x 20000 normalized side, 9.8 MiB); the 8 distinct rows trace 2.0
+        rng = np.random.default_rng(0)
+        texts = unit_rows(rng, 8, 64)[rng.integers(8, size=20000)]
+        images = texts + 0.7 * unit_rows(rng, 20000, 64)
+        images /= np.linalg.norm(images, axis=1, keepdims=True)
+        cache = tiny_cache(images, texts, ids=[f"c{i:05d}" for i in range(20000)])
+        pool = D.build_pool(cache, "full", "G0")
+        rot = T.random_orthogonal(64, 1)
+        assert traced_peak(M.recall_at_1, cache, rot, pool, 64, cache.ids[:300]) < 4 * 2**20
 
 
 class TestFullPrefixInvariance:
