@@ -105,14 +105,16 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _write_manifest(out: Path, verb: str, payload: dict, seed: int | None, artifacts: list[str]) -> None:
+def _write_manifest(out: Path, verb: str, payload: dict, seed: int | None) -> None:
+    """Write ``manifest.json`` into ``out``, listing every file already under it."""
+    artifacts = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
     manifest = {
         "tool": "grasp",
         "version": __version__,
         "verb": verb,
         "config_hash": _config_hash(payload),
         "seed": seed,
-        "artifacts": sorted(artifacts),
+        "artifacts": artifacts,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
 
@@ -124,9 +126,11 @@ class _Stage:
     def __init__(self, out: str | None):
         self.out = None if out is None else Path(out)
         self.path: Path | None = None
+        self.seed: int | None = None
 
-    def directory(self) -> Path:
-        """The directory to write artifacts into, created on the first call."""
+    def directory(self, seed: int | None) -> Path:
+        """The directory to write artifacts into, created on the first call; ``seed`` is the manifest's."""
+        self.seed = seed
         if self.path is None:
             self.out.parent.mkdir(parents=True, exist_ok=True)
             self.path = Path(tempfile.mkdtemp(prefix=f".{self.out.name}.", dir=self.out.parent))
@@ -150,10 +154,11 @@ class _Stage:
             self.path = None
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, seed: int | None) -> Path:
     """Where the verb writes its artifacts; each verb calls this only once its inputs have loaded and its work
-    succeeded.  ``main`` moves them into ``--out`` when the verb returns."""
-    return args.stage.directory()
+    succeeded, naming the seed it resolved (``None`` for a verb that draws no random numbers).  When the verb
+    returns, ``main`` writes the manifest of every staged file and moves them all into ``--out``."""
+    return args.stage.directory(seed)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -195,34 +200,23 @@ def _cmd_synth(args) -> int:
         log.info("flag --seed %d overrides spec seed %d", args.seed, spec.seed)
         spec = replace(spec, seed=args.seed)
     result = generate_synthetic(spec)
-    out = _out_dir(args)
+    out = _out_dir(args, spec.seed)
     write_cache(result.cache, out / "cache")
     with open(out / "annotations.jsonl", "w", encoding="utf-8") as fh:
         for row in result.iter_rows():
             fh.write(json.dumps(row.to_json_dict(), sort_keys=True) + "\n")
     save_matrix_transform(out / "oracle.transform", result.oracle)
     _write_json(out / "spec.json", spec.to_json_dict())
-    artifacts = [
-        "cache/manifest.json",
-        *(f"cache/{name}.f32" for name, _ in result.cache.matrices()),
-        "cache/ids.txt",
-        "cache/splits.json",
-        "annotations.jsonl",
-        "oracle.transform",
-        "spec.json",
-    ]
-    _write_manifest(out, "synth", _args_payload(args), spec.seed, artifacts)
     return 0
 
 
 def _cmd_validate(args) -> int:
     results, summary = validate_jsonl(args.input)
-    out = _out_dir(args)
+    out = _out_dir(args, None)
     with open(out / "verdicts.jsonl", "w", encoding="utf-8") as fh:
         for res in results:
             fh.write(json.dumps(res.to_json_dict(), sort_keys=True) + "\n")
     _write_json(out / "summary.json", summary)
-    _write_manifest(out, "validate", _args_payload(args), None, ["verdicts.jsonl", "summary.json"])
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -263,19 +257,12 @@ def _cmd_train(args) -> int:
             log.info("flag overrides config: %s=%s", name, value)
     config = replace(config, **changed)  # re-runs TrainConfig's checks on the overridden values
     checkpoint, history = train(config, cache)
-    out = _out_dir(args)
+    out = _out_dir(args, config.seed)
     save_checkpoint(out / "checkpoint.ckpt", checkpoint)
     with open(out / "history.jsonl", "w", encoding="utf-8") as fh:
         for stats in history:
             fh.write(json.dumps(stats.to_json_dict(), sort_keys=True) + "\n")
     _write_json(out / "train_config.json", config.to_json_dict())
-    _write_manifest(
-        out,
-        "train",
-        _args_payload(args),
-        config.seed,
-        ["checkpoint.ckpt", "history.jsonl", "train_config.json"],
-    )
     meta = checkpoint.meta
     print(json.dumps({"best_epoch": meta["epoch"], "val_stair": meta["val_stair"], "val_drift": meta["val_drift"]}))
     return 0
@@ -303,14 +290,13 @@ def _write_report(args):
     report = diagnostic_report(
         cache, transform, contract, pool_mode=args.pool, query_split=args.split, labels=labels
     )
-    out = _out_dir(args)
+    out = _out_dir(args, None)
     _write_json(out / "report.json", report.to_json_dict())
     return out, report, contract
 
 
 def _cmd_eval(args) -> int:
-    out, report, _ = _write_report(args)
-    _write_manifest(out, "eval", _args_payload(args), None, ["report.json"])
+    _, report, _ = _write_report(args)
     print(json.dumps({"stair": report.stair, "hard_avg": report.hard_avg, "drift": report.drift}))
     return 0
 
@@ -320,13 +306,6 @@ def _cmd_report(args) -> int:
     named = [(args.label, report)]
     write_staircase_decomposition_csv(named, contract, out / "staircase_decomposition.csv")
     write_emergence_csv(named, out / "emergence_decomposition.csv")
-    _write_manifest(
-        out,
-        "report",
-        _args_payload(args),
-        None,
-        ["report.json", "staircase_decomposition.csv", "emergence_decomposition.csv"],
-    )
     return 0
 
 
@@ -342,20 +321,16 @@ def _cmd_compare(args) -> int:
     cache = load_cache(args.cache)
     grid = _grid_from_args(args, cache)
     comparison = run_method_comparison(cache, grid)
-    out = _out_dir(args)
-    artifacts = ["methods.csv", "methods.json"]
+    out = _out_dir(args, grid.seed)
     write_method_csv(comparison.rows, out / "methods.csv")
     _write_json(out / "methods.json", [r.to_json_dict() for r in comparison.rows])
     named = [(name, rep) for name, rep in comparison.reports.items()]
     write_staircase_decomposition_csv(named, grid.contract, out / "staircase_decomposition.csv")
     write_emergence_csv(named, out / "emergence_decomposition.csv")
-    artifacts += ["staircase_decomposition.csv", "emergence_decomposition.csv"]
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     for name, checkpoint in comparison.checkpoints.items():
         save_checkpoint(ckpt_dir / f"{name}.ckpt", checkpoint)
-        artifacts.append(f"checkpoints/{name}.ckpt")
-    _write_manifest(out, "compare", _args_payload(args), grid.seed, artifacts)
     return 0
 
 
@@ -363,10 +338,9 @@ def _cmd_kappa(args) -> int:
     cache = load_cache(args.cache)
     grid = _grid_from_args(args, cache)
     rows = run_kappa_sensitivity(cache, grid)
-    out = _out_dir(args)
+    out = _out_dir(args, grid.seed)
     write_kappa_csv(rows, out / "kappa.csv")
     _write_json(out / "kappa.json", [r.to_json_dict() for r in rows])
-    _write_manifest(out, "kappa", _args_payload(args), grid.seed, ["kappa.csv", "kappa.json"])
     return 0
 
 
@@ -374,10 +348,9 @@ def _cmd_pool(args) -> int:
     cache = load_cache(args.cache)
     transform, contract = _transform_and_contract(args, cache)
     rows = run_pool_sensitivity(cache, transform, contract)
-    out = _out_dir(args)
+    out = _out_dir(args, None)
     write_pool_csv(rows, out / "pool.csv")
     _write_json(out / "pool.json", [r.to_json_dict() for r in rows])
-    _write_manifest(out, "pool", _args_payload(args), None, ["pool.csv", "pool.json"])
     return 0
 
 
@@ -386,9 +359,7 @@ def _cmd_cost(args) -> int:
     for name, value in est.formatted().items():
         print(f"{name}\t{value}")
     if args.out:
-        out = _out_dir(args)
-        _write_json(out / "cost.json", est.to_json_dict())
-        _write_manifest(out, "cost", _args_payload(args), None, ["cost.json"])
+        _write_json(_out_dir(args, None) / "cost.json", est.to_json_dict())
     return 0
 
 
@@ -410,6 +381,8 @@ def _gradcheck_contract(dim: int) -> InterfaceContract:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not 0 <= args.tolerance < math.inf:
+        raise GraspError("CONFIG", f"--tolerance must be finite and >= 0, got {args.tolerance:g}")
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
     contract = _gradcheck_contract(args.dim)
@@ -440,9 +413,8 @@ def _cmd_gradcheck(args) -> int:
     passed = bool(worst <= args.tolerance)
     print(f"gradcheck\t{'PASS' if passed else 'FAIL'}\tworst={worst:.3e}\ttolerance={args.tolerance:g}")
     if args.out:
-        out = _out_dir(args)
-        _write_json(out / "gradcheck.json", {"results": results, "worst": worst, "passed": passed})
-        _write_manifest(out, "gradcheck", _args_payload(args), seed, ["gradcheck.json"])
+        verdict = {"results": results, "worst": worst, "passed": passed}
+        _write_json(_out_dir(args, seed) / "gradcheck.json", verdict)
     return 0 if passed else 1
 
 
@@ -605,6 +577,8 @@ def main(argv=None) -> int:
     try:
         with _thread_limit(threads):
             code = args.func(args)
+        if args.stage.path is not None:
+            _write_manifest(args.stage.path, args.verb, _args_payload(args), args.stage.seed)
         args.stage.commit()
         return code
     except GraspError as exc:

@@ -36,6 +36,11 @@ _ROW_FIELDS = ("id", "dataset", "split", "caption", "views", "negatives", "distr
 # candidate side, score blocks and drift strips) is made in row blocks of about this many bytes.
 BLOCK_BYTES = 2**20
 
+# Largest |norm - 1| of a cache row: a loaded cache may come from any embedding pipeline, a generated one is
+# checked against its own construction.
+_LOADED_NORM_TOL = 1e-3
+_GENERATED_NORM_TOL = 1e-5
+
 
 def row_spans(n: int, size: int) -> list[tuple[int, int]]:
     """Consecutive ``(start, stop)`` spans of at most ``size`` covering ``range(n)``.
@@ -178,7 +183,7 @@ def validate_annotation_row(row: AnnotationRow, extra_distractors: set[str] | No
     return ValidationResult(id=row.id, accepted=True)
 
 
-def validate_jsonl(path: str | Path, extra_distractors: set[str] | None = None):
+def validate_jsonl(path: str | Path):
     """Validate every line of a JSONL file.
 
     Returns (results, summary); the summary mirrors the audit-table layout:
@@ -204,7 +209,7 @@ def validate_jsonl(path: str | Path, extra_distractors: set[str] | None = None):
                 rule_failures["MALFORMED"] = rule_failures.get("MALFORMED", 0) + 1
                 results.append(res)
                 continue
-            res = validate_annotation_row(row, extra_distractors)
+            res = validate_annotation_row(row)
             results.append(res)
             if res.accepted:
                 accepted += 1
@@ -288,9 +293,9 @@ def _check_rows(name: str, rows: np.ndarray, n: int, dim: int, norm_tol: float) 
         raise GraspError("NORM_VIOLATION", f"{name}: row norm off by {worst:.2e} (tolerance {norm_tol:g})")
 
 
-def validate_cache(cache: EmbeddingCache, norm_tol: float = 1e-5) -> None:
+def validate_cache(cache: EmbeddingCache) -> None:
     for name, rows in cache.matrices():
-        _check_rows(name, rows, cache.n, cache.dim, norm_tol)
+        _check_rows(name, rows, cache.n, cache.dim, _GENERATED_NORM_TOL)
 
 
 def write_cache(cache: EmbeddingCache, out_dir: str | Path) -> Path:
@@ -317,7 +322,7 @@ def write_cache(cache: EmbeddingCache, out_dir: str | Path) -> Path:
     return path
 
 
-def load_cache(manifest_path: str | Path, norm_tol: float = 1e-3) -> EmbeddingCache:
+def load_cache(manifest_path: str | Path) -> EmbeddingCache:
     """Load and fully verify a cache; rejects shape or norm violations."""
     manifest_path = Path(manifest_path)
     try:
@@ -359,7 +364,7 @@ def load_cache(manifest_path: str | Path, norm_tol: float = 1e-3) -> EmbeddingCa
                     f"{name}: {nbytes} bytes cannot hold {count} x {dim} float32 rows",
                 )
             rows = np.fromfile(path, dtype="<f4").reshape(count, dim)
-            _check_rows(name, rows, count, dim, norm_tol)
+            _check_rows(name, rows, count, dim, _LOADED_NORM_TOL)
             loaded[name] = rows
     except OSError as exc:
         raise GraspError("IO_ERROR", str(exc)) from exc
@@ -446,8 +451,8 @@ class SyntheticSpec:
             raise GraspError("BLOCK_OVERFLOW", "factor cardinalities must be >= 2")
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
             raise GraspError("BLOCK_OVERFLOW", f"noise_std must be finite and nonnegative, got {self.noise_std}")
-        if self.n_examples < 1:
-            raise GraspError("BLOCK_OVERFLOW", "n_examples must be positive")
+        if self.n_examples < 2:  # each example's full negative is another example's caption
+            raise GraspError("BLOCK_OVERFLOW", f"n_examples must be >= 2, got {self.n_examples}")
         if self.seed < 0:
             raise GraspError("BLOCK_OVERFLOW", "seed must be nonnegative")
 
@@ -597,10 +602,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
         "action": np.array([_flip(rng, v, spec.cardinalities["relation"]) for v in assign["relation"]]),
         "order": np.array([_flip(rng, v, spec.cardinalities["relation"]) for v in assign["relation"]]),
     }
-    if n > 1:
-        distractor_idx = (np.arange(n) + 1 + rng.integers(n - 1, size=n)) % n
-    else:
-        distractor_idx = np.zeros(n, dtype=np.intp)
+    distractor_idx = (np.arange(n) + 1 + rng.integers(n - 1, size=n)) % n
 
     mixing = random_orthogonal(d, np.random.default_rng(spec.seed + 1))
     spans = block_spans(n, 8 * d)

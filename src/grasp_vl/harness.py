@@ -14,16 +14,15 @@ from .errors import GraspError
 from .metrics import (
     DiagnosticReport,
     HARD_AVG_TYPES,
+    assigned_cells,
     diagnostic_report,
     drift_rows,
     full_drift,
-    hard_average,
     leakage,
     recall_at_1,
-    retrieval_average,
     sel_table,
     selectivity,
-    stair_score,
+    staircase,
 )
 from .objective import LossConfig
 from .trainer import TrainConfig, train
@@ -302,27 +301,20 @@ def run_pool_sensitivity(
     """
     test_ids = cache.split_ids("test")
     st = sel_table(cache, transform, contract, test_ids)
-    hard = hard_average(st, contract)
     drift = full_drift(drift_rows(cache), transform)
     out = []
     for mode in pool_modes:
-        cells = {}
-        n_cand = None
-        for k in contract.prefixes:
-            if k == contract.dim:
-                continue
-            pool = build_pool(cache, mode, contract.view_of[k])
-            n_cand = len(pool.candidate_ids)
-            cells[k] = recall_at_1(cache, transform, pool, k, test_ids)
-        ret_avg = retrieval_average(cells, contract)
+        pools = {g: build_pool(cache, mode, g) for g in VIEW_LEVELS}
+        cells = assigned_cells(cache, transform, contract, pools, test_ids)
+        ret_avg, hard, stair = staircase(cells, st, contract)
         out.append(
             PoolRow(
                 pool_mode=mode,
-                candidates=n_cand or 0,
+                candidates=len(pools["G3"].candidate_ids),
                 ret_cells=cells,
                 ret_avg=ret_avg,
                 hard_avg=hard,
-                stair=stair_score(ret_avg, hard),
+                stair=stair,
                 drift=drift,
             )
         )

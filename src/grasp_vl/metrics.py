@@ -307,6 +307,17 @@ def stair_score(ret_avg: float, hard_avg: float) -> float:
     return 0.5 * (ret_avg + hard_avg)
 
 
+def assigned_cells(
+    cache: EmbeddingCache, transform, contract: InterfaceContract, pools: dict[str, CandidatePool], query_ids
+) -> dict[int, float]:
+    """R@1 at every prefix but the full one, each against the pool of its assigned view level."""
+    return {
+        k: recall_at_1(cache, transform, pools[contract.view_of[k]], k, query_ids)
+        for k in contract.prefixes
+        if k != contract.dim
+    }
+
+
 def staircase(ret_cells: dict[int, float], sel: SelTable, contract: InterfaceContract):
     """(RetAvg, HardAvg, Stair) from assigned retrieval cells and the Sel table."""
     ret_avg = retrieval_average(ret_cells, contract)

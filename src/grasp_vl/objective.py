@@ -519,8 +519,8 @@ def central_difference_max_error(fn, x0: np.ndarray, analytic: np.ndarray, step:
 
     Denominator is max(|numeric|, |analytic|, 1e-8) per coordinate.
     """
-    if step <= 0:
-        raise GraspError("CONFIG", "finite-difference step must be positive")
+    if not 0 < step < math.inf:  # a NaN step fails too
+        raise GraspError("CONFIG", f"finite-difference step must be finite and positive, got {step:g}")
     idx = range(x0.size) if coords is None else coords
     worst = 0.0
     for i in idx:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .datastore import EmbeddingCache, build_pool
 from .errors import GraspError
-from .metrics import full_drift, hard_average, recall_at_1, retrieval_average, sel_table, stair_score
+from .metrics import assigned_cells, full_drift, sel_table, staircase
 from .objective import Batch, LossConfig, StepWorkspace, TERM_NAMES, default_retention_weights
 from .objective import flatten_grads, flatten_state, total_loss_and_gradient, unflatten_state
 from .transforms import (
@@ -159,20 +159,12 @@ def validation_scores(cache: EmbeddingCache, transform, contract: InterfaceContr
     if not val_ids:
         raise GraspError("MISSING_SPLIT", "cache has no validation split")
     pool_ids = tuple(sorted(val_ids))
-    ret_cells = {}
-    for k in contract.prefixes:
-        if k == contract.dim:
-            continue
-        level = contract.view_of[k]
-        pool = build_pool(cache, "custom", level, custom_ids=pool_ids)
-        ret_cells[k] = recall_at_1(cache, transform, pool, k, val_ids)
+    pools = {g: build_pool(cache, "custom", g, custom_ids=pool_ids) for g in VIEW_LEVELS}
+    ret_cells = assigned_cells(cache, transform, contract, pools, val_ids)
     sel = sel_table(cache, transform, contract, val_ids)
-    ret_avg = retrieval_average(ret_cells, contract)
-    hard_avg = hard_average(sel, contract)
     idx = cache.indices_of(val_ids)
     rows = np.concatenate([cache.images[idx], cache.views["G3"][idx]], axis=0).astype(np.float64)[:512]
-    drift = full_drift(rows, transform, renormalize=True)
-    return ret_avg, hard_avg, stair_score(ret_avg, hard_avg), drift
+    return (*staircase(ret_cells, sel, contract), full_drift(rows, transform, renormalize=True))
 
 
 @dataclass(eq=False)

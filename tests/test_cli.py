@@ -173,12 +173,60 @@ class TestSynth:
         digests = {rel: hashlib.sha256(blob).hexdigest() for rel, blob in tree_digest(Path("synth")).items()}
         assert digests == self._GOLDEN_SHA256[n_examples]
 
+    def test_seed_flag_overrides_the_spec_seed(self, tmp_path):
+        (tmp_path / "spec0.json").write_text(json.dumps(SPEC))
+        (tmp_path / "spec7.json").write_text(json.dumps({**SPEC, "seed": 7}))
+        flagged, from_spec = tmp_path / "flagged", tmp_path / "from_spec"
+        assert main(["synth", "--spec", str(tmp_path / "spec0.json"), "--out", str(flagged), "--seed", "7"]) == 0
+        assert main(["synth", "--spec", str(tmp_path / "spec7.json"), "--out", str(from_spec)]) == 0
+        a, b = tree_digest(flagged), tree_digest(from_spec)
+        del a["manifest.json"], b["manifest.json"]  # their config hashes name different flags
+        assert a == b
+
     def test_manifest_lists_artifacts(self, synth_dir):
         manifest = json.loads((synth_dir / "manifest.json").read_text())
         assert manifest["verb"] == "synth"
         assert "cache/manifest.json" in manifest["artifacts"]
         for rel in manifest["artifacts"]:
             assert (synth_dir / rel).exists(), rel
+
+
+class TestManifest:
+    """Every verb's manifest lists exactly the files it wrote, with the seed the verb resolved."""
+
+    # (argv after the verb, expected seed); {cache}, {oracle}, {ckpt}, {rows} and {spec} are filled in per test
+    _VERBS = {
+        "synth": (["--spec", "{spec}"], 4),
+        "validate": (["--input", "{rows}"], None),
+        "train": (["--cache", "{cache}", "--epochs", "1", "--batch-size", "64", "--seed", "2"], 2),
+        "eval": (["--cache", "{cache}", "--checkpoint", "{ckpt}"], None),
+        "report": (["--cache", "{cache}", "--matrix", "{oracle}"], None),
+        "compare": (["--cache", "{cache}", "--methods", "frozen_full,grasp_dense", "--epochs", "1",
+                     "--batch-size", "64", "--seed", "3"], 3),
+        "kappa": (["--cache", "{cache}", "--epochs", "1", "--batch-size", "64", "--seed", "5"], 5),
+        "pool": (["--cache", "{cache}", "--matrix", "{oracle}"], None),
+        "cost": (["--dim", "64", "--gallery", "100"], None),
+        "gradcheck": (["--dim", "8"], 0),
+    }
+
+    @pytest.mark.parametrize("verb", sorted(_VERBS))
+    def test_lists_every_written_file_and_the_resolved_seed(self, synth_dir, trained_dir, tmp_path, verb):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, "seed": 4}))
+        paths = {
+            "spec": spec,
+            "rows": synth_dir / "annotations.jsonl",
+            "cache": synth_dir / "cache" / "manifest.json",
+            "oracle": synth_dir / "oracle.transform",
+            "ckpt": trained_dir / "checkpoint.ckpt",
+        }
+        flags, seed = self._VERBS[verb]
+        out = tmp_path / "out"
+        assert main([verb, *(f.format(**paths) for f in flags), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        assert manifest["artifacts"] == [rel for rel in written if rel != "manifest.json"]
+        assert (manifest["verb"], manifest["seed"]) == (verb, seed)
 
 
 class TestValidate:
@@ -475,6 +523,24 @@ class TestGradcheck:
 
     def test_fails_when_tolerance_is_absurd(self):
         assert main(["gradcheck", "--dim", "8", "--seed", "1", "--tolerance", "1e-12"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--step", "--tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_step_or_tolerance_off_its_range_is_config_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--dim", "8", flag, value, "--out", str(out)]) == 3
+        assert flag[2:] in one_error_line(capsys, "CONFIG")["message"]
+        assert not out.exists()
+
+    def test_worst_error_equal_to_the_tolerance_passes(self, tmp_path):
+        argv = ["gradcheck", "--dim", "8", "--seed", "1", "--out", str(tmp_path / "gc")]
+        main(argv + ["--tolerance", "0"])
+        worst = json.loads((tmp_path / "gc" / "gradcheck.json").read_text())["worst"]
+        assert main(argv + ["--tolerance", repr(worst)]) == 0
+
+    def test_zero_tolerance_is_a_gate_verdict(self, capsys):
+        assert main(["gradcheck", "--dim", "8", "--seed", "1", "--tolerance", "0"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     @pytest.mark.parametrize("tolerance,rc", [(None, 0), ("1e-12", 1)])
     def test_out_records_the_verdict(self, tmp_path, capsys, tolerance, rc):

@@ -141,6 +141,16 @@ class TestValidator:
         assert summary["rule_failures"] == {"ENTITY_UNGROUNDED": 1, "MALFORMED": 1}
         assert [r.accepted for r in results] == [True, False, False]
 
+    def test_summary_counts_accepted_rows_whose_attribute_view_differs(self, tmp_path):
+        same = compliant_row(id="b", views={**compliant_row().views, "G1": "dog"})
+        rejected = compliant_row(id="d", entity="zebra")
+        rows = [compliant_row(id="a"), same, compliant_row(id="c"), rejected]
+        path = tmp_path / "rows.jsonl"
+        path.write_text("".join(json.dumps(r.to_json_dict()) + "\n" for r in rows), encoding="utf-8")
+        _, summary = D.validate_jsonl(path)
+        assert summary["accepted"] == 3
+        assert summary["diagnostic"] == {"attribute_view_differs_from_object_view": 2}
+
 
 class TestCacheIO:
     def test_round_trip_bit_exact(self, small_cache, tmp_path):
@@ -192,6 +202,21 @@ class TestCacheIO:
         with pytest.raises(GraspError) as e:
             D.load_cache(cache_dir / "manifest.json")
         assert e.value.code == "MISSING_SPLIT"
+
+    @pytest.mark.parametrize("count, dim", [(3, 1), (0, 4)], ids=["one_dimension", "no_rows"])
+    def test_smallest_declared_shape_loads(self, tmp_path, count, dim):
+        rows = np.ones((count, dim), dtype=np.float32) / np.float32(np.sqrt(dim))
+        ids = tuple(f"r{i}" for i in range(count))
+        cache = D.EmbeddingCache(
+            dim=dim,
+            ids=ids,
+            split_of={i: "test" for i in ids},
+            images=rows,
+            views={g: rows for g in T.VIEW_LEVELS},
+            negatives={r: rows for r in T.NEGATIVE_TYPES},
+        )
+        loaded = D.load_cache(D.write_cache(cache, tmp_path / "c"))
+        assert (loaded.n, loaded.dim) == (count, dim)
 
     def _write_small(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -281,6 +306,23 @@ class TestSynthetic:
     def test_generated_rows_pass_validator(self, small_synth):
         for row in small_synth.rows[:50]:
             assert D.validate_annotation_row(row).accepted
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"cardinalities": {"object": 2, "attribute": 2, "relation": 2}}, {"n_examples": 2}],
+        ids=["two_values_per_factor", "two_examples"],
+    )
+    def test_smallest_valid_spec_generates(self, change):
+        spec = D.SyntheticSpec(**{**SMALL_SPEC.to_json_dict(), "n_examples": 40, **change})
+        result = D.generate_synthetic(spec)
+        assert result.cache.n == spec.n_examples
+        assert all(D.validate_annotation_row(row).accepted for row in result.rows)
+
+    def test_one_example_is_a_config_error(self):
+        # its full negative could only be its own caption, which the validator rejects
+        with pytest.raises(GraspError) as e:
+            D.SyntheticSpec(**{**SMALL_SPEC.to_json_dict(), "n_examples": 1})
+        assert e.value.code == "BLOCK_OVERFLOW"
 
     def test_block_overflow(self):
         with pytest.raises(GraspError) as e:

@@ -1077,6 +1077,44 @@ class TestDistinctCandidateRows:
                 tiles = _copies(M._score_tiles(rot, q, c, np.arange(n), k, full_width=full_width))
                 assert np.array_equal(_assemble(tiles, dense.shape), dense)
 
+    @pytest.mark.parametrize("n", [2013, 20147])
+    def test_rows_that_differ_past_the_prefix_tie_alike_at_every_tile_size(self, monkeypatch, n):
+        # distinct rows whose k-prefixes are equal tie under the identity map; planted in the last (n mod 8)
+        # columns, where an unpadded product would send them to BLAS's edge kernels
+        k, tail = 32, n - n % 8
+        pairs = [(40, tail), (tail + 1, n - 1)]
+        rng = np.random.default_rng(3)
+        texts = unit_rows(rng, n, 64).astype(np.float32)
+        for a, b in pairs:
+            texts[b] = np.concatenate([texts[a, :k], -texts[a, k:]])
+        images = texts + 0.3 * unit_rows(rng, n, 64)
+        images /= np.linalg.norm(images, axis=1, keepdims=True)
+        cache = tiny_cache(images, texts, ids=[f"c{i:05d}" for i in range(n)])
+        pool = D.build_pool(cache, "full", "G3")
+        ident = T.identity_transform(64)
+        ends = [cache.ids[i] for pair in pairs for i in pair]
+        query_ids = sorted(set(cache.ids[:20]) | set(ends))
+        labels = {cid: str(i % 5) for i, cid in enumerate(cache.ids)}
+        scores = _padded_dense_scores(ident, cache.images[cache.indices_of(ends)], texts, k)
+        assert all(np.array_equal(scores[:, a], scores[:, b]) for a, b in pairs)
+        assert len(M._distinct_rows(texts, np.arange(n))[0]) == n
+
+        decisions = []
+        for rows, cols in [(None, None), (2, 16), (7, 48)]:
+            with monkeypatch.context() as m:
+                if rows:
+                    _force_tiles(m, rows, cols)
+                    _force_block_rows(m, rows, -(-n // 16) * 16)
+                decisions.append([
+                    (M.recall_at_1(cache, ident, pool, k, ids), M.rank_stats(cache, ident, pool, k, ids, labels))
+                    for ids in (query_ids, ends)
+                ])
+        assert all(d == decisions[0] for d in decisions[1:])
+        (r1, _), (ends_r1, ends_rank) = decisions[0]
+        assert r1 == reference_twin_recall_at_1(cache, ident, pool, k, query_ids)
+        assert ends_r1 == ends_rank.r_at_1 == ends_rank.same_label_r_at_1 == 0.0
+        assert ends_rank.median_rank == 2.0
+
     @pytest.mark.parametrize("collide", ["all_rows", "row_5_with_row_10"])
     def test_a_hash_collision_is_scored_as_distinct_rows(self, monkeypatch, collide):
         cache, query_ids, rot = _twin_pool(2013, [(3, 1500), (10, 11), (10, 2012), (40, 41)])
