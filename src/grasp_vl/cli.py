@@ -400,7 +400,6 @@ def _cmd_gradcheck(args) -> int:
     model = make_model(TransformSpec(args.variant, args.dim, stacks=args.stacks, rank=args.rank))
     params = model.init_params(np.random.default_rng(seed + 1))
     log_temps = np.full(len(contract.prefixes), math.log(0.07))
-    worst = 0.0
     results = {}
     for terms in (*[(t,) for t in TERM_NAMES], None):
         err = finite_difference_check(
@@ -408,8 +407,8 @@ def _cmd_gradcheck(args) -> int:
         )
         label = terms[0] if terms else "full"
         results[label] = err
-        worst = max(worst, err)
         print(f"{label}\tmax_rel_error={err:.3e}")
+    worst = float(np.max(list(results.values())))  # a NaN error stays the worst, so it fails
     passed = bool(worst <= args.tolerance)
     print(f"gradcheck\t{'PASS' if passed else 'FAIL'}\tworst={worst:.3e}\ttolerance={args.tolerance:g}")
     if args.out:

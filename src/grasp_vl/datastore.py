@@ -550,11 +550,6 @@ def _value_table(rng: np.random.Generator, card: int, visible: int, hidden: int)
     return table
 
 
-def _flip(rng: np.random.Generator, value: int, card: int) -> int:
-    other = int(rng.integers(card - 1))
-    return other + 1 if other >= value else other
-
-
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     """Build a cache whose staircase is planted behind a random rotation.
 
@@ -595,13 +590,12 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     residuals /= np.linalg.norm(residuals, axis=1, keepdims=True)
     residuals *= _BLOCK_AMPLITUDE["residual"]
 
-    flips = {
-        "object": np.array([_flip(rng, v, spec.cardinalities["object"]) for v in assign["object"]]),
-        "attribute": np.array([_flip(rng, v, spec.cardinalities["attribute"]) for v in assign["attribute"]]),
-        "relation": np.array([_flip(rng, v, spec.cardinalities["relation"]) for v in assign["relation"]]),
-        "action": np.array([_flip(rng, v, spec.cardinalities["relation"]) for v in assign["relation"]]),
-        "order": np.array([_flip(rng, v, spec.cardinalities["relation"]) for v in assign["relation"]]),
-    }
+    # each typed negative moves its factor to one of the other values, drawn for every row at once, type by type
+    flips = {}
+    for neg_type, f in (("object", "object"), ("attribute", "attribute"), ("relation", "relation"),
+                        ("action", "relation"), ("order", "relation")):
+        other = rng.integers(spec.cardinalities[f] - 1, size=n)
+        flips[neg_type] = other + (other >= assign[f])
     distractor_idx = (np.arange(n) + 1 + rng.integers(n - 1, size=n)) % n
 
     mixing = random_orthogonal(d, np.random.default_rng(spec.seed + 1))

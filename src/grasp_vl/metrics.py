@@ -35,8 +35,8 @@ def _rows64(rows: np.ndarray) -> np.ndarray:
 # Candidate rows are transformed in blocks of at least 32 rows, zero rows padding
 # a shorter one: a product of a few rows goes to BLAS's small-matrix kernel,
 # which rounds differently.  Rank statistics sort whole rows, so they read
-# full-width row blocks of at most BLOCK_BYTES: 6 query rows against 20000
-# candidates, or 65 rows against 2000.
+# full-width strips, each with a sort buffer of about 2 * BLOCK_BYTES: 11 query
+# rows against 20000 candidates of which 2500 share the query's label.
 _TILE_ROWS = 128
 _TILE_COLS = BLOCK_BYTES // (8 * _TILE_ROWS)
 _COL_ALIGN = 16
@@ -44,35 +44,42 @@ _MIN_BLOCK_ROWS = 32
 
 
 def _score_tiles(transform, query_rows, cand_matrix, cand_idx, k: int, full_width: bool = False):
-    """Yield ``(row_start, col_start, scores)`` for the tiles of the query x candidate scores.
+    """The tiles of the query x candidate scores, as ``_tiles`` yields them.
 
     The candidates are the rows ``cand_matrix[cand_idx]``, gathered one row
-    block at a time.  Tiles cover the candidates of one span of query rows,
-    then move to the next span.  A tile has at most ``_TILE_ROWS`` x
-    ``_TILE_COLS`` cells, or, with ``full_width``, every candidate and as many
-    query rows as fit in ``BLOCK_BYTES``.  Each row is transformed once, and
-    each tile is written into one buffer that the next tile overwrites: copy a
-    tile to keep it.  The candidate side is transformed and normalized one row
-    block at a time, straight into the contiguous (k, candidates) buffer that
-    the tiles read; its zero padding columns are computed but never yielded.
+    block at a time.  A tile has at most ``_TILE_ROWS`` x ``_TILE_COLS``
+    cells, or, with ``full_width``, every candidate and as many query rows as
+    fit in ``BLOCK_BYTES``.  Each row is transformed once.  The candidate side
+    is transformed and normalized one row block at a time, straight into the
+    contiguous (k, candidates) buffer that the tiles read; its zero padding
+    columns are computed but never yielded.
+    """
+    zq = prefix_normalize(transform.apply(_rows64(query_rows)), k)
+    zct = _candidate_side(transform, cand_matrix, cand_idx, k)
+    if full_width:
+        return _tiles(zq, zct, len(cand_idx), BLOCK_BYTES // (8 * zct.shape[1]), zct.shape[1])
+    return _tiles(zq, zct, len(cand_idx), _TILE_ROWS, _TILE_COLS)
+
+
+def _tiles(zq: np.ndarray, zct: np.ndarray, m: int, tile_rows: int, tile_cols: int):
+    """Yield ``(row_start, col_start, scores)`` for tiles of ``zq`` against the first ``m`` columns of ``zct``.
+
+    Tiles cover the candidates of one span of at most ``tile_rows`` query
+    rows, then move to the next span.  Each tile is written into one buffer
+    that the next tile overwrites: copy a tile to keep it.
 
     No tile has one row or one column unless the query set or the pool does:
     numpy hands such a product to BLAS's matrix-vector kernel, which rounds
     differently.  A one-row query set or a one-candidate pool is one tile, and
     a one-row query set keeps the operand layout it has always had.
     """
-    zq = prefix_normalize(transform.apply(_rows64(query_rows)), k)
-    zct = _candidate_side(transform, cand_matrix, cand_idx, k)
-    n, m = zq.shape[0], len(cand_idx)
+    n = zq.shape[0]
     if n == 1 or m == 1:
         # a one-row query set multiplies the candidates in the row-major (m, k) layout it always has
         zc = zct[:, :m]
         yield 0, 0, zq @ (np.ascontiguousarray(zc.T).T if n == 1 else np.ascontiguousarray(zc))
         return
-    if full_width:
-        rows, cols = row_spans(n, BLOCK_BYTES // (8 * zct.shape[1])), [(0, m)]
-    else:
-        rows, cols = row_spans(n, _TILE_ROWS), row_spans(m, _TILE_COLS)
+    rows, cols = row_spans(n, tile_rows), row_spans(m, tile_cols)
     # each product runs to the next multiple of 16 columns, into the padding; the yielded tile stops at the pool's end
     width = [min(_aligned(c1 - c0), zct.shape[1] - c0) for c0, c1 in cols]
     buf = np.empty(max(b - a for a, b in rows) * max(width))
@@ -407,8 +414,17 @@ def full_drift(rows: np.ndarray, transform, renormalize: bool = True) -> float:
     n = e.shape[0]
     if n < 2:
         raise GraspError("DIM_MISMATCH", "drift needs at least two rows")
-    # the maximum over row strips of the pair matrices; np.max keeps a NaN that Python's max() may drop
-    return float(np.max([np.abs(z[a:b] @ z.T - e[a:b] @ e.T).max() for a, b in block_spans(n, 8 * n)]))
+    spans = block_spans(n, 8 * n)
+    longest = max(b - a for a, b in spans)
+    z_buf, e_buf = np.empty(longest * n), np.empty(longest * n)
+    worst = np.empty(len(spans))
+    for i, (a, b) in enumerate(spans):
+        # both pair strips are written into reused buffers; the difference and its abs are taken in place
+        diff = np.matmul(z[a:b], z.T, out=z_buf[: (b - a) * n].reshape(b - a, n))
+        diff -= np.matmul(e[a:b], e.T, out=e_buf[: (b - a) * n].reshape(b - a, n))
+        worst[i] = np.abs(diff, out=diff).max()
+    # the maximum over the strips; np.max keeps a NaN that Python's max() may drop
+    return float(worst.max())
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +456,12 @@ def rank_stats(
     Ranks are 1-based and pessimistic about ties: tied candidates count as
     ranked above the positive.  Purity@10 and category mAP follow the stable
     descending order, in which equal scores keep candidate order.
+
+    The query rows are grouped by label and scored in full-width strips whose
+    sort buffer holds about ``2 * BLOCK_BYTES``; a strip may run across labels,
+    so none has one row unless the query set does.  Ranks and the unique top
+    are read from the strip's scores, and each row's label positions come from
+    one sort of the row with its label's scores (``_label_positions``).
     """
     if len(query_ids) == 0:
         raise GraspError("EMPTY_POOL", "no queries")
@@ -459,31 +481,37 @@ def rank_stats(
     q_codes = np.array([codes.setdefault(labels[qid], len(codes)) for qid in query_ids], dtype=np.intp)
     # the candidates labelled c are by_code[bounds[c]:bounds[c + 1]], in candidate order
     by_code = np.argsort(cand_codes, kind="stable")
-    bounds = np.searchsorted(cand_codes[by_code], np.arange(len(codes) + 1))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(cand_codes, minlength=len(codes)))))
     top_n = min(10, len(pool.candidate_ids))
 
     purities = np.zeros(len(query_ids))
     aps = np.zeros(len(query_ids))
     ranks = np.zeros(len(query_ids), dtype=np.intp)
     label_hits = np.zeros(len(query_ids), dtype=bool)
-    tiles = _score_tiles(transform, cache.images[q_idx], cache.views[pool.view_level], c_idx, k, full_width=True)
-    for start, _, s in tiles:
-        stop = start + s.shape[0]
-        rows = np.arange(s.shape[0])
+    # the query rows grouped by label, each label's rows in query order; a strip may run across labels
+    grouped = np.argsort(q_codes, kind="stable")
+    zq = prefix_normalize(transform.apply(_rows64(cache.images[q_idx[grouped]])), k)
+    zct = _candidate_side(transform, cache.views[pool.view_level], c_idx, k)
+    width = len(c_idx) + int(np.diff(bounds)[q_codes].max())  # the longest row sorted with its label's scores
+    work = np.empty(0)
+    for start, _, s in _tiles(zq, zct, len(c_idx), 2 * BLOCK_BYTES // (8 * width), zct.shape[1]):
+        rows = grouped[start : start + s.shape[0]]
+        if work.size < s.shape[0] * width:
+            work = np.empty(s.shape[0] * width)
         # rows whose positive is not in the pool read column 0 here and are dropped below
-        own = s[rows, np.maximum(positives[start:stop], 0)]
-        ranks[start:stop] = (s >= own[:, None]).sum(axis=1)  # counts self; ties rank above
+        own = s[np.arange(len(rows)), np.maximum(positives[rows], 0)]
+        ranks[rows] = (s >= own[:, None]).sum(axis=1)  # counts self; ties rank above
         best, unique = _unique_top(s)
-        label_hits[start:stop] = unique & (cand_codes[best] == q_codes[start:stop])
-        ordered = np.sort(s, axis=1)
-        maybe_tied = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1) | np.isnan(ordered[:, -1])
-        for r in rows:
-            c = q_codes[start + r]
+        label_hits[rows] = unique & (cand_codes[best] == q_codes[rows])
+        cuts = np.flatnonzero(np.diff(q_codes[rows])) + 1
+        for r0, r1 in zip([0, *cuts], [*cuts, len(rows)]):
+            c = q_codes[rows[r0]]
             cols = by_code[bounds[c] : bounds[c + 1]]
-            hit_positions = _hit_positions(s[r], ordered[r], cols, maybe_tied[r])
-            purities[start + r] = np.count_nonzero(hit_positions <= top_n) / top_n
-            if len(hit_positions):
-                aps[start + r] = (np.arange(1, len(hit_positions) + 1) / hit_positions).mean()
+            if len(cols):
+                hits = _label_positions(s[r0:r1], cols, work)
+                purities[rows[r0:r1]] = np.count_nonzero(hits <= top_n, axis=1) / top_n
+                # numpy sums each contiguous row pairwise, so each AP has the bits of its row's 1-D mean
+                aps[rows[r0:r1]] = (np.arange(1, len(cols) + 1) / hits).mean(axis=1)
     ranks = ranks[positives >= 0]
     return RankStats(
         purity_at_10=float(100.0 * np.mean(purities)),
@@ -494,24 +522,51 @@ def rank_stats(
     )
 
 
-def _hit_positions(row: np.ndarray, ordered: np.ndarray, cols: np.ndarray, maybe_tied: bool) -> np.ndarray:
+def _label_positions(s: np.ndarray, cols: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Ascending 1-based positions of candidates ``cols`` in the stable descending order of each row of ``s``.
+
+    Each row and a copy of its ``cols`` scores are sorted together, in place
+    in ``work``; ``s`` keeps the unsorted scores.  In a row with no tie and no
+    NaN every ``cols`` score is then the first of an adjacent equal pair, and
+    there are no other equal neighbours: pair ``i`` (from 0, counted from the
+    bottom) at sorted index ``j`` has ``j - i`` scores below it, so it sits at
+    descending position ``m - (j - i)``.  A row with any other count of equal
+    neighbours, or with a NaN (sorted last), is placed by ``_hit_positions``
+    from its unsorted scores.
+    """
+    r, m = s.shape
+    n_cols = len(cols)
+    x = work[: r * (m + n_cols)].reshape(r, m + n_cols)
+    x[:, :m] = s
+    x[:, m:] = s[:, cols]
+    x.sort(axis=1)
+    # equal neighbours, as flat indices into the (r, m + n_cols - 1) comparison; a NaN-free row has at least n_cols
+    at = np.flatnonzero(x[:, 1:] == x[:, :-1])
+    tied = np.isnan(x[:, -1])
+    if len(at) != r * n_cols or tied.any():
+        row = at // (m + n_cols - 1)
+        tied |= np.bincount(row, minlength=r) != n_cols
+        at = at[~tied[row]]
+    untied = np.flatnonzero(~tied)
+    # the sorted index of each pair, less the pairs below it: the scores below each cols score
+    below = at.reshape(len(untied), n_cols) - (m + n_cols - 1) * untied[:, None] - np.arange(n_cols)
+    if len(untied) == r:
+        return (m - below)[:, ::-1]
+    hits = np.empty((r, n_cols), dtype=np.intp)
+    hits[untied] = (m - below)[:, ::-1]
+    for i in np.flatnonzero(tied):
+        hits[i] = _hit_positions(s[i], cols)
+    return hits
+
+
+def _hit_positions(row: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Ascending 1-based positions of candidates ``cols`` in the stable descending order of ``row``.
 
-    ``ordered`` is ``np.sort(row)``; ``maybe_tied`` says whether it holds an
-    equal pair or a NaN.  Candidate j sits at #(s > s_j) + #(s == s_j and
-    index < j) + 1.  The second count is zero unless s_j is tied, so untied
-    candidates need only a search of the sorted row.  A tie involving
-    ``cols``, or a NaN (sorted last, where the search would count it as the
-    largest score), takes the row's stable argsort: one sort of the row,
-    however many values are tied.
+    One stable argsort of the row, however many scores are tied or NaN.
     """
-    v = np.sort(row[cols])  # sorted keys search faster and give the positions in order
-    right = np.searchsorted(ordered, v, side="right")
-    if maybe_tied and (np.isnan(ordered[-1]) or np.any(right - np.searchsorted(ordered, v, side="left") > 1)):
-        where = np.empty(len(row), dtype=np.intp)
-        where[np.argsort(-row, kind="stable")] = np.arange(1, len(row) + 1)
-        return np.sort(where[cols])
-    return len(row) + 1 - right[::-1]
+    where = np.empty(len(row), dtype=np.intp)
+    where[np.argsort(-row, kind="stable")] = np.arange(1, len(row) + 1)
+    return np.sort(where[cols])
 
 
 def zero_shot(

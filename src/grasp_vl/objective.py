@@ -522,16 +522,16 @@ def central_difference_max_error(fn, x0: np.ndarray, analytic: np.ndarray, step:
     if not 0 < step < math.inf:  # a NaN step fails too
         raise GraspError("CONFIG", f"finite-difference step must be finite and positive, got {step:g}")
     idx = range(x0.size) if coords is None else coords
-    worst = 0.0
+    errs = []
     for i in idx:
         xp = x0.copy()
         xp[i] += step
         xm = x0.copy()
         xm[i] -= step
         num = (fn(xp) - fn(xm)) / (2.0 * step)
-        err = abs(num - analytic[i]) / max(abs(num), abs(analytic[i]), 1e-8)
-        worst = max(worst, err)
-    return worst
+        errs.append(abs(num - analytic[i]) / max(abs(num), abs(analytic[i]), 1e-8))
+    # np.max keeps a NaN error, which Python's max() may drop
+    return float(np.max(errs, initial=0.0))
 
 
 def finite_difference_check(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -541,6 +542,22 @@ class TestGradcheck:
     def test_zero_tolerance_is_a_gate_verdict(self, capsys):
         assert main(["gradcheck", "--dim", "8", "--seed", "1", "--tolerance", "0"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_a_nan_error_fails(self, monkeypatch, tmp_path, capsys):
+        # Python's max() dropped a NaN error, so a NaN gradient passed with exit 0
+        from grasp_vl import cli
+
+        check = cli.finite_difference_check
+
+        def nan_for_the_full_objective(*args, terms=None, **kwargs):
+            return math.nan if terms is None else check(*args, terms=terms, **kwargs)
+
+        monkeypatch.setattr(cli, "finite_difference_check", nan_for_the_full_objective)
+        argv = ["gradcheck", "--dim", "8", "--seed", "1", "--out", str(tmp_path / "gc")]
+        assert main(argv) == 1
+        assert "gradcheck\tFAIL\tworst=nan" in capsys.readouterr().out
+        verdict = json.loads((tmp_path / "gc" / "gradcheck.json").read_text())
+        assert math.isnan(verdict["worst"]) and verdict["passed"] is False
 
     @pytest.mark.parametrize("tolerance,rc", [(None, 0), ("1e-12", 1)])
     def test_out_records_the_verdict(self, tmp_path, capsys, tolerance, rc):

@@ -494,11 +494,13 @@ def reference_recall_at_1(cache, transform, pool, k, query_ids):
     return float(100.0 * hits.mean())
 
 
-def reference_rank_stats(cache, transform, pool, k, query_ids, labels):
+def reference_rank_stats(cache, transform, pool, k, query_ids, labels, padded=False):
+    """Rank statistics from the dense scores, or with ``padded`` from the padded dense product."""
     cand_pos = {cid: j for j, cid in enumerate(pool.candidate_ids)}
     q_idx = cache.indices_of(query_ids)
     c_idx = cache.indices_of(pool.candidate_ids)
-    s = _dense_scores(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k)
+    scores = _padded_dense_scores if padded else _dense_scores
+    s = scores(transform, cache.images[q_idx], cache.views[pool.view_level][c_idx], k)
     cand_labels = np.array([labels[cid] for cid in pool.candidate_ids])
     top_n = min(10, len(pool.candidate_ids))
     purities, aps, ranks, hits, label_hits = [], [], [], [], []
@@ -1194,6 +1196,131 @@ class TestDistinctCandidateRows:
         pool = D.build_pool(cache, "full", "G0")
         rot = T.random_orthogonal(64, 1)
         assert traced_peak(M.recall_at_1, cache, rot, pool, 64, cache.ids[:300]) < 4 * 2**20
+
+
+def _planted_rank_corpus():
+    """A cache, labels and a pool whose label-"a" queries plant every kind of row in one group.
+
+    Under the identity map at k = 9: texts 10 and 11 tie for a query whose coordinates 6 and 7 are zero
+    (text 10 has the query's label), texts 20 and 21 tie for one whose coordinates 4 and 5 are zero (neither
+    has it), query 3's image is NaN, and query 4's image is orthogonal to every text. The other label-"a"
+    queries are untied. Query 30's label has no candidate (its text is left out of the pool), query 31's has
+    one, and each of those labels has one query.
+    """
+    rng = np.random.default_rng(11)
+    n, dim = 40, 9
+    texts = unit_rows(rng, n, dim)
+    texts[:, 8] = 0.0
+    s = 0.3
+    texts[10, 6:8], texts[11, 6:8] = (s, -s), (-s, s)
+    texts[11, :6] = texts[10, :6]
+    texts[20, 4:6], texts[21, 4:6] = (s, -s), (-s, s)
+    texts[21, :4], texts[21, 6:] = texts[20, :4], texts[20, 6:]
+    texts /= np.linalg.norm(texts, axis=1, keepdims=True)
+    images = 0.8 * texts + 0.2 * unit_rows(rng, n, dim)
+    images[1, 6:8] = 0.0
+    images[2, 4:6] = 0.0
+    images[3] = np.nan
+    images[4] = np.eye(dim)[8]
+    images[[0, 1, 2, 5, 6, 7, 8, 9]] /= np.linalg.norm(images[[0, 1, 2, 5, 6, 7, 8, 9]], axis=1, keepdims=True)
+    images[10:] /= np.linalg.norm(images[10:], axis=1, keepdims=True)
+    cache = tiny_cache(images, texts, ids=[f"c{i:03d}" for i in range(n)])
+    labels = {cid: "abc"[i % 3] for i, cid in enumerate(cache.ids)}
+    labels.update({cache.ids[i]: "a" for i in range(11)})
+    labels.update({cache.ids[11]: "b", cache.ids[20]: "b", cache.ids[21]: "b"})
+    labels.update({cache.ids[30]: "lonely", cache.ids[31]: "single"})
+    pool = D.CandidatePool(mode="custom", candidate_ids=cache.ids[:30] + cache.ids[31:], view_level="G3")
+    return cache, labels, pool
+
+
+class TestRankStrips:
+    """Rank statistics from one sort per score row, in strips of query rows grouped by label."""
+
+    @staticmethod
+    def _strip_rows(monkeypatch, cache, pool, k, query_ids, labels):
+        """The row count of each strip that ``rank_stats`` multiplies, and its statistics."""
+        seen = []
+        unique_top = M._unique_top
+
+        def spy(s):
+            seen.append(s.shape[0])
+            return unique_top(s)
+
+        monkeypatch.setattr(M, "_unique_top", spy)
+        return seen, M.rank_stats(cache, T.identity_transform(cache.dim), pool, k, query_ids, labels)
+
+    @staticmethod
+    def _force_strip_rows(monkeypatch, rows, pool, query_ids, labels):
+        """Strips of ``rows`` query rows: each strip's sort buffer is about 2 * BLOCK_BYTES."""
+        counts: dict[str, int] = {}
+        for cid in pool.candidate_ids:
+            counts[labels[cid]] = counts.get(labels[cid], 0) + 1
+        width = len(pool.candidate_ids) + max(counts.get(labels[q], 0) for q in query_ids)
+        monkeypatch.setattr(M, "BLOCK_BYTES", 8 * width * rows // 2)
+
+    def test_the_planted_rows_are_present(self):
+        cache, labels, pool = _planted_rank_corpus()
+        c_idx = cache.indices_of(pool.candidate_ids)
+        s = _dense_scores(T.identity_transform(9), cache.images[:10], cache.views["G3"][c_idx], 9)
+        col = {cid: j for j, cid in enumerate(pool.candidate_ids)}
+        c10, c11, c20, c21 = (col[cache.ids[i]] for i in (10, 11, 20, 21))
+        assert s[1, c10] == s[1, c11] and s[2, c20] == s[2, c21]
+        assert s[1, c20] != s[1, c21] and s[2, c10] != s[2, c11]
+        assert np.isnan(s[3]).all() and (s[4] == 0.0).all()
+        untied = [0, 5, 6, 7, 8, 9]
+        assert all(len(np.unique(s[i])) == s.shape[1] for i in untied)
+        assert labels[cache.ids[10]] == "a" and {labels[cache.ids[i]] for i in (11, 20, 21)} == {"b"}
+        assert cache.ids[30] not in pool.candidate_ids
+        assert [labels[c] for c in pool.candidate_ids].count("single") == 1
+
+    @pytest.mark.parametrize("rows", [None, 2, 10**9])
+    def test_planted_rows_equal_the_dense_reference(self, monkeypatch, rows):
+        cache, labels, pool = _planted_rank_corpus()
+        ident = T.identity_transform(9)
+        query_ids = list(cache.ids[:10]) + [cache.ids[i] for i in (12, 30, 31, 33, 17, 24)]
+        if rows:
+            self._force_strip_rows(monkeypatch, rows, pool, query_ids, labels)
+        strips, stats = self._strip_rows(monkeypatch, cache, pool, 9, query_ids, labels)
+        _assert_same_rank_stats(stats, reference_rank_stats(cache, ident, pool, 9, query_ids, labels))
+        if rows == 2:  # a label's one query shares a strip with a neighbouring label's rows
+            assert strips == [2] * 8
+        else:  # the planted rows and the untied ones share one strip
+            assert strips == [len(query_ids)]
+
+    def test_a_query_set_of_one_planted_row(self):
+        cache, labels, pool = _planted_rank_corpus()
+        ident = T.identity_transform(9)
+        for i in (1, 2, 3, 4, 30, 31):
+            ids = [cache.ids[i]] + ([] if i != 30 else [cache.ids[0]])  # 30's positive is not in the pool
+            _assert_same_rank_stats(
+                M.rank_stats(cache, ident, pool, 9, ids, labels), reference_rank_stats(cache, ident, pool, 9, ids, labels)
+            )
+
+    def test_a_nan_score_of_another_label_sorts_last(self):
+        # each row's one NaN score is another label's, so its count of equal neighbours is an untied row's: only
+        # the NaN check sends it to the stable argsort, which ranks the NaN last
+        cache, labels, pool = _planted_rank_corpus()
+        cache.views = {g: v.copy() for g, v in cache.views.items()}
+        cache.views["G3"][25] = np.nan
+        assert labels[cache.ids[25]] == "b"
+        ident = T.identity_transform(9)
+        query_ids = [cache.ids[i] for i in (0, 5, 6, 7, 8, 9)]
+        stats = M.rank_stats(cache, ident, pool, 9, query_ids, labels)
+        _assert_same_rank_stats(stats, reference_rank_stats(cache, ident, pool, 9, query_ids, labels))
+        assert 0.0 < stats.category_map < 100.0
+
+    @pytest.mark.parametrize("n", [2013, 20147])
+    def test_pools_off_a_multiple_of_8_equal_the_padded_dense_reference(self, monkeypatch, n):
+        cache, labels, query_ids, rot = _several_block_pool(n, n_queries=90)
+        pool = D.build_pool(cache, "full", "G3")
+        want = {k: reference_rank_stats(cache, rot, pool, k, query_ids, labels, padded=True) for k in (8, 64)}
+        for rows in (None, 2, 10**9):
+            with monkeypatch.context() as m:
+                if rows:
+                    self._force_strip_rows(m, rows, pool, query_ids, labels)
+                for k in (8, 64):
+                    _assert_same_rank_stats(M.rank_stats(cache, rot, pool, k, query_ids, labels), want[k])
+        assert 0.0 < want[8].r_at_1 < 100.0
 
 
 class TestFullPrefixInvariance:

@@ -737,6 +737,13 @@ class TestFiniteDifferences:
         )
         assert err <= 1e-4
 
+    def test_a_nan_error_is_the_worst(self):
+        # Python's max() dropped it and returned 0.0
+        nan_grad = np.array([np.nan, np.nan])
+        assert math.isnan(O.central_difference_max_error(lambda x: 0.0, np.zeros(2), nan_grad, step=1e-5))
+        one_nan = np.array([0.0, np.nan, 0.0])
+        assert math.isnan(O.central_difference_max_error(lambda x: 0.0, np.zeros(3), one_nan, step=1e-5))
+
     def test_nonpositive_step_rejected(self):
         with pytest.raises(GraspError):
             O.central_difference_max_error(lambda x: 0.0, np.zeros(2), np.zeros(2), step=0.0)
