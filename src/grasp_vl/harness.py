@@ -14,15 +14,13 @@ from .errors import GraspError
 from .metrics import (
     DiagnosticReport,
     HARD_AVG_TYPES,
-    assigned_cells,
+    assigned_scores,
     diagnostic_report,
     drift_rows,
     full_drift,
     leakage,
     recall_at_1,
-    sel_table,
     selectivity,
-    staircase,
 )
 from .objective import LossConfig
 from .trainer import TrainConfig, train
@@ -294,19 +292,13 @@ def run_pool_sensitivity(
     contract: InterfaceContract,
     pool_modes: tuple[str, ...] = ("full", "test_only"),
 ) -> list[PoolRow]:
-    """Retrieval under different candidate pools.
-
-    Hard-negative selectivity is computed once on the held-out queries and
-    shared by every row: it does not involve the candidate pool.
-    """
+    """Retrieval under different candidate pools; HardAvg does not involve the pool, so every row has the same."""
     test_ids = cache.split_ids("test")
-    st = sel_table(cache, transform, contract, test_ids)
     drift = full_drift(drift_rows(cache), transform)
     out = []
     for mode in pool_modes:
         pools = {g: build_pool(cache, mode, g) for g in VIEW_LEVELS}
-        cells = assigned_cells(cache, transform, contract, pools, test_ids)
-        ret_avg, hard, stair = staircase(cells, st, contract)
+        cells, (ret_avg, hard, stair) = assigned_scores(cache, transform, contract, pools, test_ids)
         out.append(
             PoolRow(
                 pool_mode=mode,

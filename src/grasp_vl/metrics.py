@@ -43,21 +43,18 @@ _COL_ALIGN = 16
 _MIN_BLOCK_ROWS = 32
 
 
-def _score_tiles(transform, query_rows, cand_matrix, cand_idx, k: int, full_width: bool = False):
+def _score_tiles(transform, query_rows, cand_matrix, cand_idx, k: int):
     """The tiles of the query x candidate scores, as ``_tiles`` yields them.
 
     The candidates are the rows ``cand_matrix[cand_idx]``, gathered one row
     block at a time.  A tile has at most ``_TILE_ROWS`` x ``_TILE_COLS``
-    cells, or, with ``full_width``, every candidate and as many query rows as
-    fit in ``BLOCK_BYTES``.  Each row is transformed once.  The candidate side
-    is transformed and normalized one row block at a time, straight into the
-    contiguous (k, candidates) buffer that the tiles read; its zero padding
-    columns are computed but never yielded.
+    cells.  Each row is transformed once.  The candidate side is transformed
+    and normalized one row block at a time, straight into the contiguous
+    (k, candidates) buffer that the tiles read; its zero padding columns are
+    computed but never yielded.
     """
     zq = prefix_normalize(transform.apply(_rows64(query_rows)), k)
     zct = _candidate_side(transform, cand_matrix, cand_idx, k)
-    if full_width:
-        return _tiles(zq, zct, len(cand_idx), BLOCK_BYTES // (8 * zct.shape[1]), zct.shape[1])
     return _tiles(zq, zct, len(cand_idx), _TILE_ROWS, _TILE_COLS)
 
 
@@ -314,15 +311,19 @@ def stair_score(ret_avg: float, hard_avg: float) -> float:
     return 0.5 * (ret_avg + hard_avg)
 
 
-def assigned_cells(
+def assigned_scores(
     cache: EmbeddingCache, transform, contract: InterfaceContract, pools: dict[str, CandidatePool], query_ids
-) -> dict[int, float]:
-    """R@1 at every prefix but the full one, each against the pool of its assigned view level."""
-    return {
+) -> tuple[dict[int, float], tuple[float, float, float]]:
+    """R@1 at every prefix but the full one, each against the pool of its assigned view level, and (RetAvg,
+    HardAvg, Stair), with HardAvg from only the four selectivity cells that ``hard_average`` reads, in its order."""
+    ret_cells = {
         k: recall_at_1(cache, transform, pools[contract.view_of[k]], k, query_ids)
         for k in contract.prefixes
         if k != contract.dim
     }
+    ret_avg = retrieval_average(ret_cells, contract)
+    hard_avg = float(np.mean([selectivity(cache, transform, contract.kappa[r], r, query_ids) for r in HARD_AVG_TYPES]))
+    return ret_cells, (ret_avg, hard_avg, stair_score(ret_avg, hard_avg))
 
 
 def staircase(ret_cells: dict[int, float], sel: SelTable, contract: InterfaceContract):

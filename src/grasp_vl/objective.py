@@ -145,11 +145,11 @@ _NORM_FLOOR = 1e-12
 _SUM_FLOOR = 1e-280
 
 
-def _unit_prefix(rows: np.ndarray, k: int):
+def _unit_prefix(rows: np.ndarray, k: int, out: np.ndarray | None = None):
     sl = rows[:, :k]
     norms = np.sqrt(np.einsum("ij,ij->i", sl, sl))[:, None]
     np.maximum(norms, _NORM_FLOOR, out=norms)
-    return sl / norms, norms
+    return np.divide(sl, norms, out=out), norms
 
 
 def _unit_prefix_backprop(d_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray, d_rows: np.ndarray, k: int):
@@ -312,10 +312,7 @@ class _RowSets:
     def unit(self, name: str, k: int):
         """``(unit, norms)`` of the k-prefixes of row set ``name``."""
         if (name, k) not in self._unit:
-            unit, norms = _unit_prefix(self.z(name), k)
-            kept = self._rows("unit", name, k)
-            kept[...] = unit  # the fresh array is freed at once, and the next prefix reuses its block
-            self._unit[name, k] = (kept, norms)
+            self._unit[name, k] = _unit_prefix(self.z(name), k, out=self._rows("unit", name, k))
         return self._unit[name, k]
 
     def paired_cosine(self, other: str, k: int) -> np.ndarray:
@@ -357,19 +354,26 @@ class _RowSets:
                 self._state.vjp(self._ctx[name], dz)
 
 
-def _preservation_into(sets: _RowSets, weight: float, square: np.ndarray) -> float:
-    """The preservation term over the image rows stacked on the G3 rows; its weighted gradient goes into both
-    row sets' accumulators.  ``square`` is a free 2n x 2n buffer; the term allocates one more."""
+def _preservation_into(sets: _RowSets, weight: float) -> float:
+    """The preservation term ``||UZ UZ^T - UE UE^T||^2 / m^2`` over the m = 2n unit rows of the images stacked on
+    the G3 rows, after (UZ) and before (UE) the map; its weighted gradient goes into both row sets' accumulators.
+
+    With ``[UZ UE] = Q [RZ RE]`` the QR factorization of the m x 2D matrix of both, the value is ``||RZ RZ^T -
+    RE RE^T||^2 / m^2`` and the gradient with respect to UZ is ``4 (UZ (RZ^T RZ) - UE (RE^T RZ)) / m^2``.  The
+    Gram identity ``||UZ^T UZ||^2 - 2 ||UE^T UZ||^2 + ||UE^T UE||^2`` squares before it subtracts: a value near
+    1e-7 loses too many bits to it for the finite-difference check.
+    """
     images, texts = sets.raw("image"), sets.raw("view:G3")
     n, d = images.shape
     ue, _ = _unit_prefix(np.concatenate([images, texts], axis=0), d)
     uz, nz = _unit_prefix(np.concatenate([sets.z("image"), sets.z("view:G3")], axis=0), d)
     m = 2 * n
-    delta = uz @ uz.T
-    delta -= np.matmul(ue, ue.T, out=square)
-    value = float(np.multiply(delta, delta, out=square).mean())
-    delta *= 4.0 / (m * m)
-    d_uz = weight * (delta @ uz)
+    r = np.linalg.qr(np.concatenate([uz, ue], axis=1), mode="r")
+    rz, re = r[:, :d], r[:, d:]
+    delta = rz @ rz.T - re @ re.T
+    value = float((delta * delta).sum() / (m * m))
+    d_uz = uz @ (rz.T @ rz) - ue @ (re.T @ rz)
+    d_uz *= 4.0 * weight / (m * m)
     for name, rows in (("image", slice(0, n)), ("view:G3", slice(n, m))):
         _unit_prefix_backprop(d_uz[rows], uz[rows], nz[rows], sets.dz(name), d)
     return value
@@ -411,9 +415,7 @@ def total_loss_and_gradient(
     values = {t: 0.0 for t in TERM_NAMES}
 
     if "pres" in active and config.lambda_pres > 0.0 and not state.orthogonal:
-        # first, while no prefix or unit-gradient sum is in use: the term's two 2n x 2n matrices are the largest
-        # arrays of the step, and one of them lives in the buffer that the InfoNCE terms share later
-        values["pres"] = _preservation_into(sets, config.lambda_pres, ws.array("square", (2 * n, 2 * n)))
+        values["pres"] = _preservation_into(sets, config.lambda_pres)
 
     def infonce_into(k: int, level: str, weight: float) -> float:
         view = f"view:{level}"

@@ -12,7 +12,7 @@ import numpy as np
 
 from .datastore import EmbeddingCache, build_pool
 from .errors import GraspError
-from .metrics import assigned_cells, full_drift, sel_table, staircase
+from .metrics import assigned_scores, full_drift
 from .objective import Batch, LossConfig, StepWorkspace, TERM_NAMES, default_retention_weights
 from .objective import flatten_grads, flatten_state, total_loss_and_gradient, unflatten_state
 from .transforms import (
@@ -160,11 +160,10 @@ def validation_scores(cache: EmbeddingCache, transform, contract: InterfaceContr
         raise GraspError("MISSING_SPLIT", "cache has no validation split")
     pool_ids = tuple(sorted(val_ids))
     pools = {g: build_pool(cache, "custom", g, custom_ids=pool_ids) for g in VIEW_LEVELS}
-    ret_cells = assigned_cells(cache, transform, contract, pools, val_ids)
-    sel = sel_table(cache, transform, contract, val_ids)
+    _, scores = assigned_scores(cache, transform, contract, pools, val_ids)
     idx = cache.indices_of(val_ids)
     rows = np.concatenate([cache.images[idx], cache.views["G3"][idx]], axis=0).astype(np.float64)[:512]
-    return (*staircase(ret_cells, sel, contract), full_drift(rows, transform, renormalize=True))
+    return (*scores, full_drift(rows, transform, renormalize=True))
 
 
 @dataclass(eq=False)

@@ -190,6 +190,26 @@ class TestStairFormulas:
         ret = {k: 0.0 for k in contract.prefixes if k != 512}
         assert M.staircase(ret, sel, contract) == (0.0, 0.0, 0.0)
 
+    def test_assigned_scores_read_four_sel_cells_and_equal_the_whole_table_staircase(self, small_synth, monkeypatch):
+        cache, contract = small_synth.cache, small_synth.contract
+        ids = cache.split_ids("val")
+        pools = {g: D.build_pool(cache, "full", g) for g in T.VIEW_LEVELS}
+        selectivity, calls = M.selectivity, []
+
+        def counting_selectivity(cache, transform, k, neg_type, query_ids):
+            calls.append((k, neg_type))
+            return selectivity(cache, transform, k, neg_type, query_ids)
+
+        for transform in (small_synth.oracle, T.random_orthogonal(contract.dim, 3)):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(M, "selectivity", counting_selectivity)
+                cells, scores = M.assigned_scores(cache, transform, contract, pools, ids)
+            assert calls == [(contract.kappa[r], r) for r in M.HARD_AVG_TYPES]
+            want = {k: M.recall_at_1(cache, transform, pools[contract.view_of[k]], k, ids) for k in cells}
+            assert cells == want and sorted(cells) == [k for k in contract.prefixes if k != contract.dim]
+            assert scores == M.staircase(cells, M.sel_table(cache, transform, contract, ids), contract)
+
     def test_missing_cell(self):
         contract = T.InterfaceContract.default_ladder(512)
         with pytest.raises(GraspError) as e:
@@ -668,6 +688,14 @@ def _force_tiles(monkeypatch, rows, cols):
     monkeypatch.setattr(M, "_TILE_COLS", cols)
 
 
+def _strips(transform, query_rows, cand_rows, k):
+    """Full-width strips of the query x candidate scores through ``_tiles``: every candidate and as many query
+    rows as fit in ``BLOCK_BYTES``."""
+    zq = T.prefix_normalize(transform.apply(np.asarray(query_rows, dtype=np.float64)), k)
+    zct = M._candidate_side(transform, cand_rows, np.arange(len(cand_rows)), k)
+    return M._tiles(zq, zct, len(cand_rows), M.BLOCK_BYTES // (8 * zct.shape[1]), zct.shape[1])
+
+
 def _copies(tiles):
     """The generator overwrites one buffer, so each tile is copied to be kept."""
     return [(r0, c0, s.copy()) for r0, c0, s in tiles]
@@ -720,7 +748,7 @@ class TestStreamingMatchesDenseReference:
         c = cache.views["G2"]
         if rows:
             _force_block_rows(monkeypatch, rows, len(c))
-        blocks = _copies(M._score_tiles(small_synth.oracle, q, c, np.arange(len(c)), 8, full_width=True))
+        blocks = _copies(_strips(small_synth.oracle, q, c, 8))
         assert [len(s) for _, _, s in blocks] == sizes
         assert [start for start, _, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
         assert all(c0 == 0 and s.shape[1] == len(c) for _, c0, s in blocks)
@@ -752,8 +780,11 @@ class TestStreamingMatchesDenseReference:
         _force_tiles(monkeypatch, 2, 16)
         _force_block_rows(monkeypatch, 2, 1)
         for qr, cr in ((q[:1], c), (q, c[:1]), (q[:1], c[:1])):
-            for full_width in (False, True):
-                tiles = _copies(M._score_tiles(small_synth.oracle, qr, cr, np.arange(len(cr)), 8, full_width=full_width))
+            for scores in (
+                M._score_tiles(small_synth.oracle, qr, cr, np.arange(len(cr)), 8),
+                _strips(small_synth.oracle, qr, cr, 8),
+            ):
+                tiles = _copies(scores)
                 assert [(r0, c0, s.shape) for r0, c0, s in tiles] == [(0, 0, (len(qr), len(cr)))]
                 assert np.array_equal(tiles[0][2], _dense_scores(small_synth.oracle, qr, cr, 8))
 
@@ -947,8 +978,8 @@ class TestRowBlocks:
         cache, _, query_ids, rot = pool_case
         q, c = cache.images[cache.indices_of(query_ids)], cache.views["G3"]
         dense = _dense_scores(rot, q, c, k)
-        for full_width in (False, True):
-            tiles = _copies(M._score_tiles(rot, q, c, np.arange(len(c)), k, full_width=full_width))
+        for scores in (M._score_tiles(rot, q, c, np.arange(len(c)), k), _strips(rot, q, c, k)):
+            tiles = _copies(scores)
             assert len(tiles) > 1
             assert np.array_equal(_assemble(tiles, dense.shape), dense)
 
@@ -1075,8 +1106,8 @@ class TestDistinctCandidateRows:
         q, c = cache.images[cache.indices_of(query_ids)], cache.views["G3"]
         for k in (8, 64):
             dense = _padded_dense_scores(rot, q, c, k)
-            for full_width in (False, True):
-                tiles = _copies(M._score_tiles(rot, q, c, np.arange(n), k, full_width=full_width))
+            for scores in (M._score_tiles(rot, q, c, np.arange(n), k), _strips(rot, q, c, k)):
+                tiles = _copies(scores)
                 assert np.array_equal(_assemble(tiles, dense.shape), dense)
 
     @pytest.mark.parametrize("n", [2013, 20147])

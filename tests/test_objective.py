@@ -247,6 +247,22 @@ class TestInvarianceLoss:
             assert ranked | inv == set(tiny_contract.prefixes)
 
 
+def reference_preservation(images, texts, z_images, z_texts):
+    """The preservation term from the two 2n x 2n cosine matrices, ``mean((UZ UZ^T - UE UE^T)^2)`` over the image
+    rows stacked on the text rows, and its gradient with respect to the stacked map outputs."""
+
+    def unit(rows):
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+    z = np.concatenate([z_images, z_texts])
+    ue, uz = unit(np.concatenate([images, texts])), unit(z)
+    m = len(z)
+    delta = uz @ uz.T - ue @ ue.T
+    d_uz = 4.0 / (m * m) * (delta @ uz)
+    d_z = (d_uz - np.einsum("ij,ij->i", d_uz, uz)[:, None] * uz) / np.linalg.norm(z, axis=1, keepdims=True)
+    return float((delta * delta).mean()), d_z
+
+
 class TestPreservation:
     # preservation applies only to maps whose step state is not orthogonal, so the
     # linear cases run through low_rank and set W = R + gate * u v^T by hand
@@ -282,6 +298,24 @@ class TestPreservation:
         assert preservation_value(model, params, e, texts) > 0.0
 
 
+class TestPreservationAgainstCosineMatrices:
+    @pytest.mark.parametrize("variant", ["permutation", "signed_permutation", "low_rank", "mlp"])
+    @pytest.mark.parametrize("n", [7, 64, 256])
+    def test_value_and_row_gradients_equal_the_cosine_matrix_form(self, variant, n):
+        dim, weight = 64, 10.0
+        batch = make_batch(np.random.default_rng(n), n, dim)
+        model = T.make_model(T.TransformSpec(variant, dim, rank=4))
+        state = model.begin_step(model.init_params(np.random.default_rng(1)))
+        sets = O._RowSets(state, batch, O.StepWorkspace())
+        value = O._preservation_into(sets, weight)
+        want, d_z = reference_preservation(batch.images, batch.views["G3"], sets.z("image"), sets.z("view:G3"))
+        # 1e-16 absolute for the low-rank and MLP values (below 0.03); the relaxed permutations read about 0.9 here,
+        # where the two forms differ by a few ulp (at most 1.6e-15)
+        assert math.isclose(value, want, rel_tol=1e-14, abs_tol=1e-16)
+        got = np.concatenate([sets.dz("image"), sets.dz("view:G3")])
+        assert np.abs(got - weight * d_z).max() <= 1e-10 * np.abs(weight * d_z).max()
+
+
 class TestTotalLossAndGradient:
     def test_all_weights_zero_gives_zero(self, tiny_contract, tiny_batch):
         config = O.LossConfig.default(
@@ -301,6 +335,17 @@ class TestTotalLossAndGradient:
         assert total == 0.0
         assert np.all(grads.params["b"] == 0.0)
         assert np.all(grads.log_temps == 0.0)
+
+    @pytest.mark.parametrize("term", O.TERM_NAMES)
+    def test_a_term_whose_weight_is_zero_reads_zero(self, term, tiny_contract, tiny_batch):
+        # low_rank's step state is not orthogonal, so the preservation and orthogonality terms run as well
+        weight_field = {"align": "align_weight", **{t: f"lambda_{t}" for t in O.TERM_NAMES if t != "align"}}[term]
+        model = T.make_model(T.TransformSpec("low_rank", 8, rank=4))
+        params = model.init_params(np.random.default_rng(0))
+        for weight, reads_zero in ((1.0, False), (0.0, True)):
+            config = O.LossConfig.default(tiny_contract, **{weight_field: weight})
+            _, _, values = O.total_loss_and_gradient(model, params, np.zeros(4), tiny_batch, config, tiny_contract)
+            assert (values[term] == 0.0) == reads_zero
 
     def test_gradient_container_mirrors_parameters(self, tiny_contract, tiny_batch, tiny_loss_config):
         model = T.make_model(T.TransformSpec("mlp", 8))
@@ -528,9 +573,9 @@ class TestStepCaches:
         normalized, paired = [], []
         unit_prefix, paired_cosine = O._unit_prefix, O._paired_cosine
 
-        def counting_unit_prefix(rows, k):
+        def counting_unit_prefix(rows, k, out=None):
             normalized.append((id(rows), k))
-            return unit_prefix(rows, k)
+            return unit_prefix(rows, k, out=out)
 
         def counting_paired_cosine(pi, pt):
             paired.append((id(pi[0]), id(pt[0])))
@@ -747,3 +792,40 @@ class TestFiniteDifferences:
     def test_nonpositive_step_rejected(self):
         with pytest.raises(GraspError):
             O.central_difference_max_error(lambda x: 0.0, np.zeros(2), np.zeros(2), step=0.0)
+
+    def test_infinite_step_rejected(self):
+        with pytest.raises(GraspError) as e:
+            O.central_difference_max_error(lambda x: 0.0, np.zeros(2), np.zeros(2), step=math.inf)
+        assert e.value.code == "CONFIG"
+
+    @staticmethod
+    def checked_coords(monkeypatch, dim: int, max_coords=None):
+        """(coordinate count, the ``coords`` that ``finite_difference_check`` hands the oracle) of a dense step."""
+        seen = []
+
+        def spy(fn, x0, analytic, step, coords):
+            seen.append((x0.size, coords))
+            return 0.0
+
+        monkeypatch.setattr(O, "central_difference_max_error", spy)
+        contract = T.InterfaceContract(prefixes=(dim,), view_of={dim: "G3"}, kappa={r: dim for r in T.NEGATIVE_TYPES})
+        model = T.make_model(T.TransformSpec("dense_cayley", dim))
+        params = model.init_params(np.random.default_rng(0))
+        batch = make_batch(np.random.default_rng(1), 3, dim)
+        O.finite_difference_check(
+            model, params, np.zeros(1), batch, O.LossConfig.default(contract), contract, max_coords=max_coords
+        )
+        return seen[0]
+
+    def test_every_coordinate_is_checked_at_dim_16(self, monkeypatch):
+        size, coords = self.checked_coords(monkeypatch, 16)
+        assert size > 64 and coords is None
+        _, coords = self.checked_coords(monkeypatch, 32)
+        assert len(coords) == 64
+
+    def test_a_cap_equal_to_the_coordinate_count_takes_no_subset(self, monkeypatch):
+        size, _ = self.checked_coords(monkeypatch, 4)
+        _, coords = self.checked_coords(monkeypatch, 4, max_coords=size)
+        assert coords is None
+        _, coords = self.checked_coords(monkeypatch, 4, max_coords=size - 1)
+        assert len(coords) == size - 1

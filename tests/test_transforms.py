@@ -242,6 +242,16 @@ class TestPca:
         x = np.random.default_rng(3).standard_normal((100, 5))
         assert T.fit_pca(x).orthogonality_error() <= 1e-10
 
+    def test_each_component_has_a_positive_largest_coordinate(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((200, 12)) @ rng.standard_normal((12, 12))
+        m = T.fit_pca(x).matrix
+        assert (m[np.arange(12), np.abs(m).argmax(axis=1)] > 0.0).all()
+        # the eigensolver's own signs leave some of those coordinates negative: the sign rule is what flips them
+        centered = x - x.mean(axis=0)
+        raw = np.linalg.eigh(centered.T @ centered / (len(x) - 1))[1].T
+        assert (raw[np.arange(12), np.abs(raw).argmax(axis=1)] < 0.0).any()
+
 
 class TestRandomOrthogonal:
     def test_orthogonality(self):
