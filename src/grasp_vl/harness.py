@@ -14,13 +14,16 @@ from .errors import GraspError
 from .metrics import (
     DiagnosticReport,
     HARD_AVG_TYPES,
-    assigned_scores,
+    assigned_hard_average,
+    assigned_recalls,
     diagnostic_report,
     drift_rows,
     full_drift,
     leakage,
     recall_at_1,
+    retrieval_average,
     selectivity,
+    stair_score,
 )
 from .objective import LossConfig
 from .trainer import TrainConfig, train
@@ -147,9 +150,7 @@ def run_method_comparison(cache: EmbeddingCache, grid: GridConfig) -> MethodComp
             test_ids = cache.split_ids("test")
             pool = build_pool(cache, grid.pool_mode, "G3")
             cap = recall_at_1(cache, transform, pool, dim, test_ids)
-            hard = float(
-                np.mean([selectivity(cache, transform, dim, r, test_ids) for r in HARD_AVG_TYPES])
-            )
+            hard = float(np.mean([selectivity(cache, transform, dim, r, test_ids) for r in HARD_AVG_TYPES]))
             rows.append(
                 MethodRow(method=method, stair=None, emergence_mean=None, cap_r1=cap, hard_avg=hard, drift=0.0, params=0)
             )
@@ -295,10 +296,12 @@ def run_pool_sensitivity(
     """Retrieval under different candidate pools; HardAvg does not involve the pool, so every row has the same."""
     test_ids = cache.split_ids("test")
     drift = full_drift(drift_rows(cache), transform)
+    hard = assigned_hard_average(cache, transform, contract, test_ids)
     out = []
     for mode in pool_modes:
         pools = {g: build_pool(cache, mode, g) for g in VIEW_LEVELS}
-        cells, (ret_avg, hard, stair) = assigned_scores(cache, transform, contract, pools, test_ids)
+        cells = assigned_recalls(cache, transform, contract, pools, test_ids)
+        ret_avg = retrieval_average(cells, contract)
         out.append(
             PoolRow(
                 pool_mode=mode,
@@ -306,7 +309,7 @@ def run_pool_sensitivity(
                 ret_cells=cells,
                 ret_avg=ret_avg,
                 hard_avg=hard,
-                stair=stair,
+                stair=stair_score(ret_avg, hard),
                 drift=drift,
             )
         )
@@ -382,14 +385,15 @@ def write_method_csv(rows: list[MethodRow], path: str | Path) -> None:
 def write_staircase_decomposition_csv(
     named_reports: list[tuple[str, DiagnosticReport]], contract: InterfaceContract, path: str | Path
 ) -> None:
-    """Columns mirror the staircase decomposition: per-view R@1, per-type
-    boundary selectivity, then the two averages and their mean."""
-    views = list(zip(contract.prefixes, VIEW_LEVELS))
+    """Columns mirror the staircase decomposition: per-view R@1 at the largest prefix below the full one that
+    the contract assigns to the view (empty if none), per-type boundary selectivity, then the two averages and
+    their mean."""
+    assigned = {contract.view_of[k]: k for k in contract.prefixes if k != contract.dim}
     header = ["method", "obj_r1", "attr_r1", "rel_r1", "cap_r1", "ret_avg"]
     header += ["obj_neg", "attr_neg", "rel_neg", "full_neg", "hard_avg", "staircase"]
     rows = []
     for name, rep in named_reports:
-        ret = [rep.retrieval[kv] for kv in views]
+        ret = [rep.retrieval[assigned[g], g] if g in assigned else None for g in VIEW_LEVELS]
         sel = [rep.sel.cell(contract.kappa[t], t) for t in HARD_AVG_TYPES]
         rows.append([name, *ret, rep.ret_avg, *sel, rep.hard_avg, rep.stair])
     _write_csv(path, header, rows)

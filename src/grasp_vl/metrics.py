@@ -22,21 +22,18 @@ from .transforms import (
 )
 
 
-def _rows64(rows: np.ndarray) -> np.ndarray:
-    return np.asarray(rows, dtype=np.float64)
-
-
 # Top-1 scores 128 query rows against 1024 candidates at a time: a BLOCK_BYTES
 # (1 MiB) float64 tile, which stays in a core's L2 cache between the product and
-# the max pass.  The candidate side is zero-padded to a multiple of 16 columns,
-# the column unroll of OpenBLAS's AVX-512 DGEMM kernel, and column tiles start on
-# multiples of 16, so every score is summed exactly as in one padded full-width
-# product, wherever its column sits (README, "Score tiles and BLAS rounding").
-# Candidate rows are transformed in blocks of at least 32 rows, zero rows padding
-# a shorter one: a product of a few rows goes to BLAS's small-matrix kernel,
-# which rounds differently.  Rank statistics sort whole rows, so they read
-# full-width strips, each with a sort buffer of about 2 * BLOCK_BYTES: 11 query
-# rows against 20000 candidates of which 2500 share the query's label.
+# the max pass.  Both sides of every score are built by ``_side``: rows are
+# transformed in blocks of at least 32 rows (a product of a few rows goes to
+# BLAS's small-matrix kernel, which rounds differently), and zero-padded to a
+# multiple of 16 columns, the column unroll of OpenBLAS's AVX-512 DGEMM kernel.
+# Column tiles start on multiples of 16, so every score is summed exactly as in
+# one padded full-width product, whatever the blocking and the size of its query
+# set or pool (README, "Score tiles and BLAS rounding").  Rank statistics sort
+# whole rows, so they read full-width strips, each with a sort buffer of about
+# 2 * BLOCK_BYTES: 11 query rows against 20000 candidates of which 2500 share the
+# query's label.
 _TILE_ROWS = 128
 _TILE_COLS = BLOCK_BYTES // (8 * _TILE_ROWS)
 _COL_ALIGN = 16
@@ -48,62 +45,54 @@ def _score_tiles(transform, query_rows, cand_matrix, cand_idx, k: int):
 
     The candidates are the rows ``cand_matrix[cand_idx]``, gathered one row
     block at a time.  A tile has at most ``_TILE_ROWS`` x ``_TILE_COLS``
-    cells.  Each row is transformed once.  The candidate side is transformed
-    and normalized one row block at a time, straight into the contiguous
-    (k, candidates) buffer that the tiles read; its zero padding columns are
-    computed but never yielded.
+    cells.  Each row is transformed once, by ``_side``.
     """
-    zq = prefix_normalize(transform.apply(_rows64(query_rows)), k)
-    zct = _candidate_side(transform, cand_matrix, cand_idx, k)
-    return _tiles(zq, zct, len(cand_idx), _TILE_ROWS, _TILE_COLS)
+    zqt = _side(transform, query_rows, np.arange(len(query_rows)), k)
+    zct = _side(transform, cand_matrix, cand_idx, k)
+    return _tiles(zqt, zct, len(query_rows), len(cand_idx), _TILE_ROWS, _TILE_COLS)
 
 
-def _tiles(zq: np.ndarray, zct: np.ndarray, m: int, tile_rows: int, tile_cols: int):
-    """Yield ``(row_start, col_start, scores)`` for tiles of ``zq`` against the first ``m`` columns of ``zct``.
+def _tiles(zqt: np.ndarray, zct: np.ndarray, n: int, m: int, tile_rows: int, tile_cols: int):
+    """Yield ``(row_start, col_start, scores)`` for tiles of the first ``n`` columns of ``zqt`` by ``m`` of ``zct``.
 
     Tiles cover the candidates of one span of at most ``tile_rows`` query
     rows, then move to the next span.  Each tile is written into one buffer
     that the next tile overwrites: copy a tile to keep it.
 
-    No tile has one row or one column unless the query set or the pool does:
-    numpy hands such a product to BLAS's matrix-vector kernel, which rounds
-    differently.  A one-row query set or a one-candidate pool is one tile, and
-    a one-row query set keeps the operand layout it has always had.
+    No product has one row or one column: numpy hands such a product to BLAS's
+    matrix-vector kernel, which rounds differently.  The spans cover
+    ``max(n, 2)`` query rows and each product runs to the next multiple of 16
+    columns, into the sides' zero padding; the yielded tiles stop at the
+    query set's and the pool's ends.
     """
-    n = zq.shape[0]
-    if n == 1 or m == 1:
-        # a one-row query set multiplies the candidates in the row-major (m, k) layout it always has
-        zc = zct[:, :m]
-        yield 0, 0, zq @ (np.ascontiguousarray(zc.T).T if n == 1 else np.ascontiguousarray(zc))
-        return
-    rows, cols = row_spans(n, tile_rows), row_spans(m, tile_cols)
-    # each product runs to the next multiple of 16 columns, into the padding; the yielded tile stops at the pool's end
+    rows, cols = row_spans(max(n, 2), tile_rows), row_spans(m, tile_cols)
     width = [min(_aligned(c1 - c0), zct.shape[1] - c0) for c0, c1 in cols]
     buf = np.empty(max(b - a for a, b in rows) * max(width))
     for r0, r1 in rows:
         for (c0, c1), w in zip(cols, width):
             s = buf[: (r1 - r0) * w].reshape(r1 - r0, w)
-            np.matmul(zq[r0:r1], zct[:, c0 : c0 + w], out=s)
-            yield r0, c0, s[:, : c1 - c0]
+            np.matmul(zqt[:, r0:r1].T, zct[:, c0 : c0 + w], out=s)
+            yield r0, c0, s[: n - r0, : c1 - c0]
 
 
-def _candidate_side(transform, cand_matrix, cand_idx, k: int) -> np.ndarray:
-    """The transformed, k-prefix-normalized rows ``cand_matrix[cand_idx]`` as the columns of a (k, padded) array.
+def _side(transform, matrix, idx, k: int) -> np.ndarray:
+    """The transformed, k-prefix-normalized rows ``matrix[idx]`` as the columns of a (k, padded) array.
 
-    The transposed side is cheaper for BLAS to pack, and its column slices
-    need no copy.  Its columns past the candidates are zero.
+    The rows are gathered and transformed one row block of at least
+    ``_MIN_BLOCK_ROWS`` rows at a time, zero rows padding a shorter block.  The
+    transposed side is cheaper for BLAS to pack, and its column slices need no
+    copy.  Its columns past the rows are zero.
     """
-    m, d = len(cand_idx), cand_matrix.shape[1]
+    m, d = len(idx), matrix.shape[1]
     # np.empty and explicit zero fills: calloc'd buffers (np.zeros) raised compare_family's peak RSS by up to 1 MiB
-    zct = np.empty((k, _aligned(m)))
-    zct[:, m:] = 0.0
-    min_rows = _MIN_BLOCK_ROWS if m > 1 else 1  # a one-candidate pool is transformed as its one row
+    side = np.empty((k, _aligned(m)))
+    side[:, m:] = 0.0
     for c0, c1 in block_spans(m, 8 * d):
-        block = np.empty((max(c1 - c0, min_rows), d))
+        block = np.empty((max(c1 - c0, _MIN_BLOCK_ROWS), d))
         block[c1 - c0 :] = 0.0
-        block[: c1 - c0] = cand_matrix[cand_idx[c0:c1]]
-        zct[:, c0:c1] = prefix_normalize(transform.apply(block)[: c1 - c0], k).T
-    return zct
+        block[: c1 - c0] = matrix[idx[c0:c1]]
+        side[:, c0:c1] = prefix_normalize(transform.apply(block)[: c1 - c0], k).T
+    return side
 
 
 def _aligned(m: int) -> int:
@@ -240,9 +229,9 @@ def selectivity(
     if len(query_ids) == 0:
         raise GraspError("EMPTY_POOL", "no queries")
     idx = cache.indices_of(query_ids)
-    zi = prefix_normalize(transform.apply(_rows64(cache.images[idx])), k)
-    zp = prefix_normalize(transform.apply(_rows64(cache.views[STYLE_VIEW[neg_type]][idx])), k)
-    zn = prefix_normalize(transform.apply(_rows64(cache.negatives[neg_type][idx])), k)
+    zi = prefix_normalize(transform.apply(cache.images[idx]), k)
+    zp = prefix_normalize(transform.apply(cache.views[STYLE_VIEW[neg_type]][idx]), k)
+    zn = prefix_normalize(transform.apply(cache.negatives[neg_type][idx]), k)
     cp = np.einsum("ij,ij->i", zi, zp)
     cn = np.einsum("ij,ij->i", zi, zn)
     return float(100.0 * np.mean(cp > cn))
@@ -311,18 +300,24 @@ def stair_score(ret_avg: float, hard_avg: float) -> float:
     return 0.5 * (ret_avg + hard_avg)
 
 
+def assigned_recalls(cache: EmbeddingCache, transform, contract: InterfaceContract, pools, query_ids) -> dict[int, float]:
+    """R@1 at every prefix but the full one, each against the pool of its assigned view level in ``pools``."""
+    ks = [k for k in contract.prefixes if k != contract.dim]
+    return {k: recall_at_1(cache, transform, pools[contract.view_of[k]], k, query_ids) for k in ks}
+
+
+def assigned_hard_average(cache: EmbeddingCache, transform, contract: InterfaceContract, query_ids) -> float:
+    """HardAvg from only the four selectivity cells that ``hard_average`` reads, in its order; it involves no pool."""
+    return float(np.mean([selectivity(cache, transform, contract.kappa[r], r, query_ids) for r in HARD_AVG_TYPES]))
+
+
 def assigned_scores(
     cache: EmbeddingCache, transform, contract: InterfaceContract, pools: dict[str, CandidatePool], query_ids
 ) -> tuple[dict[int, float], tuple[float, float, float]]:
-    """R@1 at every prefix but the full one, each against the pool of its assigned view level, and (RetAvg,
-    HardAvg, Stair), with HardAvg from only the four selectivity cells that ``hard_average`` reads, in its order."""
-    ret_cells = {
-        k: recall_at_1(cache, transform, pools[contract.view_of[k]], k, query_ids)
-        for k in contract.prefixes
-        if k != contract.dim
-    }
+    """``assigned_recalls`` and (RetAvg, HardAvg, Stair), with HardAvg from ``assigned_hard_average``."""
+    ret_cells = assigned_recalls(cache, transform, contract, pools, query_ids)
     ret_avg = retrieval_average(ret_cells, contract)
-    hard_avg = float(np.mean([selectivity(cache, transform, contract.kappa[r], r, query_ids) for r in HARD_AVG_TYPES]))
+    hard_avg = assigned_hard_average(cache, transform, contract, query_ids)
     return ret_cells, (ret_avg, hard_avg, stair_score(ret_avg, hard_avg))
 
 
@@ -407,9 +402,9 @@ def full_drift(rows: np.ndarray, transform, renormalize: bool = True) -> float:
     value measures cosine drift; without it the raw inner products are
     compared.
     """
-    e = _rows64(rows)
+    e = np.asarray(rows, dtype=np.float64)
     e = e / np.linalg.norm(e, axis=1, keepdims=True)
-    z = transform.apply(_rows64(rows))
+    z = transform.apply(rows)
     if renormalize:
         z = z / np.linalg.norm(z, axis=1, keepdims=True)
     n = e.shape[0]
@@ -460,7 +455,7 @@ def rank_stats(
 
     The query rows are grouped by label and scored in full-width strips whose
     sort buffer holds about ``2 * BLOCK_BYTES``; a strip may run across labels,
-    so none has one row unless the query set does.  Ranks and the unique top
+    and as in ``_tiles`` no product has one row.  Ranks and the unique top
     are read from the strip's scores, and each row's label positions come from
     one sort of the row with its label's scores (``_label_positions``).
     """
@@ -491,11 +486,11 @@ def rank_stats(
     label_hits = np.zeros(len(query_ids), dtype=bool)
     # the query rows grouped by label, each label's rows in query order; a strip may run across labels
     grouped = np.argsort(q_codes, kind="stable")
-    zq = prefix_normalize(transform.apply(_rows64(cache.images[q_idx[grouped]])), k)
-    zct = _candidate_side(transform, cache.views[pool.view_level], c_idx, k)
+    zqt = _side(transform, cache.images, q_idx[grouped], k)
+    zct = _side(transform, cache.views[pool.view_level], c_idx, k)
     width = len(c_idx) + int(np.diff(bounds)[q_codes].max())  # the longest row sorted with its label's scores
     work = np.empty(0)
-    for start, _, s in _tiles(zq, zct, len(c_idx), 2 * BLOCK_BYTES // (8 * width), zct.shape[1]):
+    for start, _, s in _tiles(zqt, zct, len(q_idx), len(c_idx), 2 * BLOCK_BYTES // (8 * width), zct.shape[1]):
         rows = grouped[start : start + s.shape[0]]
         if work.size < s.shape[0] * width:
             work = np.empty(s.shape[0] * width)
@@ -580,7 +575,6 @@ def zero_shot(
     """Top-1 percentage classifying each image against class text rows; ties miss."""
     if len(image_rows) == 0:
         raise GraspError("EMPTY_POOL", "no queries")
-    class_rows = _rows64(class_rows)
     if class_rows.shape[0] < 2:
         raise GraspError("DIM_MISMATCH", "zero-shot needs at least two classes")
     labels = np.asarray(true_labels, dtype=np.intp)

@@ -154,6 +154,7 @@ def validation_scores(cache: EmbeddingCache, transform, contract: InterfaceContr
 
     Drift is measured on the first 512 rows of the validation images followed
     by their G3 captions: images only once there are 512 validation rows.
+    Only those rows are gathered and cast.
     """
     val_ids = cache.split_ids("val")
     if not val_ids:
@@ -161,8 +162,8 @@ def validation_scores(cache: EmbeddingCache, transform, contract: InterfaceContr
     pool_ids = tuple(sorted(val_ids))
     pools = {g: build_pool(cache, "custom", g, custom_ids=pool_ids) for g in VIEW_LEVELS}
     _, scores = assigned_scores(cache, transform, contract, pools, val_ids)
-    idx = cache.indices_of(val_ids)
-    rows = np.concatenate([cache.images[idx], cache.views["G3"][idx]], axis=0).astype(np.float64)[:512]
+    idx = cache.indices_of(val_ids)[:512]
+    rows = np.concatenate([cache.images[idx], cache.views["G3"][idx[: 512 - len(idx)]]]).astype(np.float64)
     return (*scores, full_drift(rows, transform, renormalize=True))
 
 

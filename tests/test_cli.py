@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -352,6 +353,31 @@ class TestTrainConfigFile:
         assert rc == 3
         assert "dim" in one_error_line(capsys, "CONFIG")["message"]
         assert not out.exists()
+
+
+class TestThreePrefixContract:
+    def test_report_leaves_the_views_without_an_assigned_prefix_empty(self, synth_dir, trained_dir, tmp_path):
+        # view_of {8: G0, 16: G1, 32: G3}: no prefix is assigned G2, and G3 only at the full prefix
+        config = json.loads((trained_dir / "train_config.json").read_text())
+        config["contract"] = {
+            "prefix_set": [8, 16, 32],
+            "view_assignment": {"8": "G0", "16": "G1", "32": "G3"},
+            "boundary_map": {"object": 8, "attribute": 16, "relation": 16, "action": 16, "order": 16, "full": 32},
+        }
+        config["loss"]["retention_weights"] = {"16": {"G0": 0.25}, "32": {"G0": 0.125, "G1": 0.25}}
+        path, trained, out = tmp_path / "three.json", tmp_path / "t", tmp_path / "report"
+        path.write_text(json.dumps(config))
+        cache = str(synth_dir / "cache" / "manifest.json")
+        assert main(["train", "--cache", cache, "--config", str(path), "--epochs", "1", "--out", str(trained)]) == 0
+        ckpt = str(trained / "checkpoint.ckpt")
+        assert main(["report", "--cache", cache, "--checkpoint", ckpt, "--out", str(out), "--label", "run"]) == 0
+        names = {p.name for p in out.iterdir()}
+        assert names == {"report.json", "staircase_decomposition.csv", "emergence_decomposition.csv", "manifest.json"}
+        with open(out / "staircase_decomposition.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        retrieval = json.loads((out / "report.json").read_text())["retrieval"]
+        assert (row["obj_r1"], row["attr_r1"]) == (f"{retrieval['8:G0']:.2f}", f"{retrieval['16:G1']:.2f}")
+        assert row["rel_r1"] == row["cap_r1"] == ""
 
 
 class TestCompare:

@@ -53,6 +53,21 @@ class TestCostModel:
             est = H.estimate_cost(64, n)
             assert est.offline_ops == n * est.query_ops
 
+    def test_ops_switch_to_tera_at_one_trillion(self):
+        assert H._fmt_ops(10**12) == "1.00T"
+        assert H._fmt_ops(10**12 - 1) == "1000000.00M"
+
+    def test_one_byte_precision_is_the_smallest(self):
+        assert H.estimate_cost(16, 1, precision_bytes=1).storage_bytes == {1: 1, 2: 2, 4: 4, 8: 8, 16: 16}
+        with pytest.raises(GraspError) as e:
+            H.estimate_cost(16, 1, precision_bytes=0)
+        assert e.value.code == "CONFIG"
+
+    def test_dim_one_is_rejected_by_the_ladder(self):
+        with pytest.raises(GraspError) as e:
+            H.estimate_cost(1, 1)
+        assert e.value.code == "INVALID_CONTRACT"
+
 
 def small_grid(contract, **overrides) -> H.GridConfig:
     grid = H.GridConfig(contract=contract, epochs=3, batch_size=64, seed=0, lr=3e-3, warmup_epochs=1)
@@ -173,6 +188,21 @@ class TestPoolSensitivity:
         assert full.drift == test_only.drift
         for k, value in full.ret_cells.items():
             assert test_only.ret_cells[k] >= value  # smaller pool cannot rank the positive lower
+
+    def test_hard_average_is_computed_once_for_every_pool(self, small_synth, monkeypatch):
+        from grasp_vl import metrics as M
+
+        selectivity, calls = M.selectivity, []
+
+        def counting_selectivity(*args):
+            calls.append(args[2:4])
+            return selectivity(*args)
+
+        want = H.run_pool_sensitivity(small_synth.cache, small_synth.oracle, small_synth.contract)
+        monkeypatch.setattr(M, "selectivity", counting_selectivity)
+        rows = H.run_pool_sensitivity(small_synth.cache, small_synth.oracle, small_synth.contract)
+        assert calls == [(small_synth.contract.kappa[r], r) for r in M.HARD_AVG_TYPES]
+        assert [r.to_json_dict() for r in rows] == [r.to_json_dict() for r in want]
 
     def test_single_pool_request(self, small_synth):
         rows = H.run_pool_sensitivity(

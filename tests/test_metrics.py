@@ -691,9 +691,9 @@ def _force_tiles(monkeypatch, rows, cols):
 def _strips(transform, query_rows, cand_rows, k):
     """Full-width strips of the query x candidate scores through ``_tiles``: every candidate and as many query
     rows as fit in ``BLOCK_BYTES``."""
-    zq = T.prefix_normalize(transform.apply(np.asarray(query_rows, dtype=np.float64)), k)
-    zct = M._candidate_side(transform, cand_rows, np.arange(len(cand_rows)), k)
-    return M._tiles(zq, zct, len(cand_rows), M.BLOCK_BYTES // (8 * zct.shape[1]), zct.shape[1])
+    zqt = M._side(transform, query_rows, np.arange(len(query_rows)), k)
+    zct = M._side(transform, cand_rows, np.arange(len(cand_rows)), k)
+    return M._tiles(zqt, zct, len(query_rows), len(cand_rows), M.BLOCK_BYTES // (8 * zct.shape[1]), zct.shape[1])
 
 
 def _copies(tiles):
@@ -773,20 +773,21 @@ class TestStreamingMatchesDenseReference:
             dense = _dense_scores(small_synth.oracle, q, c, k)
             assert np.array_equal(_assemble(tiles, dense.shape), dense)
 
-    def test_one_row_query_set_and_one_candidate_pool_are_one_tile(self, small_synth, monkeypatch):
+    def test_one_row_query_set_and_one_candidate_pool_tile_as_the_whole_set(self, small_synth, monkeypatch):
+        # each product spans two query rows and 16 candidate columns at least, into the sides' zero padding
         cache = small_synth.cache
         q = cache.images[cache.indices_of(cache.split_ids("test"))]
         c = cache.views["G2"]
         _force_tiles(monkeypatch, 2, 16)
         _force_block_rows(monkeypatch, 2, 1)
+        whole = _assemble(_copies(M._score_tiles(small_synth.oracle, q, c, np.arange(len(c)), 8)), (len(q), len(c)))
         for qr, cr in ((q[:1], c), (q, c[:1]), (q[:1], c[:1])):
             for scores in (
                 M._score_tiles(small_synth.oracle, qr, cr, np.arange(len(cr)), 8),
                 _strips(small_synth.oracle, qr, cr, 8),
             ):
-                tiles = _copies(scores)
-                assert [(r0, c0, s.shape) for r0, c0, s in tiles] == [(0, 0, (len(qr), len(cr)))]
-                assert np.array_equal(tiles[0][2], _dense_scores(small_synth.oracle, qr, cr, 8))
+                got = _assemble(_copies(scores), (len(qr), len(cr)))
+                assert np.array_equal(got, whole[: len(qr), : len(cr)])
 
     @pytest.mark.parametrize("rows, cols", [(2, 16), (3, 32), (7, 48), (None, None)])
     def test_synthetic_corpus_in_tiles(self, small_synth, monkeypatch, rows, cols):
@@ -1227,6 +1228,58 @@ class TestDistinctCandidateRows:
         pool = D.build_pool(cache, "full", "G0")
         rot = T.random_orthogonal(64, 1)
         assert traced_peak(M.recall_at_1, cache, rot, pool, 64, cache.ids[:300]) < 4 * 2**20
+
+
+class TestSizeIndependentScores:
+    """A row's scores do not depend on the size of its query set or of its pool."""
+
+    @pytest.fixture(scope="class")
+    def acceptance(self):
+        spec = D.SyntheticSpec(
+            dim=64,
+            block_sizes={"object": 4, "attribute": 8, "relation": 16, "residual": 36},
+            cardinalities={"object": 8, "attribute": 8, "relation": 8},
+            noise_std=0.05,
+            n_examples=2000,
+            seed=0,
+        )
+        cache = D.generate_synthetic(spec).cache
+        rng = np.random.default_rng(5)
+        model = T.make_model(T.TransformSpec(variant="mlp", dim=64))
+        mlp = model.eval_transform({k: v + 0.05 * rng.standard_normal(v.shape) for k, v in model.init_params(rng).items()})
+        return cache, {"rotation": T.random_orthogonal(64, 9), "mlp": mlp}
+
+    @pytest.mark.parametrize("name", ["rotation", "mlp"])
+    def test_small_query_sets_and_pools_score_as_inside_the_whole_set(self, acceptance, name):
+        cache, transforms = acceptance
+        transform = transforms[name]
+        q = cache.images[cache.indices_of(cache.split_ids("test"))]
+        c_idx = cache.indices_of(D.build_pool(cache, "full", "G3").candidate_ids)
+        assert len(q) == 200
+        for pool in (c_idx[:1], c_idx[:5], c_idx):
+            cands = cache.views["G3"][pool]
+            for k in (4, 16, 64):
+                whole = _assemble(_copies(M._score_tiles(transform, q, cache.views["G3"], pool, k)), (len(q), len(pool)))
+                for n in (1, 2, 3, 7, 17):
+                    rows = np.arange(0, len(q), len(q) // n)[:n]
+                    tiles = M._score_tiles(transform, q[rows], cache.views["G3"], pool, k)
+                    for scores in (tiles, _strips(transform, q[rows], cands, k)):
+                        assert np.array_equal(_assemble(_copies(scores), (n, len(pool))), whole[rows])
+
+    @pytest.mark.parametrize("name", ["rotation", "mlp"])
+    def test_one_row_recall_equals_the_rows_hit_inside_the_whole_set(self, acceptance, name):
+        cache, transforms = acceptance
+        transform = transforms[name]
+        pool = D.build_pool(cache, "full", "G3")
+        c_idx = cache.indices_of(pool.candidate_ids)
+        assert len(M._distinct_rows(cache.views["G3"], c_idx)[0]) == len(c_idx)
+        query_ids = cache.split_ids("test")
+        q = cache.images[cache.indices_of(query_ids)]
+        positives = M._pool_columns(cache, cache.indices_of(query_ids), c_idx)
+        for k in (4, 16, 64):
+            hits = M._strict_top1_hits(M._score_tiles(transform, q, cache.views["G3"], c_idx, k), positives)
+            for i in range(0, len(query_ids), 10):
+                assert M.recall_at_1(cache, transform, pool, k, [query_ids[i]]) == 100.0 * hits[i]
 
 
 def _planted_rank_corpus():

@@ -58,6 +58,16 @@ class TestInterfaceContract:
         c = T.InterfaceContract.default_ladder(64)
         assert T.InterfaceContract.from_json_dict(c.to_json_dict()) == c
 
+    def test_zero_prefix_rejected(self):
+        with pytest.raises(GraspError) as e:
+            T.InterfaceContract(prefixes=(0, 4), view_of={0: "G0", 4: "G3"}, kappa={r: 4 for r in T.NEGATIVE_TYPES})
+        assert e.value.code == "INVALID_CONTRACT"
+
+    def test_smallest_transform_specs_are_valid(self):
+        assert T.TransformSpec("dense_cayley", 1).dim == 1
+        assert T.TransformSpec("butterfly", 8, stacks=0).stacks == 0
+        assert T.TransformSpec("low_rank", 8, rank=0).rank == 0
+
 
 class TestCayley:
     def test_zero_parameter_gives_identity(self):
@@ -482,6 +492,13 @@ class TestHardening:
         hard = T.harden_doubly_stochastic(soft)
         assert np.array_equal(hard, p)
 
+    def test_sign_logit_of_zero_hardens_to_plus_one(self):
+        model = T.make_model(T.TransformSpec("signed_permutation", 3))
+        params = model.init_params(np.random.default_rng(0))
+        params["sign_logits"] = np.array([0.0, -0.5, 0.5])
+        t = model.eval_transform(params)
+        assert t.matrix.sum(axis=0).tolist() == [1.0, -1.0, 1.0]
+
 
 class TestEvalTransforms:
     @pytest.mark.parametrize("variant,kwargs", [("permutation", {}), ("signed_permutation", {})])
@@ -550,6 +567,12 @@ class TestCheckpointFormat:
         with pytest.raises(GraspError) as e:
             T.load_matrix_transform(path)
         assert e.value.code == "ORTHOGONALITY_VIOLATION"
+
+    def test_one_by_one_matrix_transform_round_trip(self, tmp_path):
+        path = tmp_path / "one.transform"
+        T.save_matrix_transform(path, T.LinearTransform(np.array([[-1.0]]), "custom", orthogonal=True))
+        loaded = T.load_matrix_transform(path)
+        assert loaded.matrix.tolist() == [[-1.0]] and loaded.orthogonal
 
     def test_matrix_transform_round_trip(self, tmp_path):
         t = T.random_orthogonal(12, 9)
