@@ -143,7 +143,7 @@ def _squash(s: str) -> str:
     return " ".join(s.split()).lower()
 
 
-def validate_annotation_row(row: AnnotationRow, extra_distractors: set[str] | None = None) -> ValidationResult:
+def validate_annotation_row(row: AnnotationRow) -> ValidationResult:
     """Apply the structural audit rules in order; first failure wins.
 
     "Attribute view differs from object view" is diagnostic only and never
@@ -175,10 +175,7 @@ def validate_annotation_row(row: AnnotationRow, extra_distractors: set[str] | No
     for r in NEGATIVE_TYPES:
         if _squash(row.negatives[r]) == caption:
             return reject("NEGATIVE_EQUALS_CAPTION")
-    pool = set(row.distractors)
-    if extra_distractors:
-        pool |= extra_distractors
-    if row.negatives["full"] not in pool:
+    if row.negatives["full"] not in row.distractors:
         return reject("FULL_NEG_NOT_COPIED")
     return ValidationResult(id=row.id, accepted=True)
 

@@ -14,16 +14,14 @@ from .errors import GraspError
 from .metrics import (
     DiagnosticReport,
     HARD_AVG_TYPES,
-    assigned_hard_average,
-    assigned_recalls,
     diagnostic_report,
     drift_rows,
     full_drift,
     leakage,
     recall_at_1,
-    retrieval_average,
     selectivity,
-    stair_score,
+    staircase,
+    staircase_cells,
 )
 from .objective import LossConfig
 from .trainer import TrainConfig, train
@@ -296,20 +294,21 @@ def run_pool_sensitivity(
     """Retrieval under different candidate pools; HardAvg does not involve the pool, so every row has the same."""
     test_ids = cache.split_ids("test")
     drift = full_drift(drift_rows(cache), transform)
-    hard = assigned_hard_average(cache, transform, contract, test_ids)
+    ret_cells, sel_cells = staircase_cells(contract)
+    sel = [selectivity(cache, transform, k, r, test_ids) for k, r in sel_cells]
     out = []
     for mode in pool_modes:
         pools = {g: build_pool(cache, mode, g) for g in VIEW_LEVELS}
-        cells = assigned_recalls(cache, transform, contract, pools, test_ids)
-        ret_avg = retrieval_average(cells, contract)
+        cells = {k: recall_at_1(cache, transform, pools[g], k, test_ids) for k, g in ret_cells}
+        ret_avg, hard_avg, stair = staircase(list(cells.values()), sel)
         out.append(
             PoolRow(
                 pool_mode=mode,
                 candidates=len(pools["G3"].candidate_ids),
                 ret_cells=cells,
                 ret_avg=ret_avg,
-                hard_avg=hard,
-                stair=stair_score(ret_avg, hard),
+                hard_avg=hard_avg,
+                stair=stair,
                 drift=drift,
             )
         )
@@ -388,13 +387,14 @@ def write_staircase_decomposition_csv(
     """Columns mirror the staircase decomposition: per-view R@1 at the largest prefix below the full one that
     the contract assigns to the view (empty if none), per-type boundary selectivity, then the two averages and
     their mean."""
-    assigned = {contract.view_of[k]: k for k in contract.prefixes if k != contract.dim}
+    ret_cells, sel_cells = staircase_cells(contract)
+    assigned = {g: k for k, g in ret_cells}
     header = ["method", "obj_r1", "attr_r1", "rel_r1", "cap_r1", "ret_avg"]
     header += ["obj_neg", "attr_neg", "rel_neg", "full_neg", "hard_avg", "staircase"]
     rows = []
     for name, rep in named_reports:
         ret = [rep.retrieval[assigned[g], g] if g in assigned else None for g in VIEW_LEVELS]
-        sel = [rep.sel.cell(contract.kappa[t], t) for t in HARD_AVG_TYPES]
+        sel = [rep.sel.cell(*c) for c in sel_cells]
         rows.append([name, *ret, rep.ret_avg, *sel, rep.hard_avg, rep.stair])
     _write_csv(path, header, rows)
 

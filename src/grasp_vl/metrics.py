@@ -214,7 +214,9 @@ def recall_at_1(
     first, group = _distinct_rows(matrix, c_idx)
     targets = group[positives]
     untwinned = np.bincount(group, minlength=len(first))[targets] == 1
-    tiles = _score_tiles(transform, cache.images[q_idx], matrix, c_idx[first], k)
+    zqt = _side(transform, cache.images, q_idx, k)
+    zct = _side(transform, matrix, c_idx[first], k)
+    tiles = _tiles(zqt, zct, len(q_idx), len(first), _TILE_ROWS, _TILE_COLS)
     return float(100.0 * (_strict_top1_hits(tiles, targets) & untwinned).mean())
 
 
@@ -279,52 +281,29 @@ HARD_AVG_TYPES = ("object", "attribute", "relation", "full")
 
 def hard_average(sel: SelTable, contract: InterfaceContract) -> float:
     """Mean selectivity at each staircase type's assigned boundary prefix."""
-    return float(np.mean([sel.cell(contract.kappa[r], r) for r in HARD_AVG_TYPES]))
+    return float(np.mean([sel.cell(k, r) for k, r in staircase_cells(contract)[1]]))
 
 
-def retrieval_average(ret_cells: dict[int, float], contract: InterfaceContract) -> float:
-    """Mean R@1 over the assigned (prefix, view) cells, excluding the full prefix."""
-    cells = []
-    for k in contract.prefixes:
-        if k == contract.dim:
-            continue
-        if k not in ret_cells:
-            raise GraspError("MISSING_CELL", f"missing retrieval cell for prefix {k}")
-        cells.append(ret_cells[k])
-    if not cells:
-        raise GraspError("MISSING_CELL", "no assigned retrieval cells")
-    return float(np.mean(cells))
+def staircase_cells(contract: InterfaceContract):
+    """The cells the staircase reads, in order: ``(ret, sel)``.
+
+    ``ret`` holds the R@1 cells ``(k, view)`` of every prefix but the full one,
+    each at the view level the contract assigns it; ``sel`` holds the
+    selectivity cells ``(kappa[r], r)`` of every type ``r`` in ``HARD_AVG_TYPES``.
+    """
+    ret = [(k, contract.view_of[k]) for k in contract.prefixes if k != contract.dim]
+    return ret, [(contract.kappa[r], r) for r in HARD_AVG_TYPES]
 
 
 def stair_score(ret_avg: float, hard_avg: float) -> float:
     return 0.5 * (ret_avg + hard_avg)
 
 
-def assigned_recalls(cache: EmbeddingCache, transform, contract: InterfaceContract, pools, query_ids) -> dict[int, float]:
-    """R@1 at every prefix but the full one, each against the pool of its assigned view level in ``pools``."""
-    ks = [k for k in contract.prefixes if k != contract.dim]
-    return {k: recall_at_1(cache, transform, pools[contract.view_of[k]], k, query_ids) for k in ks}
-
-
-def assigned_hard_average(cache: EmbeddingCache, transform, contract: InterfaceContract, query_ids) -> float:
-    """HardAvg from only the four selectivity cells that ``hard_average`` reads, in its order; it involves no pool."""
-    return float(np.mean([selectivity(cache, transform, contract.kappa[r], r, query_ids) for r in HARD_AVG_TYPES]))
-
-
-def assigned_scores(
-    cache: EmbeddingCache, transform, contract: InterfaceContract, pools: dict[str, CandidatePool], query_ids
-) -> tuple[dict[int, float], tuple[float, float, float]]:
-    """``assigned_recalls`` and (RetAvg, HardAvg, Stair), with HardAvg from ``assigned_hard_average``."""
-    ret_cells = assigned_recalls(cache, transform, contract, pools, query_ids)
-    ret_avg = retrieval_average(ret_cells, contract)
-    hard_avg = assigned_hard_average(cache, transform, contract, query_ids)
-    return ret_cells, (ret_avg, hard_avg, stair_score(ret_avg, hard_avg))
-
-
-def staircase(ret_cells: dict[int, float], sel: SelTable, contract: InterfaceContract):
-    """(RetAvg, HardAvg, Stair) from assigned retrieval cells and the Sel table."""
-    ret_avg = retrieval_average(ret_cells, contract)
-    hard_avg = hard_average(sel, contract)
+def staircase(ret, sel) -> tuple[float, float, float]:
+    """(RetAvg, HardAvg, Stair) from the values of the cells that ``staircase_cells`` lists, in its order."""
+    if not ret:
+        raise GraspError("MISSING_CELL", "no assigned retrieval cells")
+    ret_avg, hard_avg = float(np.mean(ret)), float(np.mean(sel))
     return ret_avg, hard_avg, stair_score(ret_avg, hard_avg)
 
 
@@ -652,8 +631,8 @@ def diagnostic_report(
         for g in VIEW_LEVELS:
             retrieval[(k, g)] = recall_at_1(cache, transform, pools[g], k, query_ids)
     sel = sel_table(cache, transform, contract, query_ids)
-    ret_cells = {k: retrieval[(k, contract.view_of[k])] for k in contract.prefixes if k != contract.dim}
-    ret_avg, hard_avg, stair = staircase(ret_cells, sel, contract)
+    ret_cells, sel_cells = staircase_cells(contract)
+    ret_avg, hard_avg, stair = staircase([retrieval[c] for c in ret_cells], [sel.cell(*c) for c in sel_cells])
     gaps, gap_mean = emergence(sel, contract)
     vs_first = {r: emergence_vs_first(sel, contract, r) for r in gaps}
     leak = leakage(sel, contract)

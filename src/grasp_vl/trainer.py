@@ -12,7 +12,7 @@ import numpy as np
 
 from .datastore import EmbeddingCache, build_pool
 from .errors import GraspError
-from .metrics import assigned_scores, full_drift
+from .metrics import full_drift, recall_at_1, selectivity, staircase, staircase_cells
 from .objective import Batch, LossConfig, StepWorkspace, TERM_NAMES, default_retention_weights
 from .objective import flatten_grads, flatten_state, total_loss_and_gradient, unflatten_state
 from .transforms import (
@@ -161,10 +161,12 @@ def validation_scores(cache: EmbeddingCache, transform, contract: InterfaceContr
         raise GraspError("MISSING_SPLIT", "cache has no validation split")
     pool_ids = tuple(sorted(val_ids))
     pools = {g: build_pool(cache, "custom", g, custom_ids=pool_ids) for g in VIEW_LEVELS}
-    _, scores = assigned_scores(cache, transform, contract, pools, val_ids)
+    ret_cells, sel_cells = staircase_cells(contract)
+    ret = [recall_at_1(cache, transform, pools[g], k, val_ids) for k, g in ret_cells]
+    sel = [selectivity(cache, transform, k, r, val_ids) for k, r in sel_cells]
     idx = cache.indices_of(val_ids)[:512]
     rows = np.concatenate([cache.images[idx], cache.views["G3"][idx[: 512 - len(idx)]]]).astype(np.float64)
-    return (*scores, full_drift(rows, transform, renormalize=True))
+    return (*staircase(ret, sel), full_drift(rows, transform, renormalize=True))
 
 
 @dataclass(eq=False)

@@ -779,13 +779,15 @@ def permutation_energy(r: np.ndarray | LinearTransform) -> float:
     assignment over squared entries.
     """
     m = r.matrix if isinstance(r, LinearTransform) else np.asarray(r, dtype=np.float64)
-    sq = m * m
-    cols = _solve_assignment(-sq)
-    total = sq.sum()
-    if not 0.0 < total < np.inf:
+    with np.errstate(over="ignore"):  # a square or a total past the float64 range is inf, rejected below
+        sq = m * m
+        total = sq.sum()
+    # a non-finite entry is the solver's NONFINITE_COST
+    if np.isfinite(m).all() and not 0.0 < total < np.inf:
         raise GraspError("ZERO_MATRIX", "permutation energy needs a nonzero matrix with a finite squared norm")
+    cols = _solve_assignment(-sq)
     best = sq[np.arange(len(sq)), cols].sum()
-    return float(100.0 * best / total)
+    return float(best / total * 100.0)  # best <= total: the ratio cannot overflow
 
 
 # ---------------------------------------------------------------------------

@@ -118,13 +118,6 @@ class TestValidator:
         assert D.validate_annotation_row(compliant_row(entity="DoG")).accepted
         assert D.validate_annotation_row(compliant_row(entity="running  THROUGH")).accepted
 
-    def test_extra_distractor_registry(self):
-        row = compliant_row(
-            negatives={**compliant_row().negatives, "full": "registry caption"}, distractors=["x"]
-        )
-        assert not D.validate_annotation_row(row).accepted
-        assert D.validate_annotation_row(row, extra_distractors={"registry caption"}).accepted
-
     def test_jsonl_summary(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         rows = [

@@ -190,19 +190,25 @@ class TestPoolSensitivity:
             assert test_only.ret_cells[k] >= value  # smaller pool cannot rank the positive lower
 
     def test_hard_average_is_computed_once_for_every_pool(self, small_synth, monkeypatch):
-        from grasp_vl import metrics as M
-
-        selectivity, calls = M.selectivity, []
+        selectivity, calls = H.selectivity, []
 
         def counting_selectivity(*args):
             calls.append(args[2:4])
             return selectivity(*args)
 
         want = H.run_pool_sensitivity(small_synth.cache, small_synth.oracle, small_synth.contract)
-        monkeypatch.setattr(M, "selectivity", counting_selectivity)
+        monkeypatch.setattr(H, "selectivity", counting_selectivity)
         rows = H.run_pool_sensitivity(small_synth.cache, small_synth.oracle, small_synth.contract)
-        assert calls == [(small_synth.contract.kappa[r], r) for r in M.HARD_AVG_TYPES]
+        assert calls == [(small_synth.contract.kappa[r], r) for r in ("object", "attribute", "relation", "full")]
         assert [r.to_json_dict() for r in rows] == [r.to_json_dict() for r in want]
+
+    def test_full_pool_row_is_the_reports_staircase(self, small_synth):
+        cache, contract = small_synth.cache, small_synth.contract
+        for transform in (small_synth.oracle, T.random_orthogonal(contract.dim, 5)):
+            (row,) = H.run_pool_sensitivity(cache, transform, contract, pool_modes=("full",))
+            rep = diagnostic_report(cache, transform, contract, pool_mode="full")
+            assert (row.ret_avg, row.hard_avg, row.stair) == (rep.ret_avg, rep.hard_avg, rep.stair)
+            assert row.ret_cells == {k: rep.retrieval[k, contract.view_of[k]] for k in contract.prefixes[:-1]}
 
     def test_single_pool_request(self, small_synth):
         rows = H.run_pool_sensitivity(

@@ -184,36 +184,53 @@ class TestStairFormulas:
         got = M.hard_average(TABLE_SEL, contract)
         assert got == pytest.approx(89.76, abs=0.01)
 
-    def test_all_zero_inputs(self):
-        contract = T.InterfaceContract.default_ladder(512)
-        sel = M.SelTable(prefixes=contract.prefixes, types=T.NEGATIVE_TYPES, values=np.zeros((5, 6)))
-        ret = {k: 0.0 for k in contract.prefixes if k != 512}
-        assert M.staircase(ret, sel, contract) == (0.0, 0.0, 0.0)
+    def test_published_cells(self):
+        ret, sel = M.staircase_cells(T.InterfaceContract.default_ladder(512))
+        assert ret == [(32, "G0"), (64, "G1"), (128, "G2"), (256, "G3")]
+        assert sel == [(32, "object"), (64, "attribute"), (128, "relation"), (256, "full")]
 
-    def test_assigned_scores_read_four_sel_cells_and_equal_the_whole_table_staircase(self, small_synth, monkeypatch):
+    def test_all_zero_inputs(self):
+        ret, sel = M.staircase_cells(T.InterfaceContract.default_ladder(512))
+        assert M.staircase([0.0] * len(ret), [0.0] * len(sel)) == (0.0, 0.0, 0.0)
+
+    def test_validation_scores_read_the_staircase_cells_and_equal_the_whole_table_staircase(
+        self, small_synth, monkeypatch
+    ):
+        from grasp_vl import trainer as TR
+
         cache, contract = small_synth.cache, small_synth.contract
         ids = cache.split_ids("val")
-        pools = {g: D.build_pool(cache, "full", g) for g in T.VIEW_LEVELS}
-        selectivity, calls = M.selectivity, []
+        pools = {g: D.build_pool(cache, "custom", g, custom_ids=tuple(sorted(ids))) for g in T.VIEW_LEVELS}
+        calls = []
+
+        def counting_recall(cache, transform, pool, k, query_ids):
+            calls.append(("r1", k, pool.view_level))
+            return M.recall_at_1(cache, transform, pool, k, query_ids)
 
         def counting_selectivity(cache, transform, k, neg_type, query_ids):
-            calls.append((k, neg_type))
-            return selectivity(cache, transform, k, neg_type, query_ids)
+            calls.append(("sel", k, neg_type))
+            return M.selectivity(cache, transform, k, neg_type, query_ids)
 
         for transform in (small_synth.oracle, T.random_orthogonal(contract.dim, 3)):
             calls.clear()
             with monkeypatch.context() as m:
-                m.setattr(M, "selectivity", counting_selectivity)
-                cells, scores = M.assigned_scores(cache, transform, contract, pools, ids)
-            assert calls == [(contract.kappa[r], r) for r in M.HARD_AVG_TYPES]
-            want = {k: M.recall_at_1(cache, transform, pools[contract.view_of[k]], k, ids) for k in cells}
-            assert cells == want and sorted(cells) == [k for k in contract.prefixes if k != contract.dim]
-            assert scores == M.staircase(cells, M.sel_table(cache, transform, contract, ids), contract)
+                m.setattr(TR, "recall_at_1", counting_recall)
+                m.setattr(TR, "selectivity", counting_selectivity)
+                *scores, _ = TR.validation_scores(cache, transform, contract)
+            assert calls == [("r1", k, contract.view_of[k]) for k in contract.prefixes[:-1]] + [
+                ("sel", contract.kappa[r], r) for r in ("object", "attribute", "relation", "full")
+            ]
+            grid = {(k, g): M.recall_at_1(cache, transform, pools[g], k, ids) for k in contract.prefixes for g in pools}
+            ret_avg = float(np.mean([grid[k, contract.view_of[k]] for k in contract.prefixes[:-1]]))
+            hard_avg = M.hard_average(M.sel_table(cache, transform, contract, ids), contract)
+            assert scores == [ret_avg, hard_avg, M.stair_score(ret_avg, hard_avg)]
 
     def test_missing_cell(self):
-        contract = T.InterfaceContract.default_ladder(512)
+        contract = T.InterfaceContract(prefixes=(512,), view_of={512: "G3"}, kappa={r: 512 for r in T.NEGATIVE_TYPES})
+        ret, sel = M.staircase_cells(contract)
+        assert ret == []
         with pytest.raises(GraspError) as e:
-            M.retrieval_average({32: 1.0}, contract)
+            M.staircase([], [1.0] * len(sel))
         assert e.value.code == "MISSING_CELL"
 
 

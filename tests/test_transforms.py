@@ -172,6 +172,14 @@ class TestStoredMatrix:
         t = self._low_rank_map()
         assert not t.orthogonal and t.orthogonality_error() > 1e-3
 
+    def test_orthogonality_gate_admits_an_error_of_exactly_1e_8(self):
+        # R^T R - I = [[1e-16, e], [e, 0]], and 1 + 1e-16 rounds to 1: the error is e itself
+        t = T.LinearTransform(np.array([[1.0, 0.0], [1e-8, 1.0]]), "custom", orthogonal=True)
+        assert t.orthogonality_error() == 1e-8
+        with pytest.raises(GraspError) as e:
+            T.LinearTransform(np.array([[1.0, 0.0], [np.nextafter(1e-8, 1), 1.0]]), "custom", orthogonal=True)
+        assert e.value.code == "ORTHOGONALITY_VIOLATION"
+
 
 def prefix_score(z_img, z_txt, k, tau):
     """Temperature-scaled cosine of the independently renormalized k-prefixes of two vectors."""
@@ -479,6 +487,17 @@ class TestSolveAssignment:
         with pytest.raises(GraspError) as e:
             T.permutation_energy(np.zeros((3, 3)))
         assert e.value.code == "ZERO_MATRIX"
+
+    @pytest.mark.parametrize("entry", [1e154, 1e200])
+    def test_energy_of_a_finite_matrix_whose_squared_norm_overflows_is_a_grasp_error(self, entry):
+        # 1e154 squares to a finite 1e308 whose sum overflows; 1e200 already overflows when squared
+        with pytest.raises(GraspError) as e:
+            T.permutation_energy(np.full((3, 3), entry))
+        assert e.value.code == "ZERO_MATRIX"
+
+    def test_energy_of_a_matrix_whose_squared_norm_is_just_finite(self):
+        # squares of 1.6e307 sum to 1.44e308; 100 times the best assignment's 4.8e307 would overflow
+        assert T.permutation_energy(np.full((3, 3), 4e153)) == pytest.approx(100.0 / 3.0, abs=1e-12)
 
 
 class TestHardening:
