@@ -129,7 +129,10 @@ class _Stage:
         self.seed: int | None = None
 
     def directory(self, seed: int | None) -> Path:
-        """The directory to write artifacts into, created on the first call; ``seed`` is the manifest's."""
+        """The directory to write artifacts into, created on the first call; ``seed`` is the manifest's.  A verb
+        calls this only once its inputs have loaded and its work succeeded, naming the seed it resolved (``None``
+        for a verb that draws no random numbers).  When the verb returns, ``main`` writes the manifest of every
+        staged file and commits them into ``--out``."""
         self.seed = seed
         if self.path is None:
             self.out.parent.mkdir(parents=True, exist_ok=True)
@@ -152,13 +155,6 @@ class _Stage:
         if self.path is not None:
             shutil.rmtree(self.path, ignore_errors=True)
             self.path = None
-
-
-def _out_dir(args, seed: int | None) -> Path:
-    """Where the verb writes its artifacts; each verb calls this only once its inputs have loaded and its work
-    succeeded, naming the seed it resolved (``None`` for a verb that draws no random numbers).  When the verb
-    returns, ``main`` writes the manifest of every staged file and moves them all into ``--out``."""
-    return args.stage.directory(seed)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -200,7 +196,7 @@ def _cmd_synth(args) -> int:
         log.info("flag --seed %d overrides spec seed %d", args.seed, spec.seed)
         spec = replace(spec, seed=args.seed)
     result = generate_synthetic(spec)
-    out = _out_dir(args, spec.seed)
+    out = args.stage.directory(spec.seed)
     write_cache(result.cache, out / "cache")
     with open(out / "annotations.jsonl", "w", encoding="utf-8") as fh:
         for row in result.iter_rows():
@@ -212,7 +208,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_validate(args) -> int:
     results, summary = validate_jsonl(args.input)
-    out = _out_dir(args, None)
+    out = args.stage.directory(None)
     with open(out / "verdicts.jsonl", "w", encoding="utf-8") as fh:
         for res in results:
             fh.write(json.dumps(res.to_json_dict(), sort_keys=True) + "\n")
@@ -257,7 +253,7 @@ def _cmd_train(args) -> int:
             log.info("flag overrides config: %s=%s", name, value)
     config = replace(config, **changed)  # re-runs TrainConfig's checks on the overridden values
     checkpoint, history = train(config, cache)
-    out = _out_dir(args, config.seed)
+    out = args.stage.directory(config.seed)
     save_checkpoint(out / "checkpoint.ckpt", checkpoint)
     with open(out / "history.jsonl", "w", encoding="utf-8") as fh:
         for stats in history:
@@ -290,7 +286,7 @@ def _write_report(args):
     report = diagnostic_report(
         cache, transform, contract, pool_mode=args.pool, query_split=args.split, labels=labels
     )
-    out = _out_dir(args, None)
+    out = args.stage.directory(None)
     _write_json(out / "report.json", report.to_json_dict())
     return out, report, contract
 
@@ -321,7 +317,7 @@ def _cmd_compare(args) -> int:
     cache = load_cache(args.cache)
     grid = _grid_from_args(args, cache)
     comparison = run_method_comparison(cache, grid)
-    out = _out_dir(args, grid.seed)
+    out = args.stage.directory(grid.seed)
     write_method_csv(comparison.rows, out / "methods.csv")
     _write_json(out / "methods.json", [r.to_json_dict() for r in comparison.rows])
     named = [(name, rep) for name, rep in comparison.reports.items()]
@@ -338,7 +334,7 @@ def _cmd_kappa(args) -> int:
     cache = load_cache(args.cache)
     grid = _grid_from_args(args, cache)
     rows = run_kappa_sensitivity(cache, grid)
-    out = _out_dir(args, grid.seed)
+    out = args.stage.directory(grid.seed)
     write_kappa_csv(rows, out / "kappa.csv")
     _write_json(out / "kappa.json", [r.to_json_dict() for r in rows])
     return 0
@@ -348,7 +344,7 @@ def _cmd_pool(args) -> int:
     cache = load_cache(args.cache)
     transform, contract = _transform_and_contract(args, cache)
     rows = run_pool_sensitivity(cache, transform, contract)
-    out = _out_dir(args, None)
+    out = args.stage.directory(None)
     write_pool_csv(rows, out / "pool.csv")
     _write_json(out / "pool.json", [r.to_json_dict() for r in rows])
     return 0
@@ -359,7 +355,7 @@ def _cmd_cost(args) -> int:
     for name, value in est.formatted().items():
         print(f"{name}\t{value}")
     if args.out:
-        _write_json(_out_dir(args, None) / "cost.json", est.to_json_dict())
+        _write_json(args.stage.directory(None) / "cost.json", est.to_json_dict())
     return 0
 
 
@@ -413,7 +409,7 @@ def _cmd_gradcheck(args) -> int:
     print(f"gradcheck\t{'PASS' if passed else 'FAIL'}\tworst={worst:.3e}\ttolerance={args.tolerance:g}")
     if args.out:
         verdict = {"results": results, "worst": worst, "passed": passed}
-        _write_json(_out_dir(args, seed) / "gradcheck.json", verdict)
+        _write_json(args.stage.directory(seed) / "gradcheck.json", verdict)
     return 0 if passed else 1
 
 

@@ -492,28 +492,22 @@ def total_loss_and_gradient(
 # Finite-difference verification oracle
 
 
-def flatten_grads(model: VariantModel, grads: Grads) -> np.ndarray:
-    parts = [grads.params[name].ravel() for name in model.param_names]
-    parts.append(np.asarray(grads.log_temps, dtype=np.float64).ravel())
-    return np.concatenate(parts)
-
-
 def flatten_state(model: VariantModel, params: dict[str, np.ndarray], log_temps: np.ndarray) -> np.ndarray:
-    parts = [np.asarray(params[name], dtype=np.float64).ravel() for name in model.param_names]
+    """Parameters in ``model.shapes`` order, then log-temperatures, as one vector; gradients flatten the same way."""
+    parts = [np.asarray(params[name], dtype=np.float64).ravel() for name in model.shapes]
     parts.append(np.asarray(log_temps, dtype=np.float64).ravel())
     return np.concatenate(parts)
 
 
-def unflatten_state(model: VariantModel, template: dict[str, np.ndarray], n_temps: int, vec: np.ndarray):
+def unflatten_state(model: VariantModel, vec: np.ndarray):
+    """The ``(params, log_temps)`` that ``flatten_state`` laid out as ``vec``, copied out of it."""
     params = {}
     pos = 0
-    for name in model.param_names:
-        shape = template[name].shape
-        size = int(np.prod(shape)) if shape else 1
+    for name, shape in model.shapes.items():
+        size = math.prod(shape)
         params[name] = vec[pos : pos + size].reshape(shape).copy()
         pos += size
-    log_temps = vec[pos : pos + n_temps].copy()
-    return params, log_temps
+    return params, vec[pos:].copy()
 
 
 def central_difference_max_error(fn, x0: np.ndarray, analytic: np.ndarray, step: float, coords=None) -> float:
@@ -556,12 +550,11 @@ def finite_difference_check(
     coordinates (64 when no cap is given) is used.
     """
     _, grads, _ = total_loss_and_gradient(model, params, log_temps, batch, config, contract, enabled_types, terms)
-    analytic = flatten_grads(model, grads)
+    analytic = flatten_state(model, grads.params, grads.log_temps)
     x0 = flatten_state(model, params, log_temps)
-    n_temps = len(contract.prefixes)
 
     def fn(vec):
-        p, lt = unflatten_state(model, params, n_temps, vec)
+        p, lt = unflatten_state(model, vec)
         value, _, _ = total_loss_and_gradient(model, p, lt, batch, config, contract, enabled_types, terms)
         return value
 

@@ -14,7 +14,7 @@ from .datastore import EmbeddingCache, build_pool
 from .errors import GraspError
 from .metrics import full_drift, recall_at_1, selectivity, staircase, staircase_cells
 from .objective import Batch, LossConfig, StepWorkspace, TERM_NAMES, default_retention_weights
-from .objective import flatten_grads, flatten_state, total_loss_and_gradient, unflatten_state
+from .objective import flatten_state, total_loss_and_gradient, unflatten_state
 from .transforms import (
     Checkpoint,
     InterfaceContract,
@@ -237,8 +237,8 @@ def train(config: TrainConfig, cache: EmbeddingCache):
             _, grads, values = total_loss_and_gradient(
                 model, params, log_temps, batch, config.loss, config.contract, enabled, workspace=workspace
             )
-            flat = opt.step(flat, flatten_grads(model, grads))
-            params, log_temps = unflatten_state(model, params, n_prefixes, flat)
+            flat = opt.step(flat, flatten_state(model, grads.params, grads.log_temps))
+            params, log_temps = unflatten_state(model, flat)
             for t in TERM_NAMES:
                 term_sums[t] += values[t]
             n_steps += 1

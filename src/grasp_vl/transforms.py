@@ -100,9 +100,9 @@ class InterfaceContract:
     @classmethod
     def from_json_dict(cls, d: dict) -> "InterfaceContract":
         return cls(
-            prefixes=tuple(int(k) for k in d["prefix_set"]),
-            view_of={int(k): v for k, v in d["view_assignment"].items()},
-            kappa={r: int(k) for r, k in d["boundary_map"].items()},
+            prefixes=tuple(_from_json(int, k) for k in d["prefix_set"]),
+            view_of=_from_json(dict[int, str], d["view_assignment"]),
+            kappa=_from_json(dict[str, int], d["boundary_map"]),
         )
 
 
@@ -381,14 +381,17 @@ def fields_to_json(record) -> dict:
 
 def _from_json(kind, value):
     """``value`` read from JSON as type ``kind``: a nested setting through its ``from_json_dict``, a dict key by key
-    and value by value, a number through ``int`` or ``float``, anything else (such as a string) as it is."""
+    (an ``int`` key parsed from its string) and value by value, an ``int`` from a JSON integer, a ``float`` from any
+    JSON number, anything else (such as a string) as it is.  A bool or a string for a number is a TypeError."""
     if isinstance(kind, types.UnionType):  # ``float | None``: a value present in the JSON is not None
         kind = typing.get_args(kind)[0]
     if hasattr(kind, "from_json_dict"):
         return kind.from_json_dict(value)
     if typing.get_origin(kind) is dict:
         key_kind, value_kind = typing.get_args(kind)
-        return {_from_json(key_kind, k): _from_json(value_kind, v) for k, v in value.items()}
+        return {(int(k) if key_kind is int else k): _from_json(value_kind, v) for k, v in value.items()}
+    if kind in (int, float) and type(value) not in (int, kind):  # bool is a subclass of int, not int itself
+        raise TypeError(f"{value!r} is not a JSON {'integer' if kind is int else 'number'}")
     return kind(value) if kind in (int, float) else value
 
 
@@ -427,20 +430,35 @@ class TransformSpec:
         return fields_from_json(cls, d)
 
 
-def param_shapes(spec: TransformSpec) -> dict[str, tuple[int, ...]]:
-    """Shape of each trainable parameter of a variant, temperatures excluded."""
+def _param_draws(spec: TransformSpec) -> dict[str, tuple[tuple[int, ...], float, float]]:
+    """Each trainable parameter of a variant in draw order, temperatures excluded, as ``(shape, mean, std)``: it
+    starts at ``mean + std * rng.standard_normal(shape)``, or at ``mean`` throughout when ``std`` is 0."""
     d, h = spec.dim, 2 * spec.dim
     if spec.variant == "dense_cayley":
-        return {"b": (d, d)}
+        return {"b": ((d, d), 0.0, 1e-3)}
     if spec.variant == "butterfly":
-        return {"angles": butterfly_angle_shape(d, spec.stacks)}
+        return {"angles": (butterfly_angle_shape(d, spec.stacks), 0.0, 1e-3)}
     if spec.variant == "permutation":
-        return {"logits": (d, d)}
+        return {"logits": ((d, d), 0.0, 1e-2)}
     if spec.variant == "signed_permutation":
-        return {"logits": (d, d), "sign_logits": (d,)}
+        return {"logits": ((d, d), 0.0, 1e-2), "sign_logits": ((d,), 1.0, 0.1)}
     if spec.variant == "low_rank":
-        return {"b": (d, d), "u": (d, spec.rank), "v": (d, spec.rank), "gate": ()}
-    return {"w1": (h, d), "b1": (h,), "scale": (h,), "shift": (h,), "w2": (d, h), "b2": (d,)}  # mlp
+        r = spec.rank
+        return {"b": ((d, d), 0.0, 1e-3), "u": ((d, r), 0.0, 1e-2), "v": ((d, r), 0.0, 1e-2), "gate": ((), 1.0, 0.0)}
+    glorot = math.sqrt(2.0 / (d + h))  # mlp
+    return {
+        "w1": ((h, d), 0.0, glorot),
+        "b1": ((h,), 0.0, 0.0),
+        "scale": ((h,), 1.0, 0.0),
+        "shift": ((h,), 0.0, 0.0),
+        "w2": ((d, h), 0.0, glorot),
+        "b2": ((d,), 0.0, 0.0),
+    }
+
+
+def param_shapes(spec: TransformSpec) -> dict[str, tuple[int, ...]]:
+    """Shape of each trainable parameter of a variant, temperatures excluded."""
+    return {name: shape for name, (shape, _, _) in _param_draws(spec).items()}
 
 
 def param_count(spec: TransformSpec, n_prefixes: int) -> int:
@@ -605,81 +623,73 @@ class _MlpStepState:
 
 
 class VariantModel:
-    """Base for trainable transform families; ``param_names`` is the order of ``param_shapes``."""
+    """Base for trainable transform families; ``shapes`` is ``param_shapes(spec)``, in the flat layout's order.
+
+    A linear variant defines ``matrix(params) -> (matrix, matrix_vjp)``, which the training step and evaluation
+    both build from; ``provenance`` and ``orthogonal`` label the map.  A variant overrides ``eval_transform`` only
+    where the map it evaluates is not the step's matrix.
+    """
+
+    provenance = "linear"
+    orthogonal = False
 
     def __init__(self, spec: TransformSpec):
         self.spec = spec
         self.dim = spec.dim
-        self.param_names = tuple(param_shapes(spec))
+        self.shapes = param_shapes(spec)
 
-    def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:  # pragma: no cover
-        raise NotImplementedError
+    def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        return {
+            name: mean + std * rng.standard_normal(shape) if std else np.full(shape, mean)
+            for name, (shape, mean, std) in _param_draws(self.spec).items()
+        }
 
-    def begin_step(self, params: dict[str, np.ndarray]):  # pragma: no cover
-        raise NotImplementedError
+    def begin_step(self, params: dict[str, np.ndarray]):
+        return _LinearStepState(*self.matrix(params), self.orthogonal)
 
-    def eval_transform(self, params: dict[str, np.ndarray]):  # pragma: no cover
-        raise NotImplementedError
+    def eval_transform(self, params: dict[str, np.ndarray]):
+        return LinearTransform(self.matrix(params)[0], self.provenance, self.orthogonal)
 
 
 class DenseCayleyModel(VariantModel):
-    def init_params(self, rng):
-        return {"b": 1e-3 * rng.standard_normal((self.dim, self.dim))}
+    provenance = "cayley"
+    orthogonal = True
 
-    def begin_step(self, params):
+    def matrix(self, params):
         r, vjp = cayley_build_with_vjp(params["b"])
-        return _LinearStepState(r.matrix, lambda dm: {"b": vjp(dm)}, orthogonal=True)
-
-    def eval_transform(self, params):
-        return cayley_build(params["b"])
+        return r.matrix, lambda dm: {"b": vjp(dm)}
 
 
 class ButterflyModel(VariantModel):
-    def init_params(self, rng):
-        shape = butterfly_angle_shape(self.dim, self.spec.stacks)
-        return {"angles": 1e-3 * rng.standard_normal(shape)}
+    provenance = "butterfly"
+    orthogonal = True
 
-    def begin_step(self, params):
+    def matrix(self, params):
         angles = params["angles"]
         # rows of butterfly_apply(I) are R^T (see butterfly_build), so dL/dR^T = (dL/dR)^T
         rt, ctx = butterfly_apply_with_ctx(angles, np.eye(self.dim))
-        return _LinearStepState(rt.T, lambda dm: {"angles": butterfly_vjp(angles, ctx, dm.T)}, orthogonal=True)
+        return rt.T, lambda dm: {"angles": butterfly_vjp(angles, ctx, dm.T)}
 
     def eval_transform(self, params):
-        return butterfly_build(params["angles"])
+        return butterfly_build(params["angles"])  # without the step's per-stage context
 
 
 class PermutationModel(VariantModel):
     """Doubly-stochastic relaxation while training; hardened at evaluation."""
 
-    def init_params(self, rng):
-        return {"logits": 1e-2 * rng.standard_normal((self.dim, self.dim))}
-
-    def begin_step(self, params):
+    def matrix(self, params):
         p, trace = _sinkhorn(params["logits"])
-        return _LinearStepState(
-            p,
-            lambda dm: {"logits": _sinkhorn_vjp(params["logits"], trace, dm)},
-            orthogonal=False,
-        )
+        return p, lambda dm: {"logits": _sinkhorn_vjp(params["logits"], trace, dm)}
 
     def eval_transform(self, params):
         p, _ = _sinkhorn(params["logits"])
-        m = harden_doubly_stochastic(p)
-        return LinearTransform(m, "permutation", orthogonal=True)
+        return LinearTransform(harden_doubly_stochastic(p), "permutation", orthogonal=True)
 
 
 class SignedPermutationModel(VariantModel):
-    def init_params(self, rng):
-        return {
-            "logits": 1e-2 * rng.standard_normal((self.dim, self.dim)),
-            "sign_logits": 1.0 + 0.1 * rng.standard_normal(self.dim),
-        }
-
-    def begin_step(self, params):
+    def matrix(self, params):
         p, trace = _sinkhorn(params["logits"])
         t = np.tanh(params["sign_logits"])
-        w = p * t[None, :]
 
         def matrix_vjp(dm):
             dp = dm * t[None, :]
@@ -689,7 +699,7 @@ class SignedPermutationModel(VariantModel):
                 "sign_logits": dt * (1.0 - t * t),
             }
 
-        return _LinearStepState(w, matrix_vjp, orthogonal=False)
+        return p * t[None, :], matrix_vjp
 
     def eval_transform(self, params):
         p, _ = _sinkhorn(params["logits"])
@@ -701,22 +711,8 @@ class SignedPermutationModel(VariantModel):
 class LowRankModel(VariantModel):
     """Shared Cayley rotation plus a gated rank-r residual; not orthogonal."""
 
-    def init_params(self, rng):
-        d, r = self.dim, self.spec.rank
-        return {
-            "b": 1e-3 * rng.standard_normal((d, d)),
-            "u": 1e-2 * rng.standard_normal((d, r)),
-            "v": 1e-2 * rng.standard_normal((d, r)),
-            "gate": np.array(1.0),
-        }
-
-    def _matrix(self, params):
-        r, vjp = cayley_build_with_vjp(params["b"])
-        w = r.matrix + float(params["gate"]) * params["u"] @ params["v"].T
-        return w, vjp
-
-    def begin_step(self, params):
-        w, cayley_vjp = self._matrix(params)
+    def matrix(self, params):
+        r, cayley_vjp = cayley_build_with_vjp(params["b"])
         u, v, gate = params["u"], params["v"], float(params["gate"])
 
         def matrix_vjp(dm):
@@ -727,26 +723,10 @@ class LowRankModel(VariantModel):
                 "gate": np.array(np.sum(dm * (u @ v.T))),
             }
 
-        return _LinearStepState(w, matrix_vjp, orthogonal=False)
-
-    def eval_transform(self, params):
-        w, _ = self._matrix(params)
-        return LinearTransform(w, "linear", orthogonal=False)
+        return r.matrix + gate * u @ v.T, matrix_vjp
 
 
 class MlpModel(VariantModel):
-    def init_params(self, rng):
-        d = self.dim
-        h = 2 * d
-        return {
-            "w1": rng.standard_normal((h, d)) * math.sqrt(2.0 / (d + h)),
-            "b1": np.zeros(h),
-            "scale": np.ones(h),
-            "shift": np.zeros(h),
-            "w2": rng.standard_normal((d, h)) * math.sqrt(2.0 / (d + h)),
-            "b2": np.zeros(d),
-        }
-
     def begin_step(self, params):
         return _MlpStepState(params)
 
@@ -836,8 +816,11 @@ def load_matrix_transform(path: str | Path) -> LinearTransform:
         if _bytes_left(fh) != 8 * d * d:
             raise GraspError("SHAPE_MISMATCH", "transform blob does not match declared dim")
         blob = fh.read(8 * d * d)
+    provenance, orthogonal = header.get("provenance", "identity"), header.get("orthogonal", False)
+    if not isinstance(provenance, str) or not isinstance(orthogonal, bool):
+        raise GraspError("MALFORMED", f"transform header types: provenance {provenance!r}, orthogonal {orthogonal!r}")
     matrix = np.frombuffer(blob, dtype="<f8").reshape(d, d).copy()
-    return LinearTransform(matrix, header.get("provenance", "identity"), bool(header.get("orthogonal", False)))
+    return LinearTransform(matrix, provenance, orthogonal)
 
 
 # ---------------------------------------------------------------------------

@@ -809,6 +809,51 @@ class TestErrors:
         assert self._one_data_error(rc, capsys)["code"] == code
 
     @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: {**c, "prefix_set": [float(k) for k in c["prefix_set"]]},
+            lambda c: {**c, "boundary_map": {**c["boundary_map"], "full": c["boundary_map"]["full"] + 0.5}},
+            lambda c: {**c, "boundary_map": {**c["boundary_map"], "object": str(c["boundary_map"]["object"])}},
+        ],
+        ids=["float_prefixes", "fractional_kappa", "string_kappa"],
+    )
+    def test_non_integer_contract_in_checkpoint_is_data_error(self, synth_dir, trained_dir, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_header(trained_dir / "checkpoint.ckpt", bad, lambda h: {**h, "contract": edit(h["contract"])})
+        rc = main(["eval", "--cache", str(synth_dir / "cache" / "manifest.json"), "--checkpoint", str(bad),
+                   "--out", str(tmp_path / "o")])
+        assert self._one_data_error(rc, capsys)["code"] == "MALFORMED"
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("epochs", 2.9), ("seed", True), ("batch_size", "256"), ("lr_transform", "0.003")],
+        ids=["float_epochs", "bool_seed", "string_batch_size", "string_lr"],
+    )
+    def test_train_config_number_of_the_wrong_json_type_is_config_error(
+        self, synth_dir, trained_dir, tmp_path, capsys, field, value
+    ):
+        config = json.loads((trained_dir / "train_config.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, field: value}))
+        rc = main(["train", "--cache", str(synth_dir / "cache" / "manifest.json"), "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert one_error_line(capsys, "CONFIG")["code"] == "CONFIG"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"block_sizes": {**SPEC["block_sizes"], "residual": 18.5}}, {"seed": True}, {"n_examples": "160"}],
+        ids=["fractional_block", "bool_seed", "string_count"],
+    )
+    def test_synth_spec_number_of_the_wrong_json_type_is_config_error(self, tmp_path, capsys, change):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, **change}))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
+        assert one_error_line(capsys, "CONFIG")["code"] == "CONFIG"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "field,value", [("files", 5), ("ids", 5), ("splits", ["splits.json"])], ids=["files", "ids", "splits"]
     )
     def test_malformed_cache_manifest_is_data_error(self, synth_dir, tmp_path, capsys, field, value):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -179,6 +180,18 @@ class TestStoredMatrix:
         with pytest.raises(GraspError) as e:
             T.LinearTransform(np.array([[1.0, 0.0], [np.nextafter(1e-8, 1), 1.0]]), "custom", orthogonal=True)
         assert e.value.code == "ORTHOGONALITY_VIOLATION"
+
+    @pytest.mark.parametrize(
+        "field,value", [("orthogonal", "false"), ("orthogonal", 0), ("provenance", ["x"])], ids=["str", "int", "list"]
+    )
+    def test_header_of_the_wrong_type_is_malformed(self, tmp_path, field, value):
+        path = tmp_path / "m.transform"
+        T.save_matrix_transform(path, T.LinearTransform(np.diag([1.0, 2.0]), "custom", orthogonal=False))
+        header, blob = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(json.dumps({**json.loads(header), field: value}).encode() + b"\n" + blob)
+        with pytest.raises(GraspError) as e:
+            T.load_matrix_transform(path)
+        assert e.value.code == "MALFORMED"
 
 
 def prefix_score(z_img, z_txt, k, tau):
@@ -547,6 +560,96 @@ class TestEvalTransforms:
         assert np.array_equal(model.eval_transform(params).apply(x), z)
         assert np.array_equal(rows, x)
         assert np.array_equal(h, np.tanh(x @ params["w1"].T + params["b1"]))
+
+
+def _reference_draws(variant: str, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Each variant's initial parameters written out by hand, at dim 16, stacks 2 and rank 4, in draw order."""
+    d, h = 16, 32
+    if variant == "dense_cayley":
+        return {"b": 1e-3 * rng.standard_normal((d, d))}
+    if variant == "butterfly":
+        return {"angles": 1e-3 * rng.standard_normal((2, 4, d // 2))}
+    if variant == "permutation":
+        return {"logits": 1e-2 * rng.standard_normal((d, d))}
+    if variant == "signed_permutation":
+        return {"logits": 1e-2 * rng.standard_normal((d, d)), "sign_logits": 1.0 + 0.1 * rng.standard_normal(d)}
+    if variant == "low_rank":
+        return {
+            "b": 1e-3 * rng.standard_normal((d, d)),
+            "u": 1e-2 * rng.standard_normal((d, 4)),
+            "v": 1e-2 * rng.standard_normal((d, 4)),
+            "gate": np.array(1.0),
+        }
+    return {
+        "w1": rng.standard_normal((h, d)) * np.sqrt(2.0 / (d + h)),
+        "b1": np.zeros(h),
+        "scale": np.ones(h),
+        "shift": np.zeros(h),
+        "w2": rng.standard_normal((d, h)) * np.sqrt(2.0 / (d + h)),
+        "b2": np.zeros(d),
+    }
+
+
+# provenance and orthogonality of each variant's evaluated map
+_EVALUATED_AS = {
+    "dense_cayley": ("cayley", True),
+    "butterfly": ("butterfly", True),
+    "permutation": ("permutation", True),
+    "signed_permutation": ("signed_permutation", True),
+    "low_rank": ("linear", False),
+    "mlp": ("mlp", False),
+}
+
+
+class TestVariantTable:
+    """Each variant's parameters and initial draws come from one table, and a linear variant's evaluated map from
+    the builder its training step uses."""
+
+    @staticmethod
+    def _model(variant):
+        return T.make_model(T.TransformSpec(variant, 16, stacks=2, rank=4))
+
+    @pytest.mark.parametrize("variant", sorted(_EVALUATED_AS))
+    def test_initial_draws_equal_the_hand_written_ones_bit_for_bit(self, variant):
+        params = self._model(variant).init_params(np.random.default_rng(0))
+        reference = _reference_draws(variant, np.random.default_rng(0))
+        assert list(params) == list(reference)
+        for name, value in reference.items():
+            assert params[name].dtype == np.float64 and params[name].shape == value.shape
+            assert params[name].tobytes() == value.tobytes(), name
+        if variant == "low_rank":
+            assert params["gate"].ndim == 0
+
+    @pytest.mark.parametrize("variant", ["dense_cayley", "butterfly", "low_rank"])
+    def test_evaluated_matrix_is_the_step_matrix(self, variant):
+        model = self._model(variant)
+        rng = np.random.default_rng(5)
+        params = {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in model.init_params(rng).items()}
+        assert np.array_equal(model.eval_transform(params).matrix, model.begin_step(params).matrix)
+
+    def test_evaluated_permutation_hardens_the_step_matrix(self):
+        model = self._model("permutation")
+        rng = np.random.default_rng(6)
+        params = {"logits": rng.standard_normal((16, 16))}
+        hard = T.harden_doubly_stochastic(model.begin_step(params).matrix)
+        assert np.array_equal(model.eval_transform(params).matrix, hard)
+
+    @pytest.mark.parametrize("variant", sorted(_EVALUATED_AS))
+    def test_provenance_and_orthogonality(self, variant):
+        model = self._model(variant)
+        t = model.eval_transform(model.init_params(np.random.default_rng(0)))
+        assert (t.provenance, t.orthogonal) == _EVALUATED_AS[variant]
+
+    @pytest.mark.parametrize("variant", sorted(_EVALUATED_AS))
+    def test_flat_layout_round_trips(self, variant):
+        model = self._model(variant)
+        params = model.init_params(np.random.default_rng(0))
+        log_temps = np.array([-2.5, -2.0, -1.5, -1.0, -0.5])
+        back, back_temps = O.unflatten_state(model, O.flatten_state(model, params, log_temps))
+        assert list(back) == list(params)
+        for name, value in params.items():
+            assert back[name].shape == value.shape and np.array_equal(back[name], value)
+        assert np.array_equal(back_temps, log_temps)
 
 
 class TestCheckpointFormat:
