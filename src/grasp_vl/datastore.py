@@ -9,7 +9,9 @@ rows.  Ids are one per line; splits are a JSON object id -> split.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+import mmap
+import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -280,19 +282,24 @@ class EmbeddingCache:
             yield f"neg_{r}", self.negatives[r]
 
 
-def _check_rows(name: str, rows: np.ndarray, n: int, dim: int, norm_tol: float) -> None:
-    if rows.shape != (n, dim):
-        raise GraspError("SHAPE_MISMATCH", f"{name}: expected {(n, dim)}, got {rows.shape}")
-    # einsum sums the float32 rows in float64 through its own small cast buffers: no float64 copy of the rows
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
-    worst = float(np.abs(norms - 1.0).max()) if n else 0.0
+def _check_norms(name: str, blocks: Iterable[np.ndarray], norm_tol: float) -> None:
+    """Raise ``NORM_VIOLATION`` unless every row of every block has a norm within ``norm_tol`` of 1; the message
+    names the worst deviation over all the blocks.  A NaN row fails."""
+    worst = 0.0
+    for rows in blocks:
+        # einsum sums the float32 rows in float64 through its own small cast buffers: no float64 copy of the rows
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+        worst = np.maximum(worst, np.abs(norms - 1.0).max())  # np.maximum keeps a NaN
     if not worst <= norm_tol:  # a NaN norm fails too
         raise GraspError("NORM_VIOLATION", f"{name}: row norm off by {worst:.2e} (tolerance {norm_tol:g})")
 
 
 def validate_cache(cache: EmbeddingCache) -> None:
+    spans = block_spans(cache.n, 4 * cache.dim)
     for name, rows in cache.matrices():
-        _check_rows(name, rows, cache.n, cache.dim, _GENERATED_NORM_TOL)
+        if rows.shape != (cache.n, cache.dim):
+            raise GraspError("SHAPE_MISMATCH", f"{name}: expected {(cache.n, cache.dim)}, got {rows.shape}")
+        _check_norms(name, (rows[a:b] for a, b in spans), _GENERATED_NORM_TOL)
 
 
 def write_cache(cache: EmbeddingCache, out_dir: str | Path) -> Path:
@@ -319,8 +326,23 @@ def write_cache(cache: EmbeddingCache, out_dir: str | Path) -> Path:
     return path
 
 
+def _load_matrix(name: str, path: Path, count: int, dim: int) -> np.ndarray:
+    """The ``count`` x ``dim`` float32 rows of ``path``, checked in row blocks read from one descriptor, then
+    served read-only from a map of that descriptor: the process holds no anonymous copy of the matrix, and only
+    the rows a verb reads become resident."""
+    with open(path, "rb") as fh:
+        nbytes = os.fstat(fh.fileno()).st_size
+        if nbytes != 4 * count * dim:
+            raise GraspError("SHAPE_MISMATCH", f"{name}: {nbytes} bytes cannot hold {count} x {dim} float32 rows")
+        blocks = (np.fromfile(fh, "<f4", (b - a) * dim).reshape(b - a, dim) for a, b in block_spans(count, 4 * dim))
+        _check_norms(name, blocks, _LOADED_NORM_TOL)
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if count else b""  # an empty file cannot be mapped
+    return np.frombuffer(data, dtype="<f4").reshape(count, dim)
+
+
 def load_cache(manifest_path: str | Path) -> EmbeddingCache:
-    """Load and fully verify a cache; rejects shape or norm violations."""
+    """Load and fully verify a cache; rejects shape or norm violations.  The matrices are read-only arrays over
+    maps of their files, which must not change while the cache is in use."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -353,16 +375,7 @@ def load_cache(manifest_path: str | Path) -> EmbeddingCache:
             raise GraspError("SHAPE_MISMATCH", f"manifest declares {count} ids, file has {len(ids)}")
         split_of = json.loads((base / splits_rel).read_text(encoding="utf-8"))
         for name, rel in files.items():
-            path = base / rel
-            nbytes = path.stat().st_size
-            if nbytes != 4 * count * dim:
-                raise GraspError(
-                    "SHAPE_MISMATCH",
-                    f"{name}: {nbytes} bytes cannot hold {count} x {dim} float32 rows",
-                )
-            rows = np.fromfile(path, dtype="<f4").reshape(count, dim)
-            _check_rows(name, rows, count, dim, _LOADED_NORM_TOL)
-            loaded[name] = rows
+            loaded[name] = _load_matrix(name, base / rel, count, dim)
     except OSError as exc:
         raise GraspError("IO_ERROR", str(exc)) from exc
     except (ValueError, RecursionError) as exc:  # undecodable bytes or JSON, or a bad file name

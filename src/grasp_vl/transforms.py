@@ -527,7 +527,7 @@ def _solve_assignment(cost: np.ndarray) -> np.ndarray:
         reached = np.zeros(n, dtype=bool)
         rows = []  # assigned rows the search passed through
         i, min_val = cur, 0.0
-        while True:
+        for _ in range(n):  # each pass reaches one more column, and a free column is among them
             r = min_val + c[i]  # scipy's order of operations, so near-ties round the same way
             r -= u[i]
             r -= v
@@ -541,16 +541,20 @@ def _solve_assignment(cost: np.ndarray) -> np.ndarray:
                 break
             i = row4col[j]
             rows.append(i)
+        else:
+            raise GraspError("SOLVER_BOUND", f"row {cur}: no free column reached in {n} passes")
         u[cur] += min_val
         rows = np.array(rows, dtype=np.intp)
         u[rows] += min_val - path_cost[col4row[rows]]
         v[reached] -= min_val - path_cost[reached]
-        while True:  # flip the path back from the free column ``j`` to ``cur``
+        for _ in range(n):  # flip the path back from the free column ``j`` to ``cur``, at most one pass per row
             i = path[j]
             row4col[j] = i
             col4row[i], j = j, col4row[i]
             if i == cur:
                 break
+        else:
+            raise GraspError("SOLVER_BOUND", f"row {cur}: augmenting path longer than {n} rows")
     return col4row
 
 
@@ -868,16 +872,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         try:
             spec = TransformSpec.from_json_dict(header["spec"])
             contract = InterfaceContract.from_json_dict(header["contract"])
-            log_temps = np.array([float(t) for t in header["log_temperatures"]])
-            entries = [(str(e["name"]), tuple(int(n) for n in e["shape"])) for e in header["params"]]
+            log_temps = np.array([_from_json(float, t) for t in header["log_temperatures"]])
+            entries = [(str(e["name"]), tuple(_from_json(int, n) for n in e["shape"])) for e in header["params"]]
             expected = param_shapes(spec)
             meta = header.get("meta", {})
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError, GraspError) as exc:
             raise GraspError("MALFORMED", f"invalid checkpoint header: {exc!r}") from exc
         if len(entries) != len(expected) or dict(entries) != expected:
             raise GraspError("MALFORMED", f"checkpoint parameters {entries} do not match {spec}")
-        if log_temps.shape != (len(contract.prefixes),) or not isinstance(meta, dict):
-            raise GraspError("MALFORMED", "checkpoint temperatures or meta do not match its contract")
+        finite = np.isfinite(log_temps).all()
+        if log_temps.shape != (len(contract.prefixes),) or not finite or not isinstance(meta, dict):
+            raise GraspError("MALFORMED", "checkpoint temperatures (finite, one per prefix) or meta do not fit")
         sizes = [8 * math.prod(shape) for _, shape in entries]
         if _bytes_left(fh) != sum(sizes):
             raise GraspError("SHAPE_MISMATCH", "checkpoint blobs do not match the declared parameter shapes")

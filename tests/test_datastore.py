@@ -15,6 +15,19 @@ from grasp_vl.metrics import full_drift, selectivity
 from conftest import SMALL_SPEC, traced_peak, unit_rows
 
 
+def shared_rows_cache(rows: np.ndarray) -> D.EmbeddingCache:
+    """A cache whose eleven matrices are all ``rows``, every example in the test split."""
+    ids = tuple(f"r{i:05d}" for i in range(len(rows)))
+    return D.EmbeddingCache(
+        dim=rows.shape[1],
+        ids=ids,
+        split_of=dict.fromkeys(ids, "test"),
+        images=rows,
+        views=dict.fromkeys(T.VIEW_LEVELS, rows),
+        negatives=dict.fromkeys(T.NEGATIVE_TYPES, rows),
+    )
+
+
 def compliant_row(**overrides) -> D.AnnotationRow:
     base = dict(
         id="r1",
@@ -210,6 +223,7 @@ class TestCacheIO:
         )
         loaded = D.load_cache(D.write_cache(cache, tmp_path / "c"))
         assert (loaded.n, loaded.dim) == (count, dim)
+        assert all(rows.shape == (count, dim) and rows.dtype == np.float32 for _, rows in loaded.matrices())
 
     def _write_small(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -230,17 +244,56 @@ class TestCacheIO:
     def test_norm_check_makes_no_float64_copy_of_a_matrix(self):
         # the squared norms are summed by einsum, which casts through its own small buffers; casting a whole
         # 20,000 x 64 matrix to float64 first peaked at 19.8 MiB
-        rows = unit_rows(np.random.default_rng(0), 20000, 64).astype(np.float32)
-        ids = tuple(f"r{i:05d}" for i in range(len(rows)))
-        cache = D.EmbeddingCache(
-            dim=64,
-            ids=ids,
-            split_of=dict.fromkeys(ids, "test"),
-            images=rows,
-            views=dict.fromkeys(T.VIEW_LEVELS, rows),
-            negatives=dict.fromkeys(T.NEGATIVE_TYPES, rows),
-        )
+        cache = shared_rows_cache(unit_rows(np.random.default_rng(0), 20000, 64).astype(np.float32))
         assert traced_peak(D.validate_cache, cache) < 8 * 2**20
+
+
+class TestMappedCache:
+    """A loaded cache is checked in row blocks and served read-only from maps of its files."""
+
+    @staticmethod
+    def _written(tmp_path, n: int, dim: int = 64):
+        rows = unit_rows(np.random.default_rng(0), n, dim).astype(np.float32)
+        return D.write_cache(shared_rows_cache(rows), tmp_path / "c")
+
+    @staticmethod
+    def _scale_image_rows(manifest, scales: dict[int, float]):
+        """Scale rows of a 6,000 x 64 image file, whose row blocks are rows 0-2999 and 3000-5999."""
+        path = manifest.parent / "image.f32"
+        rows = np.fromfile(path, dtype="<f4").reshape(-1, 64)
+        assert D.block_spans(len(rows), 4 * 64) == [(0, 3000), (3000, 6000)]
+        for i, scale in scales.items():
+            rows[i] *= scale
+        rows.tofile(path)
+
+    def test_load_holds_no_copy_of_the_matrices(self, tmp_path):
+        # eleven 20,000 x 64 float32 matrices are 53.7 MiB; read whole into memory they peaked at 58.4 MiB, checked
+        # in row blocks and mapped at 5.7 MiB (the ids and the split table)
+        manifest = self._written(tmp_path, 20000)
+        assert traced_peak(D.load_cache, manifest) < 12 * 2**20
+
+    def test_matrices_are_read_only_plain_arrays(self, tmp_path):
+        cache = D.load_cache(self._written(tmp_path, 40, dim=4))
+        for name, rows in cache.matrices():
+            assert type(rows) is np.ndarray and rows.dtype == np.float32 and rows.shape == (40, 4), name
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.0
+
+    def test_norm_violation_names_the_worst_row_of_the_whole_file(self, tmp_path):
+        manifest = self._written(tmp_path, 6000)
+        self._scale_image_rows(manifest, {10: 1.01, 4500: 1.5})
+        with pytest.raises(GraspError) as e:
+            D.load_cache(manifest)
+        assert e.value.code == "NORM_VIOLATION"
+        assert "image: row norm off by 5.00e-01" in e.value.message
+
+    def test_nan_row_in_the_last_block_is_a_norm_violation(self, tmp_path):
+        manifest = self._written(tmp_path, 6000)
+        self._scale_image_rows(manifest, {5999: np.nan})
+        with pytest.raises(GraspError) as e:
+            D.load_cache(manifest)
+        assert e.value.code == "NORM_VIOLATION"
 
 
 class TestPools:

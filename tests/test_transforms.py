@@ -681,6 +681,55 @@ class TestCheckpointFormat:
             T.load_checkpoint(path)
         assert e.value.code == "SHAPE_MISMATCH"
 
+    @pytest.mark.parametrize("variant", sorted(_EVALUATED_AS))
+    def test_every_variant_round_trips(self, tmp_path, variant):
+        spec = T.TransformSpec(variant, 16, stacks=2, rank=1)
+        params = T.make_model(spec).init_params(np.random.default_rng(0))
+        log_temps = np.array([-2.6, -2.0, -1.5, -1.0, -0.5])
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(path, T.Checkpoint(spec, T.InterfaceContract.default_ladder(16), log_temps, params, {}))
+        loaded = T.load_checkpoint(path)
+        assert loaded.spec == spec and np.array_equal(loaded.log_temps, log_temps)
+        assert list(loaded.params) == sorted(params)
+        for name, value in params.items():
+            assert loaded.params[name].shape == np.shape(value) and np.array_equal(loaded.params[name], value)
+
+    @staticmethod
+    def _edited_low_rank_checkpoint(tmp_path, edit):
+        """A rank-1 low-rank checkpoint (``u`` is 16 x 1) whose JSON header went through ``edit``."""
+        spec = T.TransformSpec("low_rank", 16, rank=1)
+        params = T.make_model(spec).init_params(np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(path, T.Checkpoint(spec, T.InterfaceContract.default_ladder(16), np.full(5, -2.6), params, {}))
+        header, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        return path
+
+    @pytest.mark.parametrize(
+        "temperature", ["-2.6", True, "nan", float("nan"), float("inf")], ids=["str", "bool", "nan_str", "nan", "inf"]
+    )
+    def test_temperature_that_is_not_a_finite_json_number_is_malformed(self, tmp_path, temperature):
+        def edit(header):
+            header["log_temperatures"][0] = temperature
+
+        with pytest.raises(GraspError) as e:
+            T.load_checkpoint(self._edited_low_rank_checkpoint(tmp_path, edit))
+        assert e.value.code == "MALFORMED"
+
+    @pytest.mark.parametrize(
+        "shape", [[16.9, 1.2], [16.0, 1], [16, True], ["16", 1]], ids=["fraction", "integral_float", "bool", "str"]
+    )
+    def test_shape_entry_that_is_not_a_json_integer_is_malformed(self, tmp_path, shape):
+        def edit(header):
+            (entry,) = (e for e in header["params"] if e["name"] == "u")
+            entry["shape"] = shape
+
+        with pytest.raises(GraspError) as e:
+            T.load_checkpoint(self._edited_low_rank_checkpoint(tmp_path, edit))
+        assert e.value.code == "MALFORMED"
+
     def test_non_finite_matrix_claimed_orthogonal_rejected(self, tmp_path):
         path = tmp_path / "nan.transform"
         T.save_matrix_transform(path, T.random_orthogonal(4, 0))
