@@ -32,7 +32,6 @@ from .datastore import (
     generate_synthetic,
     load_cache,
     validate_jsonl,
-    write_cache,
 )
 from .errors import GraspError
 from .harness import (
@@ -129,10 +128,11 @@ class _Stage:
         self.seed: int | None = None
 
     def directory(self, seed: int | None) -> Path:
-        """The directory to write artifacts into, created on the first call; ``seed`` is the manifest's.  A verb
-        calls this only once its inputs have loaded and its work succeeded, naming the seed it resolved (``None``
-        for a verb that draws no random numbers).  When the verb returns, ``main`` writes the manifest of every
-        staged file and commits them into ``--out``."""
+        """The directory to write artifacts into, created on the first call; ``seed`` is the manifest's, the seed
+        the verb resolved (``None`` for a verb that draws no random numbers).  A verb calls this once its inputs
+        have loaded: most once their work has succeeded too, and ``synth`` before it generates, since it writes
+        its cache as it builds it.  When the verb returns, ``main`` writes the manifest of every staged file and
+        commits them into ``--out``; when it fails, the stage is removed and ``--out`` is left as it was."""
         self.seed = seed
         if self.path is None:
             self.out.parent.mkdir(parents=True, exist_ok=True)
@@ -195,9 +195,8 @@ def _cmd_synth(args) -> int:
     if args.seed is not None and args.seed != spec.seed:
         log.info("flag --seed %d overrides spec seed %d", args.seed, spec.seed)
         spec = replace(spec, seed=args.seed)
-    result = generate_synthetic(spec)
     out = args.stage.directory(spec.seed)
-    write_cache(result.cache, out / "cache")
+    result = generate_synthetic(spec, out / "cache")
     with open(out / "annotations.jsonl", "w", encoding="utf-8") as fh:
         for row in result.iter_rows():
             fh.write(json.dumps(row.to_json_dict(), sort_keys=True) + "\n")

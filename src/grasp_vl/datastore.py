@@ -8,10 +8,11 @@ rows.  Ids are one per line; splits are a JSON object id -> split.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import mmap
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,9 @@ from .transforms import (
 SPLITS = ("train", "val", "test")
 
 CACHE_MANIFEST_VERSION = 1
+
+# The eleven matrices of a cache, in the order they are written and listed.
+CACHE_ROLES = ("image", *(f"text_{g}" for g in VIEW_LEVELS), *(f"neg_{r}" for r in NEGATIVE_TYPES))
 
 _ROW_FIELDS = ("id", "dataset", "split", "caption", "views", "negatives", "distractors", "entity")
 
@@ -275,11 +279,22 @@ class EmbeddingCache:
         return tuple(i for i in self.ids if self.split_of[i] == split)
 
     def matrices(self):
-        yield "image", self.images
-        for g in VIEW_LEVELS:
-            yield f"text_{g}", self.views[g]
-        for r in NEGATIVE_TYPES:
-            yield f"neg_{r}", self.negatives[r]
+        """``(role, rows)`` of the eleven matrices in ``CACHE_ROLES`` order."""
+        matrices = (self.images, *(self.views[g] for g in VIEW_LEVELS), *(self.negatives[r] for r in NEGATIVE_TYPES))
+        return zip(CACHE_ROLES, matrices)
+
+    @classmethod
+    def from_matrices(cls, ids: Sequence[str], split_of: dict[str, str], matrices) -> "EmbeddingCache":
+        """A cache of the eleven ``matrices`` in ``CACHE_ROLES`` order."""
+        images, views, negatives = matrices[0], matrices[1 : 1 + len(VIEW_LEVELS)], matrices[1 + len(VIEW_LEVELS) :]
+        return cls(
+            dim=images.shape[1],
+            ids=tuple(ids),
+            split_of=split_of,
+            images=images,
+            views=dict(zip(VIEW_LEVELS, views)),
+            negatives=dict(zip(NEGATIVE_TYPES, negatives)),
+        )
 
 
 def _check_norms(name: str, blocks: Iterable[np.ndarray], norm_tol: float) -> None:
@@ -302,40 +317,64 @@ def validate_cache(cache: EmbeddingCache) -> None:
         _check_norms(name, (rows[a:b] for a, b in spans), _GENERATED_NORM_TOL)
 
 
-def write_cache(cache: EmbeddingCache, out_dir: str | Path) -> Path:
-    """Write manifest plus binary matrices; returns the manifest path."""
+@dataclass(frozen=True)
+class _CacheManifest:
+    """A cache's ``manifest.json``: its shape, and the files that hold its matrices (by role), ids and splits,
+    relative to the manifest's directory."""
+
+    dim: int
+    count: int
+    files: dict[str, str]
+    ids: str
+    splits: str
+    version: int = CACHE_MANIFEST_VERSION
+
+    def __post_init__(self):
+        if self.dim < 1 or self.count < 0:
+            raise GraspError("MALFORMED", f"manifest declares dim {self.dim} and count {self.count}")
+        if set(self.files) != set(CACHE_ROLES):
+            raise GraspError("MALFORMED", f"manifest roles {sorted(self.files)} != required {sorted(CACHE_ROLES)}")
+        if not all(isinstance(p, str) for p in (self.ids, self.splits, *self.files.values())):
+            raise GraspError("MALFORMED", "manifest files, ids and splits must name files")
+
+
+def _write_cache_blocks(
+    out_dir: str | Path, dim: int, ids: Sequence[str], split_of: dict[str, str], blocks: Iterable[Iterable[np.ndarray]]
+) -> Path:
+    """Write a cache into ``out_dir``; returns the manifest path.  Each of ``blocks`` holds the next rows of the
+    eleven matrices in ``CACHE_ROLES`` order, appended to their files as it comes, so no whole matrix need exist."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = {}
-    for name, rows in cache.matrices():
-        rel = f"{name}.f32"
-        np.ascontiguousarray(rows, dtype="<f4").tofile(out / rel)
-        files[name] = rel
-    (out / "ids.txt").write_text("".join(f"{i}\n" for i in cache.ids), encoding="utf-8")
-    (out / "splits.json").write_text(json.dumps(cache.split_of, sort_keys=True), encoding="utf-8")
-    manifest = {
-        "version": CACHE_MANIFEST_VERSION,
-        "dim": cache.dim,
-        "count": cache.n,
-        "files": files,
-        "ids": "ids.txt",
-        "splits": "splits.json",
-    }
+    files = {name: f"{name}.f32" for name in CACHE_ROLES}
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(out / rel, "wb")) for rel in files.values()]
+        for block in blocks:
+            for fh, rows in zip(handles, block, strict=True):
+                fh.write(np.ascontiguousarray(rows, dtype="<f4"))
+    (out / "ids.txt").write_text("".join(f"{i}\n" for i in ids), encoding="utf-8")
+    (out / "splits.json").write_text(json.dumps(split_of, sort_keys=True), encoding="utf-8")
+    manifest = _CacheManifest(dim=dim, count=len(ids), files=files, ids="ids.txt", splits="splits.json")
     path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    path.write_text(json.dumps(fields_to_json(manifest), indent=2, sort_keys=True), encoding="utf-8")
     return path
 
 
-def _load_matrix(name: str, path: Path, count: int, dim: int) -> np.ndarray:
-    """The ``count`` x ``dim`` float32 rows of ``path``, checked in row blocks read from one descriptor, then
-    served read-only from a map of that descriptor: the process holds no anonymous copy of the matrix, and only
-    the rows a verb reads become resident."""
+def write_cache(cache: EmbeddingCache, out_dir: str | Path) -> Path:
+    """Write manifest plus binary matrices; returns the manifest path."""
+    return _write_cache_blocks(out_dir, cache.dim, cache.ids, cache.split_of, [[rows for _, rows in cache.matrices()]])
+
+
+def _map_matrix(name: str, path: Path, count: int, dim: int, norm_tol: float | None) -> np.ndarray:
+    """The ``count`` x ``dim`` float32 rows of ``path``, served read-only from a map of the file: the process holds
+    no anonymous copy of the matrix, and only the rows a verb reads become resident.  The file's size is checked
+    first, and unless ``norm_tol`` is None its row norms too, in row blocks read from the same descriptor."""
     with open(path, "rb") as fh:
         nbytes = os.fstat(fh.fileno()).st_size
         if nbytes != 4 * count * dim:
             raise GraspError("SHAPE_MISMATCH", f"{name}: {nbytes} bytes cannot hold {count} x {dim} float32 rows")
-        blocks = (np.fromfile(fh, "<f4", (b - a) * dim).reshape(b - a, dim) for a, b in block_spans(count, 4 * dim))
-        _check_norms(name, blocks, _LOADED_NORM_TOL)
+        if norm_tol is not None:
+            blocks = (np.fromfile(fh, "<f4", (b - a) * dim).reshape(b - a, dim) for a, b in block_spans(count, 4 * dim))
+            _check_norms(name, blocks, norm_tol)
         data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if count else b""  # an empty file cannot be mapped
     return np.frombuffer(data, dtype="<f4").reshape(count, dim)
 
@@ -345,53 +384,30 @@ def load_cache(manifest_path: str | Path) -> EmbeddingCache:
     maps of their files, which must not change while the cache is in use."""
     manifest_path = Path(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = fields_from_json(_CacheManifest, json.loads(manifest_path.read_text(encoding="utf-8")))
     except OSError as exc:
         raise GraspError("IO_ERROR", str(exc)) from exc
     except (ValueError, RecursionError) as exc:  # undecodable bytes or JSON
         raise GraspError("MALFORMED", f"unreadable manifest: {exc}") from exc
-    base = manifest_path.parent
-    try:
-        dim = int(manifest["dim"])
-        count = int(manifest["count"])
-        files = manifest["files"]
-        ids_rel = manifest["ids"]
-        splits_rel = manifest["splits"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise GraspError("MALFORMED", f"manifest missing required field: {exc}") from exc
-    if not (isinstance(files, dict) and all(isinstance(p, str) for p in (ids_rel, splits_rel, *files.values()))):
-        raise GraspError("MALFORMED", "manifest files, ids and splits must name files")
-    if dim < 1 or count < 0:
-        raise GraspError("MALFORMED", f"manifest declares dim {dim} and count {count}")
+    except (TypeError, AttributeError) as exc:  # not an object, a missing field, or a field of another JSON type
+        raise GraspError("MALFORMED", f"invalid manifest: {exc!r}") from exc
 
-    expected = {"image"} | {f"text_{g}" for g in VIEW_LEVELS} | {f"neg_{r}" for r in NEGATIVE_TYPES}
-    if set(files) != expected:
-        raise GraspError("MALFORMED", f"manifest roles {sorted(files)} != required {sorted(expected)}")
-
+    base, count = manifest_path.parent, manifest.count
     loaded: dict[str, np.ndarray] = {}
     try:
-        ids = tuple((base / ids_rel).read_text(encoding="utf-8").splitlines())
+        ids = tuple((base / manifest.ids).read_text(encoding="utf-8").splitlines())
         if len(ids) != count:
             raise GraspError("SHAPE_MISMATCH", f"manifest declares {count} ids, file has {len(ids)}")
-        split_of = json.loads((base / splits_rel).read_text(encoding="utf-8"))
-        for name, rel in files.items():
-            loaded[name] = _load_matrix(name, base / rel, count, dim)
+        split_of = json.loads((base / manifest.splits).read_text(encoding="utf-8"))
+        for name, rel in manifest.files.items():
+            loaded[name] = _map_matrix(name, base / rel, count, manifest.dim, _LOADED_NORM_TOL)
     except OSError as exc:
         raise GraspError("IO_ERROR", str(exc)) from exc
     except (ValueError, RecursionError) as exc:  # undecodable bytes or JSON, or a bad file name
         raise GraspError("MALFORMED", f"unreadable cache file: {exc}") from exc
     if not isinstance(split_of, dict):
         raise GraspError("MALFORMED", "split table must map ids to splits")
-
-    cache = EmbeddingCache(
-        dim=dim,
-        ids=ids,
-        split_of=split_of,
-        images=loaded["image"],
-        views={g: loaded[f"text_{g}"] for g in VIEW_LEVELS},
-        negatives={r: loaded[f"neg_{r}"] for r in NEGATIVE_TYPES},
-    )
-    return cache
+    return EmbeddingCache.from_matrices(ids, split_of, [loaded[name] for name in CACHE_ROLES])
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +576,7 @@ def _value_table(rng: np.random.Generator, card: int, visible: int, hidden: int)
     return table
 
 
-def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
+def generate_synthetic(spec: SyntheticSpec, cache_dir: str | Path | None = None) -> SyntheticResult:
     """Build a cache whose staircase is planted behind a random rotation.
 
     Block layout (object, attribute, relation, residual) follows the default
@@ -568,6 +584,12 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     typed negatives flip exactly the factor named by their type, and all rows
     are mixed by one random orthogonal matrix and renormalized.  The returned
     oracle is the inverse mixing, under which prefixes see the blocks again.
+
+    The matrices are built one row block at a time.  Without ``cache_dir``
+    the blocks are gathered into one array in memory.  With it, each block is
+    appended to the files of a cache written there as soon as it is built, so
+    no whole matrix is ever held, and the result's matrices are read-only maps
+    of those files.
     """
     contract = InterfaceContract.default_ladder(spec.dim)
     rng = np.random.default_rng(spec.seed)
@@ -649,54 +671,58 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
         rows[:, starts["residual"] :] = residuals[idx]
         return rows
 
-    # The eleven matrices are built one row block at a time, each block mixed and cast straight into one float32
-    # array, so the float64 rows alive at once are a few blocks.  Within a block G0 -> G1 -> G2 -> G3 grow in one
-    # buffer, a typed negative is a copy of the level whose factor it flips, and the full negative is rebuilt from
-    # the G3 factors and residual of its distractor.  The image noise is the last draw from ``rng``, drawn block by
-    # block in row order, and adding G3 into it gives the bits of G3 + noise_std * noise.  Each row is computed as
-    # when every matrix was built whole, so the random draws and every written byte are unchanged.
-    out = np.empty((1 + len(VIEW_LEVELS) + len(NEGATIVE_TYPES), n, d), dtype="<f4")
-    images = out[0]
-    views = dict(zip(VIEW_LEVELS, out[1:]))
-    negatives = dict(zip(NEGATIVE_TYPES, out[1 + len(VIEW_LEVELS) :]))
-    for a, b in spans:
-        level = level_buf[: b - a]
-        level.fill(0.0)
-        for g, factor, types in (
-            ("G0", "object", ("object",)),
-            ("G1", "attribute", ("attribute",)),
-            ("G2", "relation", ("relation", "action", "order")),
-        ):
-            mix(placed(level, factor, assign[factor][a:b]), views[g][a:b])
-            for r in types:
-                mix(placed(copied(level), factor, flips[r][a:b]), negatives[r][a:b])
-        level[:, starts["residual"] :] = residuals[a:b]
-        mix(level, views["G3"][a:b])
-        mix(g3_rows(distractor_idx[a:b]), negatives["full"][a:b])
-        noise = rng.standard_normal((b - a, d), out=copy_buf[: b - a])
-        noise *= spec.noise_std
-        noise += level
-        mix(noise, images[a:b])
-    del level, noise, level_buf, copy_buf, product_buf, norm_buf  # before the cache is built and checked
+    def blocks() -> Iterator[np.ndarray]:
+        """The eleven matrices one row block at a time, in row order: each block is the (11, rows, D) float32 rows
+        of the matrices in ``CACHE_ROLES`` order, checked for unit norms, in one buffer that the next block reuses.
+
+        Within a block G0 -> G1 -> G2 -> G3 grow in one buffer, a typed negative is a copy of the level whose
+        factor it flips, and the full negative is rebuilt from the G3 factors and residual of its distractor.  The
+        image noise is the last draw from ``rng``, drawn block by block in row order, and adding G3 into it gives
+        the bits of G3 + noise_std * noise.  Each row is computed as when every matrix was built whole, so the
+        random draws and every written byte are unchanged."""
+        block_buf = np.empty((len(CACHE_ROLES), rows_max, d), dtype="<f4")
+        for a, b in spans:
+            block = block_buf[:, : b - a]
+            views = dict(zip(VIEW_LEVELS, block[1:]))
+            negatives = dict(zip(NEGATIVE_TYPES, block[1 + len(VIEW_LEVELS) :]))
+            level = level_buf[: b - a]
+            level.fill(0.0)
+            for g, factor, types in (
+                ("G0", "object", ("object",)),
+                ("G1", "attribute", ("attribute",)),
+                ("G2", "relation", ("relation", "action", "order")),
+            ):
+                mix(placed(level, factor, assign[factor][a:b]), views[g])
+                for r in types:
+                    mix(placed(copied(level), factor, flips[r][a:b]), negatives[r])
+            level[:, starts["residual"] :] = residuals[a:b]
+            mix(level, views["G3"])
+            mix(g3_rows(distractor_idx[a:b]), negatives["full"])
+            noise = rng.standard_normal((b - a, d), out=copy_buf[: b - a])
+            noise *= spec.noise_std
+            noise += level
+            mix(noise, block[0])
+            for name, rows in zip(CACHE_ROLES, block):
+                _check_norms(name, (rows,), _GENERATED_NORM_TOL)
+            yield block
 
     n_train = int(round(0.8 * n))
     n_val = int(round(0.1 * n))
     splits = ["train"] * n_train + ["val"] * n_val + ["test"] * (n - n_train - n_val)
     ids = [f"ex{i:05d}" for i in range(n)]
+    split_of = {ids[i]: splits[i] for i in range(n)}
 
-    cache = EmbeddingCache(
-        dim=d,
-        ids=tuple(ids),
-        split_of={ids[i]: splits[i] for i in range(n)},
-        images=images,
-        views=views,
-        negatives=negatives,
-    )
-    validate_cache(cache)
+    if cache_dir is None:
+        matrices = np.empty((len(CACHE_ROLES), n, d), dtype="<f4")
+        for block, (a, b) in zip(blocks(), spans):
+            matrices[:, a:b] = block
+    else:
+        manifest = _write_cache_blocks(cache_dir, d, ids, split_of, blocks())
+        matrices = [_map_matrix(name, manifest.parent / f"{name}.f32", n, d, None) for name in CACHE_ROLES]
 
     oracle = LinearTransform(mixing.matrix.T, "random", orthogonal=True)
     return SyntheticResult(
-        cache=cache,
+        cache=EmbeddingCache.from_matrices(ids, split_of, matrices),
         oracle=oracle,
         contract=contract,
         class_rows=class_rows.astype(np.float64),

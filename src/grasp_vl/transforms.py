@@ -780,15 +780,25 @@ def permutation_energy(r: np.ndarray | LinearTransform) -> float:
 _MATRIX_FORMAT = "grasp-transform-v1"
 
 
+@dataclass(frozen=True)
+class _MatrixHeader:
+    dim: int
+    provenance: str = "identity"
+    orthogonal: bool = False
+    format: str = _MATRIX_FORMAT
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise GraspError("MALFORMED", f"transform header declares dim {self.dim}")
+        if not isinstance(self.provenance, str) or not isinstance(self.orthogonal, bool):
+            raise GraspError("MALFORMED", f"transform header types: provenance {self.provenance!r}, "
+                             f"orthogonal {self.orthogonal!r}")
+
+
 def save_matrix_transform(path: str | Path, transform: LinearTransform) -> None:
-    header = {
-        "format": _MATRIX_FORMAT,
-        "dim": transform.dim,
-        "provenance": transform.provenance,
-        "orthogonal": transform.orthogonal,
-    }
+    header = _MatrixHeader(transform.dim, transform.provenance, transform.orthogonal)
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        fh.write(json.dumps(fields_to_json(header), sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         fh.write(np.ascontiguousarray(transform.matrix, dtype="<f8").tobytes())
 
@@ -810,21 +820,16 @@ def _bytes_left(fh) -> int:
 
 def load_matrix_transform(path: str | Path) -> LinearTransform:
     with open(path, "rb") as fh:
-        header = _read_header(fh, _MATRIX_FORMAT)
         try:
-            d = int(header["dim"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise GraspError("MALFORMED", f"transform header has no valid dim: {exc!r}") from exc
-        if d < 1:
-            raise GraspError("MALFORMED", f"transform header declares dim {d}")
+            header = fields_from_json(_MatrixHeader, _read_header(fh, _MATRIX_FORMAT))
+        except TypeError as exc:  # a missing dim or a field of the wrong JSON type
+            raise GraspError("MALFORMED", f"invalid transform header: {exc!r}") from exc
+        d = header.dim
         if _bytes_left(fh) != 8 * d * d:
             raise GraspError("SHAPE_MISMATCH", "transform blob does not match declared dim")
         blob = fh.read(8 * d * d)
-    provenance, orthogonal = header.get("provenance", "identity"), header.get("orthogonal", False)
-    if not isinstance(provenance, str) or not isinstance(orthogonal, bool):
-        raise GraspError("MALFORMED", f"transform header types: provenance {provenance!r}, orthogonal {orthogonal!r}")
     matrix = np.frombuffer(blob, dtype="<f8").reshape(d, d).copy()
-    return LinearTransform(matrix, provenance, orthogonal)
+    return LinearTransform(matrix, header.provenance, header.orthogonal)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,39 @@ class TestSynth:
         digests = {rel: hashlib.sha256(blob).hexdigest() for rel, blob in tree_digest(Path("synth")).items()}
         assert digests == self._GOLDEN_SHA256[n_examples]
 
+    _BLOCKED_SPEC = {
+        "dim": 64,
+        "block_sizes": {"object": 4, "attribute": 8, "relation": 16, "residual": 36},
+        "cardinalities": {"object": 8, "attribute": 8, "relation": 8},
+        "noise_std": 0.05,
+        "n_examples": 5000,
+        "seed": 3,
+    }
+
+    def test_written_cache_is_the_in_memory_cache(self, tmp_path, monkeypatch):
+        # synth appends each row block to its files as it is built, and generate_synthetic(spec) gathers the same
+        # blocks in memory: 5,000 rows of D = 64 are three row blocks, the last one a row shorter
+        from grasp_vl import datastore as D
+
+        spans = D.block_spans(5000, 8 * 64)
+        assert len(spans) == 3 and spans[-1][1] - spans[-1][0] < spans[0][1] - spans[0][0]
+        monkeypatch.chdir(tmp_path)
+        Path("spec.json").write_text(json.dumps(self._BLOCKED_SPEC))
+        assert main(["synth", "--spec", "spec.json", "--out", "synth", "--seed", "3"]) == 0
+        in_memory = D.generate_synthetic(D.SyntheticSpec.from_json_dict(self._BLOCKED_SPEC)).cache
+        for name, rows in in_memory.matrices():
+            assert Path("synth", "cache", f"{name}.f32").read_bytes() == rows.tobytes(), name
+
+    def test_synth_holds_no_whole_matrix(self, tmp_path, monkeypatch):
+        # the eleven 20,000 x 64 float32 matrices are 53.7 MiB; gathered into one array before they were written,
+        # synth traced 65.2 MiB, and written block by block 22.1 MiB
+        from conftest import traced_peak
+
+        monkeypatch.chdir(tmp_path)
+        Path("spec.json").write_text(json.dumps({**self._BLOCKED_SPEC, "n_examples": 20000}))
+        argv = ["synth", "--spec", "spec.json", "--out", "synth"]
+        assert traced_peak(main, argv) < 11 * 20000 * 64 * 4
+
     def test_seed_flag_overrides_the_spec_seed(self, tmp_path):
         (tmp_path / "spec0.json").write_text(json.dumps(SPEC))
         (tmp_path / "spec7.json").write_text(json.dumps({**SPEC, "seed": 7}))
@@ -809,6 +842,17 @@ class TestErrors:
         assert self._one_data_error(rc, capsys)["code"] == code
 
     @pytest.mark.parametrize(
+        "form", [lambda v: v + 0.9, float, str, lambda v: True], ids=["fractional", "whole_float", "string", "bool"]
+    )
+    def test_non_integer_transform_header_dim_is_data_error(self, synth_dir, tmp_path, capsys, form):
+        # read through int(), a dim of 32.9 or "32" loaded as a 32 x 32 matrix
+        bad = tmp_path / "bad.transform"
+        rewrite_header(synth_dir / "oracle.transform", bad, lambda h: {**h, "dim": form(h["dim"])})
+        rc = main(["eval", "--cache", str(synth_dir / "cache" / "manifest.json"), "--matrix", str(bad),
+                   "--out", str(tmp_path / "o")])
+        assert self._one_data_error(rc, capsys)["code"] == "MALFORMED"
+
+    @pytest.mark.parametrize(
         "edit",
         [
             lambda c: {**c, "prefix_set": [float(k) for k in c["prefix_set"]]},
@@ -866,6 +910,44 @@ class TestErrors:
         rc = main(["eval", "--cache", str(cache / "manifest.json"), "--matrix", str(synth_dir / "oracle.transform"),
                    "--out", str(tmp_path / "o")])
         assert self._one_data_error(rc, capsys)["code"] == "MALFORMED"
+
+    @pytest.mark.parametrize(
+        "form", [lambda v: v + 0.9, float, str, lambda v: True], ids=["fractional", "whole_float", "string", "bool"]
+    )
+    @pytest.mark.parametrize("field", ["dim", "count"])
+    def test_non_integer_cache_manifest_shape_is_data_error(self, synth_dir, tmp_path, capsys, field, form):
+        # read through int(), a dim of 32.9 loaded as 32 and a count of "160" as 160
+        import shutil
+
+        cache = tmp_path / "cache"
+        shutil.copytree(synth_dir / "cache", cache)
+        manifest = json.loads((cache / "manifest.json").read_text())
+        (cache / "manifest.json").write_text(json.dumps({**manifest, field: form(manifest[field])}))
+        rc = main(["eval", "--cache", str(cache / "manifest.json"), "--matrix", str(synth_dir / "oracle.transform"),
+                   "--out", str(tmp_path / "o")])
+        assert self._one_data_error(rc, capsys)["code"] == "MALFORMED"
+
+    def test_synth_failing_part_way_leaves_no_out_and_no_stage(self, tmp_path, capsys, monkeypatch):
+        # synth stages its directory before it generates, and appends each row block to the cache files there
+        from grasp_vl import datastore as D
+        from grasp_vl.errors import GraspError
+
+        check, names, staged = D._check_norms, [], []
+
+        def failing_in_the_second_block(name, blocks, norm_tol):
+            names.append(name)
+            if len(names) > len(D.CACHE_ROLES):
+                staged.extend(p.stat().st_size for p in tmp_path.glob(".o.*/cache/*.f32"))
+                raise GraspError("NORM_VIOLATION", f"{name}: injected")
+            check(name, blocks, norm_tol)
+
+        monkeypatch.setattr(D, "_check_norms", failing_in_the_second_block)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, "n_examples": 5000}))  # two row blocks of D = 32
+        rc = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert self._one_data_error(rc, capsys)["code"] == "NORM_VIOLATION"
+        assert len(staged) == len(D.CACHE_ROLES) and all(size > 0 for size in staged)  # the first block was written
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
     @pytest.mark.parametrize("content", ["{not json", json.dumps({k: v for k, v in SPEC.items() if k != "noise_std"})],
                              ids=["not_json", "missing_field"])

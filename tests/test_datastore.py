@@ -349,6 +349,17 @@ class TestSynthetic:
         assert [r.to_json_dict() for r in a.rows] == [r.to_json_dict() for r in b.rows]
         assert np.array_equal(a.oracle.matrix, b.oracle.matrix)
 
+    def test_cache_written_as_it_is_built_is_served_from_its_files(self, small_synth, tmp_path):
+        written = D.generate_synthetic(SMALL_SPEC, tmp_path / "c")
+        loaded = D.load_cache(tmp_path / "c" / "manifest.json")
+        for cache in (written.cache, loaded):
+            assert (cache.ids, cache.split_of) == (small_synth.cache.ids, small_synth.cache.split_of)
+            for (name, rows), (_, want) in zip(cache.matrices(), small_synth.cache.matrices()):
+                assert type(rows) is np.ndarray and not rows.flags.writeable, name
+                assert np.array_equal(rows, want), name
+        assert [r.to_json_dict() for r in written.rows] == [r.to_json_dict() for r in small_synth.rows]
+        assert np.array_equal(written.oracle.matrix, small_synth.oracle.matrix)
+
     def test_generated_rows_pass_validator(self, small_synth):
         for row in small_synth.rows[:50]:
             assert D.validate_annotation_row(row).accepted
