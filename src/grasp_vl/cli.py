@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .datastore import (
     SyntheticSpec,
+    checked_annotation,
     generate_synthetic,
     load_cache,
     validate_jsonl,
@@ -264,16 +265,16 @@ def _cmd_train(args) -> int:
 
 
 def _entity_labels(path) -> dict[str, str]:
-    from .datastore import parse_annotation_line
-
+    """Each annotation's entity by id, from lines with the structure ``validate`` parses; the audit rules are not
+    applied.  A malformed line or a repeated id is ``MALFORMED``."""
     labels = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
-                row = parse_annotation_line(line)
-                if row.id in labels:
-                    raise GraspError("MALFORMED", f"line {lineno}: duplicate id {row.id!r} in the annotations")
-                labels[row.id] = row.entity
+                obj = checked_annotation(line)
+                if obj["id"] in labels:
+                    raise GraspError("MALFORMED", f"line {lineno}: duplicate id {obj['id']!r} in the annotations")
+                labels[obj["id"]] = obj["entity"]
     return labels
 
 

@@ -13,7 +13,8 @@ import json
 import mmap
 import os
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ CACHE_MANIFEST_VERSION = 1
 CACHE_ROLES = ("image", *(f"text_{g}" for g in VIEW_LEVELS), *(f"neg_{r}" for r in NEGATIVE_TYPES))
 
 _ROW_FIELDS = ("id", "dataset", "split", "caption", "views", "negatives", "distractors", "entity")
+_VIEW_SET, _NEGATIVE_SET = frozenset(VIEW_LEVELS), frozenset(NEGATIVE_TYPES)
 
 # Every transient whose size grows with the number of rows (the synthetic corpus as it is built, the evaluated
 # candidate side, score blocks and drift strips) is made in row blocks of about this many bytes.
@@ -97,8 +99,9 @@ class AnnotationRow:
         return d
 
 
-def parse_annotation_line(line: str) -> AnnotationRow:
-    """Parse one JSONL line; raises MALFORMED on any structural problem."""
+def checked_annotation(line: str) -> dict:
+    """The JSON object of one JSONL line, with the fields and types an ``AnnotationRow`` needs; raises MALFORMED
+    on any structural problem.  It is not checked against the audit rules."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -108,19 +111,18 @@ def parse_annotation_line(line: str) -> AnnotationRow:
     for f in _ROW_FIELDS:
         if f not in obj:
             raise GraspError("MALFORMED", f"missing field {f!r}")
-    if not isinstance(obj["views"], dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in obj["views"].items()
-    ):
+    views, negatives, distractors = obj["views"], obj["negatives"], obj["distractors"]
+    # the keys of a JSON object are always strings; map(isinstance, ..., repeat(str)) checks the values without a
+    # Python frame per value
+    if not isinstance(views, dict) or not all(map(isinstance, views.values(), repeat(str))):
         raise GraspError("MALFORMED", "views must map level names to strings")
-    if any(k not in VIEW_LEVELS for k in obj["views"]):
-        raise GraspError("MALFORMED", f"unknown view level in {sorted(obj['views'])}")
-    if not isinstance(obj["negatives"], dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in obj["negatives"].items()
-    ):
+    if not _VIEW_SET.issuperset(views):
+        raise GraspError("MALFORMED", f"unknown view level in {sorted(views)}")
+    if not isinstance(negatives, dict) or not all(map(isinstance, negatives.values(), repeat(str))):
         raise GraspError("MALFORMED", "negatives must map type names to strings")
-    if any(k not in NEGATIVE_TYPES for k in obj["negatives"]):
-        raise GraspError("MALFORMED", f"unknown negative type in {sorted(obj['negatives'])}")
-    if not isinstance(obj["distractors"], list) or not all(isinstance(x, str) for x in obj["distractors"]):
+    if not _NEGATIVE_SET.issuperset(negatives):
+        raise GraspError("MALFORMED", f"unknown negative type in {sorted(negatives)}")
+    if not isinstance(distractors, list) or not all(map(isinstance, distractors, repeat(str))):
         raise GraspError("MALFORMED", "distractors must be a list of strings")
     for f in ("id", "dataset", "split", "caption", "entity"):
         if not isinstance(obj[f], str):
@@ -130,7 +132,13 @@ def parse_annotation_line(line: str) -> AnnotationRow:
     sf = obj.get("surface_form")
     if sf is not None and not isinstance(sf, str):
         raise GraspError("MALFORMED", "surface_form must be a string when present")
-    return AnnotationRow(**{f: obj[f] for f in _ROW_FIELDS}, surface_form=sf)
+    return obj
+
+
+def parse_annotation_line(line: str) -> AnnotationRow:
+    """Parse one JSONL line; raises MALFORMED on any structural problem (``checked_annotation``)."""
+    obj = checked_annotation(line)
+    return AnnotationRow(**{f: obj[f] for f in _ROW_FIELDS}, surface_form=obj.get("surface_form"))
 
 
 @dataclass
@@ -309,14 +317,6 @@ def _check_norms(name: str, blocks: Iterable[np.ndarray], norm_tol: float) -> No
         raise GraspError("NORM_VIOLATION", f"{name}: row norm off by {worst:.2e} (tolerance {norm_tol:g})")
 
 
-def validate_cache(cache: EmbeddingCache) -> None:
-    spans = block_spans(cache.n, 4 * cache.dim)
-    for name, rows in cache.matrices():
-        if rows.shape != (cache.n, cache.dim):
-            raise GraspError("SHAPE_MISMATCH", f"{name}: expected {(cache.n, cache.dim)}, got {rows.shape}")
-        _check_norms(name, (rows[a:b] for a, b in spans), _GENERATED_NORM_TOL)
-
-
 @dataclass(frozen=True)
 class _CacheManifest:
     """A cache's ``manifest.json``: its shape, and the files that hold its matrices (by role), ids and splits,
@@ -419,6 +419,9 @@ class CandidatePool:
     mode: str  # full | test_only | custom
     candidate_ids: tuple[str, ...]
     view_level: str
+    # what evaluation derives from the pool's rows of one cache matrix, kept for its next use on that matrix
+    # (metrics._pool_rows); a pool dropped takes it along
+    keyed: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.candidate_ids:

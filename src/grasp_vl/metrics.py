@@ -78,20 +78,23 @@ def _tiles(zqt: np.ndarray, zct: np.ndarray, n: int, m: int, tile_rows: int, til
 def _side(transform, matrix, idx, k: int) -> np.ndarray:
     """The transformed, k-prefix-normalized rows ``matrix[idx]`` as the columns of a (k, padded) array.
 
-    The rows are gathered and transformed one row block of at least
-    ``_MIN_BLOCK_ROWS`` rows at a time, zero rows padding a shorter block.  The
-    transposed side is cheaper for BLAS to pack, and its column slices need no
-    copy.  Its columns past the rows are zero.
+    The rows are gathered into the leading rows of one reused block buffer and
+    transformed one block of at least ``_MIN_BLOCK_ROWS`` rows at a time, zero
+    rows padding a shorter block; each block is normalized straight into the
+    side.  The transposed side is cheaper for BLAS to pack, and its column
+    slices need no copy.  Its columns past the rows are zero.
     """
     m, d = len(idx), matrix.shape[1]
+    spans = block_spans(m, 8 * d)
     # np.empty and explicit zero fills: calloc'd buffers (np.zeros) raised compare_family's peak RSS by up to 1 MiB
     side = np.empty((k, _aligned(m)))
     side[:, m:] = 0.0
-    for c0, c1 in block_spans(m, 8 * d):
-        block = np.empty((max(c1 - c0, _MIN_BLOCK_ROWS), d))
+    buf = np.empty((max([_MIN_BLOCK_ROWS] + [b - a for a, b in spans]), d))
+    for c0, c1 in spans:
+        block = buf[: max(c1 - c0, _MIN_BLOCK_ROWS)]
         block[c1 - c0 :] = 0.0
         block[: c1 - c0] = matrix[idx[c0:c1]]
-        side[:, c0:c1] = prefix_normalize(transform.apply(block)[: c1 - c0], k).T
+        prefix_normalize(transform.apply(block)[: c1 - c0], k, out=side[:, c0:c1].T)
     return side
 
 
@@ -190,6 +193,20 @@ def _distinct_rows(matrix: np.ndarray, idx: np.ndarray):
     return first, group[rep]
 
 
+def _pool_rows(cache: EmbeddingCache, pool: CandidatePool):
+    """``(c_idx, first, group)``: the cache rows of ``pool``'s candidates, and ``_distinct_rows`` of them in its view.
+
+    Computed on the pool's first use with a cache matrix and kept on the pool
+    (``CandidatePool.keyed``), so the cells that score one pool key it once;
+    a use with another matrix computes them again.
+    """
+    matrix = cache.views[pool.view_level]
+    if pool.keyed is None or pool.keyed[0] is not matrix:
+        c_idx = cache.indices_of(pool.candidate_ids)
+        pool.keyed = (matrix, c_idx, *_distinct_rows(matrix, c_idx))
+    return pool.keyed[1:]
+
+
 def recall_at_1(
     cache: EmbeddingCache,
     transform,
@@ -201,17 +218,17 @@ def recall_at_1(
 
     Each distinct candidate row is scored once.  A query whose positive has a
     byte-identical twin in the pool misses: the twin's score ties with it.
+    The pool's rows are keyed once per pool (``_pool_rows``).
     """
     if len(query_ids) == 0:
         raise GraspError("EMPTY_POOL", "no queries")
     q_idx = cache.indices_of(query_ids)
-    c_idx = cache.indices_of(pool.candidate_ids)
+    c_idx, first, group = _pool_rows(cache, pool)
     positives = _pool_columns(cache, q_idx, c_idx)
     missing = np.flatnonzero(positives < 0)
     if missing.size:
         raise GraspError("POSITIVE_NOT_IN_POOL", f"query {query_ids[missing[0]]!r} has no positive in the pool")
     matrix = cache.views[pool.view_level]
-    first, group = _distinct_rows(matrix, c_idx)
     targets = group[positives]
     untwinned = np.bincount(group, minlength=len(first))[targets] == 1
     zqt = _side(transform, cache.images, q_idx, k)
@@ -434,9 +451,10 @@ def rank_stats(
 
     The query rows are grouped by label and scored in full-width strips whose
     sort buffer holds about ``2 * BLOCK_BYTES``; a strip may run across labels,
-    and as in ``_tiles`` no product has one row.  Ranks and the unique top
-    are read from the strip's scores, and each row's label positions come from
-    one sort of the row with its label's scores (``_label_positions``).
+    and as in ``_tiles`` no product has one row.  The unique top is read from
+    the strip's scores.  Each row's label positions and its positive's rank
+    come from one sort of the row with its label's scores
+    (``_label_positions``): the positive carries its query's label.
     """
     if len(query_ids) == 0:
         raise GraspError("EMPTY_POOL", "no queries")
@@ -475,15 +493,15 @@ def rank_stats(
             work = np.empty(s.shape[0] * width)
         # rows whose positive is not in the pool read column 0 here and are dropped below
         own = s[np.arange(len(rows)), np.maximum(positives[rows], 0)]
-        ranks[rows] = (s >= own[:, None]).sum(axis=1)  # counts self; ties rank above
         best, unique = _unique_top(s)
         label_hits[rows] = unique & (cand_codes[best] == q_codes[rows])
         cuts = np.flatnonzero(np.diff(q_codes[rows])) + 1
         for r0, r1 in zip([0, *cuts], [*cuts, len(rows)]):
             c = q_codes[rows[r0]]
             cols = by_code[bounds[c] : bounds[c + 1]]
+            # a label with no candidate has no query whose positive is in the pool
             if len(cols):
-                hits = _label_positions(s[r0:r1], cols, work)
+                hits, ranks[rows[r0:r1]] = _label_positions(s[r0:r1], cols, own[r0:r1], work)
                 purities[rows[r0:r1]] = np.count_nonzero(hits <= top_n, axis=1) / top_n
                 # numpy sums each contiguous row pairwise, so each AP has the bits of its row's 1-D mean
                 aps[rows[r0:r1]] = (np.arange(1, len(cols) + 1) / hits).mean(axis=1)
@@ -497,23 +515,30 @@ def rank_stats(
     )
 
 
-def _label_positions(s: np.ndarray, cols: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Ascending 1-based positions of candidates ``cols`` in the stable descending order of each row of ``s``.
+def _label_positions(s: np.ndarray, cols: np.ndarray, own: np.ndarray, work: np.ndarray):
+    """``(hits, ranks)``: the ascending 1-based positions of candidates ``cols`` in the stable descending order of
+    each row of ``s``, and the rank of each row's score ``own``, one of its ``cols`` scores: the count of the row's
+    scores >= it, so that ties rank above.
 
     Each row and a copy of its ``cols`` scores are sorted together, in place
     in ``work``; ``s`` keeps the unsorted scores.  In a row with no tie and no
     NaN every ``cols`` score is then the first of an adjacent equal pair, and
     there are no other equal neighbours: pair ``i`` (from 0, counted from the
     bottom) at sorted index ``j`` has ``j - i`` scores below it, so it sits at
-    descending position ``m - (j - i)``.  A row with any other count of equal
-    neighbours, or with a NaN (sorted last), is placed by ``_hit_positions``
-    from its unsorted scores.
+    descending position ``m - (j - i)``, and ``own`` sits at the position of
+    the ``cols`` score after the ones above it.  A row with any other count of
+    equal neighbours, or with a NaN (sorted last), is placed by
+    ``_hit_positions`` from its unsorted scores, and its scores >= ``own`` are
+    counted.  A row whose ``own`` is not a ``cols`` score gets no meaningful
+    rank.
     """
     r, m = s.shape
     n_cols = len(cols)
     x = work[: r * (m + n_cols)].reshape(r, m + n_cols)
     x[:, :m] = s
     x[:, m:] = s[:, cols]
+    # the cols scores above own, counted before the sort; at most n_cols - 1 when own is one of them
+    above = np.minimum(np.count_nonzero(x[:, m:] > own[:, None], axis=1), n_cols - 1)
     x.sort(axis=1)
     # equal neighbours, as flat indices into the (r, m + n_cols - 1) comparison; a NaN-free row has at least n_cols
     at = np.flatnonzero(x[:, 1:] == x[:, :-1])
@@ -526,12 +551,15 @@ def _label_positions(s: np.ndarray, cols: np.ndarray, work: np.ndarray) -> np.nd
     # the sorted index of each pair, less the pairs below it: the scores below each cols score
     below = at.reshape(len(untied), n_cols) - (m + n_cols - 1) * untied[:, None] - np.arange(n_cols)
     if len(untied) == r:
-        return (m - below)[:, ::-1]
+        hits = (m - below)[:, ::-1]
+        return hits, hits[np.arange(r), above]
     hits = np.empty((r, n_cols), dtype=np.intp)
     hits[untied] = (m - below)[:, ::-1]
+    ranks = hits[np.arange(r), above]
     for i in np.flatnonzero(tied):
         hits[i] = _hit_positions(s[i], cols)
-    return hits
+        ranks[i] = np.count_nonzero(s[i] >= own[i])  # a NaN score, or a NaN own, is counted nowhere
+    return hits, ranks
 
 
 def _hit_positions(row: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -625,11 +653,16 @@ def diagnostic_report(
     query_ids = cache.split_ids(query_split)
     if not query_ids:
         raise GraspError("EMPTY_POOL", f"no queries in split {query_split!r}")
-    retrieval: dict[tuple[int, str], float] = {}
-    pools = {g: build_pool(cache, pool_mode, g) for g in VIEW_LEVELS}
-    for k in contract.prefixes:
-        for g in VIEW_LEVELS:
-            retrieval[(k, g)] = recall_at_1(cache, transform, pools[g], k, query_ids)
+    # view by view, each view's pool dropped before the next is built, so that one pool's keyed rows are alive
+    # at a time; the cells are then listed prefix-major
+    cells = {}
+    for g in VIEW_LEVELS:
+        pool = build_pool(cache, pool_mode, g)
+        pool_size = len(pool.candidate_ids)
+        for k in contract.prefixes:
+            cells[(k, g)] = recall_at_1(cache, transform, pool, k, query_ids)
+        del pool
+    retrieval = {(k, g): cells[(k, g)] for k in contract.prefixes for g in VIEW_LEVELS}
     sel = sel_table(cache, transform, contract, query_ids)
     ret_cells, sel_cells = staircase_cells(contract)
     ret_avg, hard_avg, stair = staircase([retrieval[c] for c in ret_cells], [sel.cell(*c) for c in sel_cells])
@@ -643,7 +676,7 @@ def diagnostic_report(
 
     rank = None
     if labels is not None:
-        pool = pools["G3"]
+        pool = build_pool(cache, pool_mode, "G3")  # a pool of its own: the G3 cells' keyed rows are gone
         rank = rank_stats(cache, transform, pool, contract.prefixes[-2], query_ids, labels)
 
     return DiagnosticReport(
@@ -659,7 +692,7 @@ def diagnostic_report(
         drift=drift,
         drift_raw=drift_raw,
         pool_mode=pool_mode,
-        pool_size=len(pools["G3"].candidate_ids),
+        pool_size=pool_size,
         n_queries=len(query_ids),
         rank=rank,
     )

@@ -182,11 +182,11 @@ def identity_transform(dim: int) -> LinearTransform:
 
 def cayley_build(b: np.ndarray) -> LinearTransform:
     """Map an unconstrained square parameter to an orthogonal matrix (see cayley_build_with_vjp)."""
-    return cayley_build_with_vjp(b)[0]
+    return LinearTransform(cayley_build_with_vjp(b)[0], "cayley", orthogonal=True)
 
 
 def cayley_build_with_vjp(b: np.ndarray):
-    """Map an unconstrained square parameter to an orthogonal matrix, returning (R, vjp).
+    """Map an unconstrained square parameter to an orthogonal matrix, returning (R, vjp) with R a bare array.
 
     Skew-symmetrize A = B - B^T, then solve (I + A) R = (I - A).  The solve
     cannot be singular for finite A (eigenvalues of I + A are 1 + i*mu).
@@ -213,7 +213,7 @@ def cayley_build_with_vjp(b: np.ndarray):
         d_a = -np.linalg.solve(m.T, d_r) @ (r + eye).T
         return d_a - d_a.T
 
-    return LinearTransform(r, "cayley", orthogonal=True), vjp
+    return r, vjp
 
 
 def random_orthogonal(dim: int, seed: int | np.random.Generator) -> LinearTransform:
@@ -355,16 +355,17 @@ def butterfly_build(angles: np.ndarray) -> LinearTransform:
 # Prefix projection and scoring
 
 
-def prefix_normalize(rows: np.ndarray, k: int) -> np.ndarray:
-    """First k coordinates of each row, renormalized to unit length."""
+def prefix_normalize(rows: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """First k coordinates of each row, renormalized to unit length, written into ``out`` when it is given."""
     rows = np.asarray(rows, dtype=np.float64)
     if k < 1 or k > rows.shape[-1]:
         raise GraspError("DIM_MISMATCH", f"prefix {k} invalid for width {rows.shape[-1]}")
     sl = rows[..., :k]
-    norms = np.linalg.norm(sl, axis=-1, keepdims=True)
+    # the bits of np.linalg.norm(sl, axis=-1, keepdims=True), without the copy of sl it makes for conj()
+    norms = np.sqrt(np.add.reduce(sl * sl, axis=-1, keepdims=True))
     if np.any(norms < 1e-12):
         raise GraspError("ZERO_PREFIX", f"prefix of length {k} has near-zero norm")
-    return sl / norms
+    return np.divide(sl, norms, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +662,7 @@ class DenseCayleyModel(VariantModel):
 
     def matrix(self, params):
         r, vjp = cayley_build_with_vjp(params["b"])
-        return r.matrix, lambda dm: {"b": vjp(dm)}
+        return r, lambda dm: {"b": vjp(dm)}
 
 
 class ButterflyModel(VariantModel):
@@ -727,7 +728,7 @@ class LowRankModel(VariantModel):
                 "gate": np.array(np.sum(dm * (u @ v.T))),
             }
 
-        return r.matrix + gate * u @ v.T, matrix_vjp
+        return r + gate * u @ v.T, matrix_vjp
 
 
 class MlpModel(VariantModel):

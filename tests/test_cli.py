@@ -791,6 +791,48 @@ class TestErrors:
                    "--out", str(tmp_path / "o")])
         assert self._one_data_error(rc, capsys)["code"] == "MALFORMED"
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda row: "{not json",
+            lambda row: json.dumps([row]),
+            lambda row: json.dumps({k: v for k, v in row.items() if k != "entity"}),
+            lambda row: json.dumps({**row, "views": {**row["views"], "G0": 3}}),
+            lambda row: json.dumps({**row, "views": {**row["views"], "G1": True}}),
+            lambda row: json.dumps({**row, "views": {**row["views"], "G9": "x"}}),
+            lambda row: json.dumps({**row, "negatives": {**row["negatives"], "colour": "x"}}),
+            lambda row: json.dumps({**row, "distractors": "a caption"}),
+            lambda row: json.dumps({**row, "id": 7}),
+            lambda row: json.dumps({**row, "split": "holdout"}),
+            lambda row: json.dumps({**row, "surface_form": 5}),
+        ],
+        ids=["bad_json", "not_an_object", "missing_field", "int_view", "bool_view", "unknown_view_level",
+             "unknown_negative_type", "distractors_not_a_list", "int_id", "unknown_split", "int_surface_form"],
+    )
+    def test_malformed_annotation_line_is_rejected_alike_by_validate_and_eval(self, synth_dir, tmp_path, capsys, edit):
+        from grasp_vl.datastore import parse_annotation_line
+        from grasp_vl.errors import GraspError
+
+        lines = (synth_dir / "annotations.jsonl").read_text(encoding="utf-8").splitlines()
+        bad_line = edit(json.loads(lines[3]))
+        with pytest.raises(GraspError) as parsed:
+            parse_annotation_line(bad_line)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:5] + [bad_line] + lines[5:]) + "\n", encoding="utf-8")
+
+        assert main(["validate", "--input", str(bad), "--out", str(tmp_path / "v")]) == 0
+        verdicts = [json.loads(line) for line in (tmp_path / "v" / "verdicts.jsonl").read_text().splitlines()]
+        assert verdicts[5] == {"id": "line6", "verdict": "reject", "code": "MALFORMED"}
+        assert json.loads((tmp_path / "v" / "summary.json").read_text())["parse_failures"] == 1
+        capsys.readouterr()
+
+        out = tmp_path / "o"
+        rc = main(["eval", "--cache", str(synth_dir / "cache" / "manifest.json"), "--matrix",
+                   str(synth_dir / "oracle.transform"), "--annotations", str(bad), "--out", str(out)])
+        err = self._one_data_error(rc, capsys)
+        assert (err["code"], err["message"]) == ("MALFORMED", parsed.value.message)
+        assert not out.exists()
+
     @pytest.mark.parametrize("where", ["first", "last"])
     def test_annotation_id_given_twice_is_data_error(self, synth_dir, tmp_path, capsys, where):
         lines = (synth_dir / "annotations.jsonl").read_text(encoding="utf-8").splitlines()

@@ -244,8 +244,8 @@ class TestCacheIO:
     def test_norm_check_makes_no_float64_copy_of_a_matrix(self):
         # the squared norms are summed by einsum, which casts through its own small buffers; casting a whole
         # 20,000 x 64 matrix to float64 first peaked at 19.8 MiB
-        cache = shared_rows_cache(unit_rows(np.random.default_rng(0), 20000, 64).astype(np.float32))
-        assert traced_peak(D.validate_cache, cache) < 8 * 2**20
+        rows = unit_rows(np.random.default_rng(0), 20000, 64).astype(np.float32)
+        assert traced_peak(D._check_norms, "image", [rows], D._GENERATED_NORM_TOL) < 8 * 2**20
 
 
 class TestMappedCache:
@@ -439,7 +439,9 @@ class TestSynthetic:
         assert traced_peak(D.generate_synthetic, spec) < 2.5 * cache_bytes
 
     def test_unit_norm_rows(self, small_cache):
-        D.validate_cache(small_cache)
+        for name, rows in small_cache.matrices():
+            assert rows.shape == (small_cache.n, small_cache.dim)
+            D._check_norms(name, [rows], D._GENERATED_NORM_TOL)
 
     def test_split_fractions(self, small_cache):
         n = small_cache.n

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -1388,6 +1390,31 @@ class TestRankStrips:
         else:  # the planted rows and the untied ones share one strip
             assert strips == [len(query_ids)]
 
+    def test_ranks_equal_the_count_of_scores_at_or_above_the_positive(self):
+        # ranks are pessimistic counts, (s >= own).sum(axis=1), on untied rows, rows whose positive ties inside and
+        # outside its label, a tie away from the positive, NaN scores, a NaN row and a NaN positive
+        rng = np.random.default_rng(4)
+        s = rng.standard_normal((9, 30))
+        cols = np.array([1, 4, 5, 9, 20, 29])
+        own_col = cols[rng.integers(len(cols), size=9)]
+        own_col[[2, 3]] = 9, 4
+        s[2, 3] = s[2, 9]  # the positive ties with another label's candidate
+        s[3, 5] = s[3, 4]  # and with one of its own label
+        s[4, 11] = s[4, 0]
+        s[5, 7] = np.nan
+        s[6] = np.nan
+        s[7, own_col[7]] = np.nan
+        s[8, own_col[8]] = s[8].min() - 1.0  # the positive is last
+        own = s[np.arange(9), own_col]
+        hits, ranks = M._label_positions(s, cols, own, np.empty(9 * 36))
+        assert np.array_equal(ranks, (s >= own[:, None]).sum(axis=1))
+        assert ranks.dtype == np.intp and ranks[8] == 30 and len(set(ranks.tolist())) > 4
+        for i in range(9):
+            assert np.array_equal(hits[i], M._hit_positions(s[i], cols))
+        untied = [0, 1, 8]  # a strip with no tied row
+        _, ranks = M._label_positions(s[untied], cols, own[untied], np.empty(3 * 36))
+        assert np.array_equal(ranks, (s[untied] >= own[untied, None]).sum(axis=1))
+
     def test_a_query_set_of_one_planted_row(self):
         cache, labels, pool = _planted_rank_corpus()
         ident = T.identity_transform(9)
@@ -1443,6 +1470,46 @@ class TestFullPrefixInvariance:
 
 
 class TestDiagnosticReport:
+    def test_each_pool_is_keyed_once_and_scores_as_a_fresh_pool_per_cell(self, small_synth, monkeypatch):
+        cache, contract = small_synth.cache, small_synth.contract
+        labels = {row.id: row.entity for row in small_synth.iter_rows()}
+        transform = T.random_orthogonal(contract.dim, 5)
+        keyed = []
+        distinct_rows, recall_at_1 = M._distinct_rows, M.recall_at_1
+
+        def spy(matrix, idx):
+            keyed.append(len(idx))
+            return distinct_rows(matrix, idx)
+
+        def with_a_fresh_pool(cache, transform, pool, k, query_ids):
+            fresh = D.CandidatePool(mode=pool.mode, candidate_ids=pool.candidate_ids, view_level=pool.view_level)
+            return recall_at_1(cache, transform, fresh, k, query_ids)
+
+        monkeypatch.setattr(M, "_distinct_rows", spy)
+        report = M.diagnostic_report(cache, transform, contract, labels=labels)
+        assert keyed == [cache.n] * len(T.VIEW_LEVELS)
+        keyed.clear()
+        monkeypatch.setattr(M, "recall_at_1", with_a_fresh_pool)
+        fresh = M.diagnostic_report(cache, transform, contract, labels=labels)
+        assert len(keyed) == len(contract.prefixes) * len(T.VIEW_LEVELS)
+        assert report.rank is not None
+        # repr of a float is exact, so equal dumps are equal bits
+        assert json.dumps(report.to_json_dict()) == json.dumps(fresh.to_json_dict())
+        assert list(report.retrieval) == [(k, g) for k in contract.prefixes for g in T.VIEW_LEVELS]
+
+    def test_a_pool_used_with_another_cache_is_keyed_again(self, small_synth):
+        cache = small_synth.cache
+        # the same ids over the rows in reverse: every row moves, and each query keeps its own text
+        flipped = D.EmbeddingCache.from_matrices(cache.ids, cache.split_of, [m[::-1] for _, m in cache.matrices()])
+        query_ids = cache.split_ids("test")
+        pool = D.build_pool(cache, "full", "G1")
+        ident = T.identity_transform(cache.dim)
+        for c in (cache, flipped, cache):
+            fresh = D.build_pool(c, "full", "G1")
+            assert M.recall_at_1(c, ident, pool, 8, query_ids) == M.recall_at_1(c, ident, fresh, 8, query_ids)
+            assert pool.keyed[0] is c.views["G1"]
+            assert np.array_equal(pool.keyed[1], c.indices_of(pool.candidate_ids))
+
     def test_stair_identity_enforced(self, small_synth):
         rep = M.diagnostic_report(small_synth.cache, small_synth.oracle, small_synth.contract)
         assert rep.stair == M.stair_score(rep.ret_avg, rep.hard_avg)

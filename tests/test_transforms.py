@@ -228,6 +228,18 @@ class TestPrefixScore:
             prefix_score(v, v, 2, tau=1.0)
         assert e.value.code == "ZERO_PREFIX"
 
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    def test_normalized_into_out_equals_the_returned_rows_bit_for_bit(self, k):
+        rows = np.random.default_rng(8).standard_normal((37, 16))
+        want = T.prefix_normalize(rows, k)
+        # the norms as np.linalg.norm takes them
+        assert want.tobytes() == (rows[:, :k] / np.linalg.norm(rows[:, :k], axis=-1, keepdims=True)).tobytes()
+        side = np.full((k, 40), np.nan)
+        got = T.prefix_normalize(rows, k, out=side[:, :37].T)
+        assert np.shares_memory(got, side)
+        assert np.ascontiguousarray(side[:, :37].T).tobytes() == want.tobytes()
+        assert np.isnan(side[:, 37:]).all()
+
     def test_full_prefix_invariance_under_rotation(self):
         rng = np.random.default_rng(5)
         r = T.cayley_build(rng.standard_normal((16, 16)))
@@ -626,6 +638,23 @@ class TestVariantTable:
         rng = np.random.default_rng(5)
         params = {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in model.init_params(rng).items()}
         assert np.array_equal(model.eval_transform(params).matrix, model.begin_step(params).matrix)
+
+    @pytest.mark.parametrize("variant", ["dense_cayley", "low_rank"])
+    def test_cayley_step_matrix_is_the_solve_bit_for_bit(self, variant):
+        # the step's matrix is the bare solve, as the LinearTransform copy of it read before, and low-rank adds its
+        # gated residual to that matrix
+        model = self._model(variant)
+        rng = np.random.default_rng(7)
+        params = {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in model.init_params(rng).items()}
+        b = params["b"]
+        a, eye = b - b.T, np.eye(16)
+        want = T.LinearTransform(np.linalg.solve(eye + a, eye - a), "cayley", orthogonal=True).matrix
+        if variant == "low_rank":
+            want = want + float(params["gate"]) * params["u"] @ params["v"].T
+        got, _ = model.matrix(params)
+        assert type(got) is np.ndarray and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert T.cayley_build(b).matrix.tobytes() == T.cayley_build_with_vjp(b)[0].tobytes()
 
     def test_evaluated_permutation_hardens_the_step_matrix(self):
         model = self._model("permutation")
