@@ -23,7 +23,7 @@ from .metrics import (
     staircase,
     staircase_cells,
 )
-from .objective import LossConfig
+from .objective import DEFAULT_WEIGHTS, LossConfig
 from .trainer import TrainConfig, train
 from .transforms import (
     VIEW_LEVELS,
@@ -52,20 +52,21 @@ METHOD_ORDER = (
     "grasp_butterfly",
 )
 
-# Trained methods: transform variant plus which parts of the objective they
-# use.  Compression-style baselines keep their nested-retrieval spirit and do
-# not use the typed boundary losses; the permutation/MLP controls train with
-# the full objective.
+# Trained methods: transform variant plus the terms of the objective they drop
+# (weight 0).  Compression-style baselines keep their nested-retrieval spirit
+# and do not use the typed boundary losses; the permutation/MLP controls train
+# with the full objective.
 _TRAINED = {
-    "mrl_style": ("dense_cayley", {"align_view_mode": "g3", "lambda_ret": 0.0, "lambda_rank": 0.0, "lambda_inv": 0.0}),
-    "matryoshka_adaptor": ("low_rank", {"align_view_mode": "g3", "lambda_ret": 0.0, "lambda_rank": 0.0, "lambda_inv": 0.0}),
-    "smec_style": ("dense_cayley", {"lambda_rank": 0.0, "lambda_inv": 0.0}),
-    "mlp_adapter": ("mlp", {}),
-    "learned_permutation": ("permutation", {}),
-    "learned_signed_permutation": ("signed_permutation", {}),
-    "grasp_dense": ("dense_cayley", {}),
-    "grasp_butterfly": ("butterfly", {}),
+    "mrl_style": ("dense_cayley", ("ret", "rank", "inv")),
+    "matryoshka_adaptor": ("low_rank", ("ret", "rank", "inv")),
+    "smec_style": ("dense_cayley", ("rank", "inv")),
+    "mlp_adapter": ("mlp", ()),
+    "learned_permutation": ("permutation", ()),
+    "learned_signed_permutation": ("signed_permutation", ()),
+    "grasp_dense": ("dense_cayley", ()),
+    "grasp_butterfly": ("butterfly", ()),
 }
+_G3_ALIGNED = ("mrl_style", "matryoshka_adaptor")  # every prefix aligns to the full caption, as in MRL
 
 
 @dataclass
@@ -109,12 +110,14 @@ def _method_seed(grid: GridConfig, method: str) -> int:
 
 
 def _train_method(cache: EmbeddingCache, grid: GridConfig, method: str):
-    variant, overrides = _TRAINED[method]
+    variant, dropped = _TRAINED[method]
     spec = TransformSpec(variant, cache.dim, stacks=grid.stacks, rank=grid.rank)
+    weights = {**DEFAULT_WEIGHTS, **dict.fromkeys(dropped, 0.0)}
+    view_mode = "g3" if method in _G3_ALIGNED else "assigned"
     cfg = TrainConfig(
         spec=spec,
         contract=grid.contract,
-        loss=LossConfig.default(grid.contract, **overrides),
+        loss=LossConfig.default(grid.contract, align_view_mode=view_mode, loss_weights=weights),
         epochs=grid.epochs,
         batch_size=grid.batch_size,
         seed=_method_seed(grid, method),

@@ -23,9 +23,6 @@ from .transforms import (
     fields_to_json,
 )
 
-TERM_NAMES = ("align", "ret", "rank", "inv", "pres", "ortho")
-
-
 # ---------------------------------------------------------------------------
 # Config
 
@@ -44,37 +41,30 @@ def default_retention_weights(contract: InterfaceContract) -> dict[int, dict[str
     return weights
 
 
-# key in the JSON ``loss_weights`` object -> LossConfig field
-_WEIGHT_FIELDS = {
-    "ret": "lambda_ret",
-    "rank": "lambda_rank",
-    "inv": "lambda_inv",
-    "pres": "lambda_pres",
-    "ortho": "lambda_ortho",
-    "align": "align_weight",
-}
+# each term's default weight, keyed by its name, in the order the total sums the terms
+DEFAULT_WEIGHTS = {"align": 1.0, "ret": 0.5, "rank": 1.0, "inv": 0.5, "pres": 10.0, "ortho": 1.0}
+TERM_NAMES = tuple(DEFAULT_WEIGHTS)
 
 
 @dataclass
 class LossConfig:
-    lambda_ret: float = 0.5
-    lambda_rank: float = 1.0
-    lambda_inv: float = 0.5
-    lambda_pres: float = 10.0
-    lambda_ortho: float = 1.0
-    align_weight: float = 1.0
+    loss_weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))  # 0 drops a term
     margins: dict[str, float] = field(default_factory=lambda: {r: 0.1 for r in NEGATIVE_TYPES})
     tolerances: dict[str, float] = field(default_factory=lambda: {r: 0.05 for r in NEGATIVE_TYPES})
     retention_weights: dict[int, dict[str, float]] = field(default_factory=dict)
     align_view_mode: str = "assigned"  # "assigned" aligns each prefix to its view; "g3" aligns all to G3
 
     def __post_init__(self):
-        for name in _WEIGHT_FIELDS.values():
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise GraspError("CONFIG", f"{name} must be finite and >= 0, got {v}")
+        if set(self.loss_weights) != set(TERM_NAMES):
+            raise GraspError("CONFIG", f"loss_weights must name exactly {TERM_NAMES}")
         if set(self.margins) != set(NEGATIVE_TYPES) or set(self.tolerances) != set(NEGATIVE_TYPES):
             raise GraspError("CONFIG", f"margins and tolerances must name exactly {NEGATIVE_TYPES}")
+        tables = {"loss_weights": self.loss_weights, "margins": self.margins, "tolerances": self.tolerances}
+        tables.update((f"retention_weights[{k}]", per) for k, per in self.retention_weights.items())
+        for name, table in tables.items():
+            for key, v in table.items():
+                if not (math.isfinite(v) and v >= 0):
+                    raise GraspError("CONFIG", f"{name}[{key!r}] must be finite and >= 0, got {v}")
         if self.align_view_mode not in ("assigned", "g3"):
             raise GraspError("CONFIG", f"unknown align_view_mode {self.align_view_mode!r}")
 
@@ -84,20 +74,19 @@ class LossConfig:
 
     def to_json_dict(self) -> dict:
         d = fields_to_json(self)
-        d["loss_weights"] = {key: d.pop(name) for key, name in _WEIGHT_FIELDS.items()}
         d["retention_weights"] = {str(k): v for k, v in self.retention_weights.items()}
         return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LossConfig":
-        """Settings from JSON, with the weights read from ``loss_weights`` only; a key that is left out, or an
-        empty ``margins`` or ``tolerances`` object, takes the default."""
-        kept = {k: v for k, v in d.items() if k not in _WEIGHT_FIELDS.values()}
+        """Settings from JSON; a key, or a ``loss_weights`` term, that is left out, or an empty ``margins`` or
+        ``tolerances`` object, takes the default.  A ``loss_weights`` key that names no term is ignored."""
+        given = d.get("loss_weights", {})
+        kept = {**d, "loss_weights": {t: given.get(t, w) for t, w in DEFAULT_WEIGHTS.items()}}
         for name in ("margins", "tolerances"):
             if kept.get(name) == {}:
                 del kept[name]
-        weights = {_WEIGHT_FIELDS[k]: w for k, w in d.get("loss_weights", {}).items() if k in _WEIGHT_FIELDS}
-        return fields_from_json(cls, {**kept, **weights})
+        return fields_from_json(cls, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +376,12 @@ def total_loss_and_gradient(
     config: LossConfig,
     contract: InterfaceContract,
     enabled_types=None,
-    terms=None,
     workspace: StepWorkspace | None = None,
 ):
     """Weighted objective value plus exact gradients.
 
     ``enabled_types`` gates which negative types feed rank/invariance
-    (curriculum); ``terms`` restricts to a subset of TERM_NAMES.  The step
+    (curriculum); a term whose weight is 0 is not computed.  The step
     runs prefix by prefix: every align, retention, rank and invariance term
     that reads k runs, then each row set's summed unit gradient at k is
     back-propagated once.  Each term value still sums in term-major order.
@@ -401,7 +389,6 @@ def total_loss_and_gradient(
     to every step, and without one the step builds its own.  Returns
     (total, Grads, per-term values).
     """
-    active = set(TERM_NAMES if terms is None else terms)
     types = tuple(NEGATIVE_TYPES if enabled_types is None else enabled_types)
     taus = _temps(contract, log_temps)
     if not set(config.retention_weights) <= set(contract.prefixes):
@@ -413,9 +400,10 @@ def total_loss_and_gradient(
     d_log_temps = np.zeros(len(contract.prefixes))
     tau_slot = {k: i for i, k in enumerate(contract.prefixes)}
     values = {t: 0.0 for t in TERM_NAMES}
+    w = config.loss_weights
 
-    if "pres" in active and config.lambda_pres > 0.0 and not state.orthogonal:
-        values["pres"] = _preservation_into(sets, config.lambda_pres)
+    if w["pres"] > 0.0 and not state.orthogonal:
+        values["pres"] = _preservation_into(sets, w["pres"])
 
     def infonce_into(k: int, level: str, weight: float) -> float:
         view = f"view:{level}"
@@ -441,46 +429,35 @@ def total_loss_and_gradient(
         sets.backprop_negative_grad(negative, k, np.negative(d_other, out=d_other))  # no other term reads it at k
         return value
 
-    align = "align" in active and config.align_weight > 0.0
-    ret = "ret" in active and config.lambda_ret > 0.0
-    rank = "rank" in active and config.lambda_rank > 0.0
-    inv = "inv" in active and config.lambda_inv > 0.0
     hinges = {}  # (term, type, k) -> value, summed type-major below
     for k in contract.prefixes:
-        if align:
+        if w["align"] > 0.0:
             level = "G3" if config.align_view_mode == "g3" else contract.view_of[k]
-            values["align"] += infonce_into(k, level, config.align_weight)
-        if ret:
+            values["align"] += infonce_into(k, level, w["align"])
+        if w["ret"] > 0.0:
             # ascending (prefix, level) order: a config read back from JSON sums and trains bit-identically
             for level, alpha in sorted(config.retention_weights.get(k, {}).items()):
                 if alpha > 0.0:
-                    values["ret"] += alpha * infonce_into(k, level, config.lambda_ret * alpha)
+                    values["ret"] += alpha * infonce_into(k, level, w["ret"] * alpha)
         for r in types:
-            if rank and k >= contract.kappa[r]:
-                hinges["rank", r, k] = hinge_pair(r, k, config.margins[r], config.lambda_rank, invariance=False)
-            if inv and k < contract.kappa[r]:
-                hinges["inv", r, k] = hinge_pair(r, k, config.tolerances[r], config.lambda_inv, invariance=True)
+            if w["rank"] > 0.0 and k >= contract.kappa[r]:
+                hinges["rank", r, k] = hinge_pair(r, k, config.margins[r], w["rank"], invariance=False)
+            if w["inv"] > 0.0 and k < contract.kappa[r]:
+                hinges["inv", r, k] = hinge_pair(r, k, config.tolerances[r], w["inv"], invariance=True)
         sets.end_prefix(k)
     for term, prefixes_of in (("rank", contract.rank_prefixes), ("inv", contract.invariance_prefixes)):
         for r in types:  # type-major, the order of a step that ran each term whole
             for k in prefixes_of(r):
                 values[term] += hinges.get((term, r, k), 0.0)
 
-    if "ortho" in active and config.lambda_ortho > 0.0 and not state.orthogonal and state.matrix is not None:
-        w = state.matrix
-        d = w.shape[0]
-        o = w.T @ w - np.eye(d)
+    if w["ortho"] > 0.0 and not state.orthogonal and state.matrix is not None:
+        m = state.matrix
+        d = m.shape[0]
+        o = m.T @ m - np.eye(d)
         values["ortho"] = float((o * o).sum() / (d * d))
-        state.add_matrix_grad(config.lambda_ortho * (4.0 / (d * d)) * (w @ o))
+        state.add_matrix_grad(w["ortho"] * (4.0 / (d * d)) * (m @ o))
 
-    total = (
-        config.align_weight * values["align"]
-        + config.lambda_ret * values["ret"]
-        + config.lambda_rank * values["rank"]
-        + config.lambda_inv * values["inv"]
-        + config.lambda_pres * values["pres"]
-        + config.lambda_ortho * values["ortho"]
-    )
+    total = sum(w[t] * values[t] for t in TERM_NAMES)
     if not np.isfinite(total):
         raise GraspError("NONFINITE_LOSS", f"objective evaluated to {total}")
 
@@ -539,7 +516,6 @@ def finite_difference_check(
     contract: InterfaceContract,
     step: float = 1e-5,
     enabled_types=None,
-    terms=None,
     max_coords: int | None = None,
     seed: int = 0,
 ) -> float:
@@ -549,13 +525,13 @@ def finite_difference_check(
     explicit cap); otherwise a seeded random subset of ``max_coords``
     coordinates (64 when no cap is given) is used.
     """
-    _, grads, _ = total_loss_and_gradient(model, params, log_temps, batch, config, contract, enabled_types, terms)
+    _, grads, _ = total_loss_and_gradient(model, params, log_temps, batch, config, contract, enabled_types)
     analytic = flatten_state(model, grads.params, grads.log_temps)
     x0 = flatten_state(model, params, log_temps)
 
     def fn(vec):
         p, lt = unflatten_state(model, vec)
-        value, _, _ = total_loss_and_gradient(model, p, lt, batch, config, contract, enabled_types, terms)
+        value, _, _ = total_loss_and_gradient(model, p, lt, batch, config, contract, enabled_types)
         return value
 
     coords = None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,11 @@ def traced_peak(fn, *args) -> int:
     finally:
         tracemalloc.stop()
     return peak
+
+
+def only(config: LossConfig, *terms: str) -> LossConfig:
+    """``config`` with the weight of every term outside ``terms`` at 0."""
+    return replace(config, loss_weights={t: w if t in terms else 0.0 for t, w in config.loss_weights.items()})
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -388,6 +388,54 @@ class TestTrainConfigFile:
         assert not out.exists()
 
 
+class TestLossSettings:
+    """The ``loss`` object of a ``train --config`` file: its weights are keyed by term name, and every number in it
+    is finite and >= 0."""
+
+    def test_default_loss_weights_are_pinned(self, trained_dir):
+        loss = json.loads((trained_dir / "train_config.json").read_text())["loss"]
+        assert loss["loss_weights"] == {"align": 1.0, "ret": 0.5, "rank": 1.0, "inv": 0.5, "pres": 10.0, "ortho": 1.0}
+
+    @staticmethod
+    def train_with(synth_dir, trained_dir, tmp_path, table, key, value):
+        """``train --config`` with the loss number ``table[key]`` set to the JSON text ``value``."""
+        config = json.loads((trained_dir / "train_config.json").read_text())
+        numbers = config["loss"][table]
+        for part in key[:-1]:
+            numbers = numbers[part]
+        numbers[key[-1]] = "@value@"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace('"@value@"', value))
+        return main(["train", "--cache", str(synth_dir / "cache" / "manifest.json"), "--config", str(path),
+                     "--epochs", "1", "--warmup-epochs", "0", "--curriculum", "none", "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize(
+        "table,key,value",
+        [
+            ("margins", ("object",), "NaN"),
+            ("margins", ("object",), "1e999"),
+            ("retention_weights", ("8", "G0"), "-0.5"),
+            ("retention_weights", ("8", "G0"), "NaN"),
+            ("tolerances", ("full",), "-1"),
+        ],
+        ids=["nan_margin", "overflowing_margin", "negative_retention_weight", "nan_retention_weight",
+             "negative_tolerance"],
+    )
+    def test_a_number_that_is_not_finite_and_nonnegative_is_a_config_error(
+        self, synth_dir, trained_dir, tmp_path, capsys, table, key, value
+    ):
+        # a NaN or overflowing margin ended the run with NONFINITE_LOSS (exit 4); the others trained with exit 0
+        assert self.train_with(synth_dir, trained_dir, tmp_path, table, key, value) == 3
+        assert one_error_line(capsys, "CONFIG")["code"] == "CONFIG"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["true", '"0.5"'], ids=["bool", "string"])
+    def test_a_weight_that_is_not_a_json_number_is_a_config_error(self, synth_dir, trained_dir, tmp_path, capsys, value):
+        assert self.train_with(synth_dir, trained_dir, tmp_path, "loss_weights", ("ret",), value) == 3
+        assert one_error_line(capsys, "CONFIG")["code"] == "CONFIG"
+        assert not (tmp_path / "o").exists()
+
+
 class TestThreePrefixContract:
     def test_report_leaves_the_views_without_an_assigned_prefix_empty(self, synth_dir, trained_dir, tmp_path):
         # view_of {8: G0, 16: G1, 32: G3}: no prefix is assigned G2, and G3 only at the full prefix
@@ -608,8 +656,9 @@ class TestGradcheck:
 
         check = cli.finite_difference_check
 
-        def nan_for_the_full_objective(*args, terms=None, **kwargs):
-            return math.nan if terms is None else check(*args, terms=terms, **kwargs)
+        def nan_for_the_full_objective(model, params, log_temps, batch, config, *args, **kwargs):
+            full = all(w > 0.0 for w in config.loss_weights.values())
+            return math.nan if full else check(model, params, log_temps, batch, config, *args, **kwargs)
 
         monkeypatch.setattr(cli, "finite_difference_check", nan_for_the_full_objective)
         argv = ["gradcheck", "--dim", "8", "--seed", "1", "--out", str(tmp_path / "gc")]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from grasp_vl import harness as H
+from grasp_vl import objective as O
 from grasp_vl import transforms as T
 from grasp_vl.datastore import generate_synthetic
 from grasp_vl.errors import GraspError
@@ -134,6 +135,42 @@ class TestMethodComparison:
         frozen = {r.method: r for r in comparison.rows}["frozen_full"]
         grasp_rep = comparison.reports["grasp_dense"]
         assert grasp_rep.retrieval[(32, "G3")] == frozen.cap_r1
+
+
+class TestTrainedBaselineSettings:
+    DEFAULT_WEIGHTS = {"align": 1.0, "ret": 0.5, "rank": 1.0, "inv": 0.5, "pres": 10.0, "ortho": 1.0}
+
+    @pytest.mark.parametrize(
+        "method,align_view_mode,zeroed",
+        [
+            ("mrl_style", "g3", ("ret", "rank", "inv")),
+            ("matryoshka_adaptor", "g3", ("ret", "rank", "inv")),
+            ("smec_style", "assigned", ("rank", "inv")),
+            ("mlp_adapter", "assigned", ()),
+            ("learned_permutation", "assigned", ()),
+            ("learned_signed_permutation", "assigned", ()),
+            ("grasp_dense", "assigned", ()),
+            ("grasp_butterfly", "assigned", ()),
+        ],
+    )
+    def test_each_trained_method_runs_with_its_loss_settings(
+        self, monkeypatch, small_cache, ladder32, method, align_view_mode, zeroed
+    ):
+        seen = []
+
+        def spy(cfg, cache):
+            seen.append(cfg.loss)
+            return "checkpoint", []
+
+        monkeypatch.setattr(H, "train", spy)
+        assert H._train_method(small_cache, small_grid(ladder32), method) == "checkpoint"
+        (loss,) = seen
+        assert loss.align_view_mode == align_view_mode
+        assert loss.loss_weights == {t: 0.0 if t in zeroed else w for t, w in self.DEFAULT_WEIGHTS.items()}
+        # margins, tolerances and retention weights are the defaults
+        assert replace(loss, align_view_mode="assigned", loss_weights=self.DEFAULT_WEIGHTS) == O.LossConfig.default(
+            ladder32
+        )
 
 
 class TestFullGrid:

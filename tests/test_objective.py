@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from grasp_vl import objective as O
 from grasp_vl import transforms as T
 from grasp_vl.errors import GraspError
 
-from conftest import traced_peak, unit_rows
+from conftest import only, traced_peak, unit_rows
 
 
 def make_batch(rng, n, d):
@@ -41,9 +43,9 @@ def term_value(term, batch, contract, log_temps=None, enabled_types=None, **loss
     params = {"b": np.zeros((batch.dim, batch.dim))}
     if log_temps is None:
         log_temps = np.zeros(len(contract.prefixes))
-    config = O.LossConfig.default(contract, **loss_fields)
+    config = only(O.LossConfig.default(contract, **loss_fields), term)
     _, _, values = O.total_loss_and_gradient(
-        model, params, log_temps, batch, config, contract, enabled_types, terms=(term,)
+        model, params, log_temps, batch, config, contract, enabled_types
     )
     return values[term]
 
@@ -57,8 +59,8 @@ def preservation_value(model, params, images, texts):
         views={g: texts for g in T.VIEW_LEVELS},
         negatives={r: texts for r in T.NEGATIVE_TYPES},
     )
-    config = O.LossConfig.default(contract)
-    _, _, values = O.total_loss_and_gradient(model, params, np.zeros(1), batch, config, contract, terms=("pres",))
+    config = only(O.LossConfig.default(contract), "pres")
+    _, _, values = O.total_loss_and_gradient(model, params, np.zeros(1), batch, config, contract)
     return values["pres"]
 
 
@@ -318,15 +320,7 @@ class TestPreservationAgainstCosineMatrices:
 
 class TestTotalLossAndGradient:
     def test_all_weights_zero_gives_zero(self, tiny_contract, tiny_batch):
-        config = O.LossConfig.default(
-            tiny_contract,
-            align_weight=0.0,
-            lambda_ret=0.0,
-            lambda_rank=0.0,
-            lambda_inv=0.0,
-            lambda_pres=0.0,
-            lambda_ortho=0.0,
-        )
+        config = O.LossConfig.default(tiny_contract, loss_weights=dict.fromkeys(O.TERM_NAMES, 0.0))
         model = T.make_model(T.TransformSpec("dense_cayley", 8))
         params = model.init_params(np.random.default_rng(0))
         total, grads, values = O.total_loss_and_gradient(
@@ -339,11 +333,10 @@ class TestTotalLossAndGradient:
     @pytest.mark.parametrize("term", O.TERM_NAMES)
     def test_a_term_whose_weight_is_zero_reads_zero(self, term, tiny_contract, tiny_batch):
         # low_rank's step state is not orthogonal, so the preservation and orthogonality terms run as well
-        weight_field = {"align": "align_weight", **{t: f"lambda_{t}" for t in O.TERM_NAMES if t != "align"}}[term]
         model = T.make_model(T.TransformSpec("low_rank", 8, rank=4))
         params = model.init_params(np.random.default_rng(0))
         for weight, reads_zero in ((1.0, False), (0.0, True)):
-            config = O.LossConfig.default(tiny_contract, **{weight_field: weight})
+            config = O.LossConfig.default(tiny_contract, loss_weights={**O.DEFAULT_WEIGHTS, term: weight})
             _, _, values = O.total_loss_and_gradient(model, params, np.zeros(4), tiny_batch, config, tiny_contract)
             assert (values[term] == 0.0) == reads_zero
 
@@ -374,31 +367,20 @@ class TestTotalLossAndGradient:
         contract = T.InterfaceContract(
             prefixes=(8,), view_of={8: "G3"}, kappa={r: 8 for r in T.NEGATIVE_TYPES}
         )
-        config = O.LossConfig.default(
-            contract, lambda_ret=0.0, lambda_rank=0.0, lambda_inv=0.0, lambda_pres=0.0, lambda_ortho=0.0
-        )
+        config = only(O.LossConfig.default(contract), "align")
         model = T.make_model(T.TransformSpec("dense_cayley", 8))
         params = model.init_params(np.random.default_rng(2))
-        _, grads, _ = O.total_loss_and_gradient(
-            model, params, np.zeros(1), tiny_batch, config, contract, terms=("align",)
-        )
+        _, grads, _ = O.total_loss_and_gradient(model, params, np.zeros(1), tiny_batch, config, contract)
         assert np.abs(grads.params["b"]).max() <= 1e-8
 
     def test_doubling_temperatures_keeps_rank_and_invariance(self, tiny_contract, tiny_batch, tiny_loss_config):
         model = T.make_model(T.TransformSpec("dense_cayley", 8))
         params = model.init_params(np.random.default_rng(3))
-        for terms in (("rank",), ("inv",)):
-            a, _, _ = O.total_loss_and_gradient(
-                model, params, np.zeros(4), tiny_batch, tiny_loss_config, tiny_contract, terms=terms
-            )
+        for term in ("rank", "inv"):
+            config = only(tiny_loss_config, term)
+            a, _, _ = O.total_loss_and_gradient(model, params, np.zeros(4), tiny_batch, config, tiny_contract)
             b, _, _ = O.total_loss_and_gradient(
-                model,
-                params,
-                np.zeros(4) + math.log(2.0),
-                tiny_batch,
-                tiny_loss_config,
-                tiny_contract,
-                terms=terms,
+                model, params, np.zeros(4) + math.log(2.0), tiny_batch, config, tiny_contract
             )
             assert a == pytest.approx(b, abs=1e-14)
 
@@ -642,12 +624,12 @@ def assert_same_step(got, want):
 class TestPrefixMajorStep:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_full_step_is_the_sum_of_its_single_term_steps(self, variant):
-        args = default_ladder_step(variant, 16, dim=16)
+        model, params, log_temps, batch, config, contract = args = default_ladder_step(variant, 16, dim=16)
         total, grads, values = O.total_loss_and_gradient(*args)
         summed = {name: np.zeros_like(g) for name, g in grads.params.items()}
         summed_temps = np.zeros_like(grads.log_temps)
         for term in O.TERM_NAMES:
-            _, g, v = O.total_loss_and_gradient(*args, terms=(term,))
+            _, g, v = O.total_loss_and_gradient(model, params, log_temps, batch, only(config, term), contract)
             assert v[term] == values[term]
             assert all(v[t] == 0.0 for t in O.TERM_NAMES if t != term)
             for name in summed:
@@ -760,10 +742,9 @@ class TestFiniteDifferences:
             params,
             np.log(tau) * np.ones(4),
             batch,
-            O.LossConfig.default(tiny_contract),
+            only(O.LossConfig.default(tiny_contract), "align"),
             tiny_contract,
             step=1e-5,
-            terms=("align",),
         )
         assert err <= 1e-4
 
@@ -829,3 +810,44 @@ class TestFiniteDifferences:
         assert coords is None
         _, coords = self.checked_coords(monkeypatch, 4, max_coords=size - 1)
         assert len(coords) == size - 1
+
+
+class TestLossConfigJson:
+    """The ``loss`` JSON object: ``loss_weights`` is keyed by term name, and a term it leaves out takes its default."""
+
+    def test_a_partial_loss_weights_object_takes_the_defaults_for_the_rest(self):
+        config = O.LossConfig.from_json_dict({"loss_weights": {"ret": 2.0}})
+        assert config.loss_weights == {"align": 1.0, "ret": 2.0, "rank": 1.0, "inv": 0.5, "pres": 10.0, "ortho": 1.0}
+
+    def test_a_key_that_names_no_term_is_ignored(self):
+        config = O.LossConfig.from_json_dict({"loss_weights": {"ret": 2.0, "lambda_ret": 7.0, "bogus": 3.0}})
+        assert config == O.LossConfig.from_json_dict({"loss_weights": {"ret": 2.0}})
+
+    @pytest.mark.parametrize("weight", [True, "0.5"], ids=["bool", "string"])
+    def test_a_weight_that_is_not_a_json_number_is_a_type_error(self, weight):
+        with pytest.raises(TypeError):
+            O.LossConfig.from_json_dict({"loss_weights": {"ret": weight}})
+
+    def test_to_json_dict_round_trips(self, tiny_contract):
+        config = O.LossConfig.default(
+            tiny_contract,
+            loss_weights={"align": 2.0, "ret": 0.0, "rank": 0.25, "inv": 3.0, "pres": 0.5, "ortho": 0.0},
+            margins={r: 0.2 for r in T.NEGATIVE_TYPES},
+            align_view_mode="g3",
+        )
+        assert O.LossConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict()))) == config
+
+    def test_weights_must_name_every_term(self):
+        with pytest.raises(GraspError) as e:
+            O.LossConfig(loss_weights={"align": 1.0})
+        assert e.value.code == "CONFIG"
+
+    @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("table", ["loss_weights", "margins", "tolerances", "retention_weights"])
+    def test_every_number_is_finite_and_nonnegative(self, tiny_contract, table, value):
+        config = O.LossConfig.default(tiny_contract)
+        numbers = config.retention_weights[8] if table == "retention_weights" else getattr(config, table)
+        numbers[next(iter(numbers))] = value
+        with pytest.raises(GraspError) as e:
+            replace(config)
+        assert e.value.code == "CONFIG"
