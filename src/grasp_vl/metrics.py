@@ -7,7 +7,7 @@ misses so that degenerate collapses are never credited.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -397,6 +397,14 @@ def full_drift(rows: np.ndarray, transform, renormalize: bool = True) -> float:
     With ``renormalize`` the transformed rows are re-unitized first, so the
     value measures cosine drift; without it the raw inner products are
     compared.
+
+    Each row strip is multiplied only by the rows from the multiple of 16 at or
+    below its first row on, so each pair is computed once, by the strip of its
+    earlier row.  Its columns keep their place in the 16-column unroll, so each
+    cell has the bits of a full-width strip's; the maximum is then the full
+    strips' wherever a pair's two orders round alike (README, "Score tiles and
+    BLAS rounding").  A strip holds its rows' diagonal cells, so a NaN row
+    still gives a NaN drift.
     """
     e = np.asarray(rows, dtype=np.float64)
     e = e / np.linalg.norm(e, axis=1, keepdims=True)
@@ -411,9 +419,11 @@ def full_drift(rows: np.ndarray, transform, renormalize: bool = True) -> float:
     z_buf, e_buf = np.empty(longest * n), np.empty(longest * n)
     worst = np.empty(len(spans))
     for i, (a, b) in enumerate(spans):
+        c0 = a - a % _COL_ALIGN
+        w = n - c0
         # both pair strips are written into reused buffers; the difference and its abs are taken in place
-        diff = np.matmul(z[a:b], z.T, out=z_buf[: (b - a) * n].reshape(b - a, n))
-        diff -= np.matmul(e[a:b], e.T, out=e_buf[: (b - a) * n].reshape(b - a, n))
+        diff = np.matmul(z[a:b], z[c0:].T, out=z_buf[: (b - a) * w].reshape(b - a, w))
+        diff -= np.matmul(e[a:b], e[c0:].T, out=e_buf[: (b - a) * w].reshape(b - a, w))
         worst[i] = np.abs(diff, out=diff).max()
     # the maximum over the strips; np.max keeps a NaN that Python's max() may drop
     return float(worst.max())
@@ -430,9 +440,12 @@ class RankStats:
     median_rank: float
     r_at_1: float
     same_label_r_at_1: float
+    # whether each query's positive is the strict unique top of its row (False where the pool lacks it): the
+    # hits ``recall_at_1`` finds on the same pool and prefix; not part of the JSON
+    top1_hits: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "top1_hits"}
 
 
 def rank_stats(
@@ -454,24 +467,25 @@ def rank_stats(
     and as in ``_tiles`` no product has one row.  The unique top is read from
     the strip's scores.  Each row's label positions and its positive's rank
     come from one sort of the row with its label's scores
-    (``_label_positions``): the positive carries its query's label.
+    (``_label_positions``): the positive carries its query's label.  The
+    pool's rows come from ``_pool_rows``, so a pool that the R@1 cells keyed is
+    not keyed again.
     """
     if len(query_ids) == 0:
         raise GraspError("EMPTY_POOL", "no queries")
-    for cid in pool.candidate_ids:
-        if cid not in labels:
-            raise GraspError("MISSING_LABELS", f"candidate {cid!r} has no label")
-    for qid in query_ids:
-        if qid not in labels:
-            raise GraspError("MISSING_LABELS", f"query {qid!r} has no label")
+    codes: dict[str, int] = {}
+    label_codes = []
+    for role, ids in (("candidate", pool.candidate_ids), ("query", query_ids)):
+        for id_ in ids:
+            if id_ not in labels:
+                raise GraspError("MISSING_LABELS", f"{role} {id_!r} has no label")
+            label_codes.append(codes.setdefault(labels[id_], len(codes)))
+    cand_codes, q_codes = np.split(np.array(label_codes, dtype=np.intp), [len(pool.candidate_ids)])
     q_idx = cache.indices_of(query_ids)
-    c_idx = cache.indices_of(pool.candidate_ids)
+    c_idx = _pool_rows(cache, pool)[0]
     positives = _pool_columns(cache, q_idx, c_idx)
     if not np.any(positives >= 0):
         raise GraspError("POSITIVE_NOT_IN_POOL", "no query has its positive in the pool")
-    codes: dict[str, int] = {}
-    cand_codes = np.array([codes.setdefault(labels[cid], len(codes)) for cid in pool.candidate_ids], dtype=np.intp)
-    q_codes = np.array([codes.setdefault(labels[qid], len(codes)) for qid in query_ids], dtype=np.intp)
     # the candidates labelled c are by_code[bounds[c]:bounds[c + 1]], in candidate order
     by_code = np.argsort(cand_codes, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(cand_codes, minlength=len(codes)))))
@@ -481,6 +495,7 @@ def rank_stats(
     aps = np.zeros(len(query_ids))
     ranks = np.zeros(len(query_ids), dtype=np.intp)
     label_hits = np.zeros(len(query_ids), dtype=bool)
+    top1_hits = np.zeros(len(query_ids), dtype=bool)
     # the query rows grouped by label, each label's rows in query order; a strip may run across labels
     grouped = np.argsort(q_codes, kind="stable")
     zqt = _side(transform, cache.images, q_idx[grouped], k)
@@ -495,6 +510,7 @@ def rank_stats(
         own = s[np.arange(len(rows)), np.maximum(positives[rows], 0)]
         best, unique = _unique_top(s)
         label_hits[rows] = unique & (cand_codes[best] == q_codes[rows])
+        top1_hits[rows] = unique & (best == positives[rows])
         cuts = np.flatnonzero(np.diff(q_codes[rows])) + 1
         for r0, r1 in zip([0, *cuts], [*cuts, len(rows)]):
             c = q_codes[rows[r0]]
@@ -512,6 +528,7 @@ def rank_stats(
         median_rank=float(np.median(ranks)),
         r_at_1=float(100.0 * np.mean(ranks == 1)),
         same_label_r_at_1=float(100.0 * np.mean(label_hits)),
+        top1_hits=top1_hits,
     )
 
 
@@ -656,10 +673,25 @@ def diagnostic_report(
     # view by view, each view's pool dropped before the next is built, so that one pool's keyed rows are alive
     # at a time; the cells are then listed prefix-major
     cells = {}
+    # with labels, rank statistics run on the G3 pool at the second-last prefix and serve that R@1 cell: every
+    # query's positive is in it, since G0's pool holds the same ids and its cells passed
+    rank_cell = (contract.prefixes[-2], "G3") if labels is not None and len(contract.prefixes) > 1 else None
+    rank = rank_error = None
     for g in VIEW_LEVELS:
         pool = build_pool(cache, pool_mode, g)
         pool_size = len(pool.candidate_ids)
-        for k in contract.prefixes:
+        # the rank cell last: run before the last prefix's cell, its freed strip buffers stayed resident under that
+        # cell's larger candidate side and raised gallery_eval's peak RSS by 2 MiB
+        for k in sorted(contract.prefixes, key=lambda k: (k, g) == rank_cell):
+            if (k, g) == rank_cell:
+                try:
+                    rank = rank_stats(cache, transform, pool, k, query_ids, labels)
+                    cells[(k, g)] = float(100.0 * rank.top1_hits.mean())
+                    continue
+                except GraspError as err:
+                    # the cell falls back to recall_at_1, and the error waits for where the report states rank
+                    # statistics, so that the errors of the steps before it come first
+                    rank_error = err
             cells[(k, g)] = recall_at_1(cache, transform, pool, k, query_ids)
         del pool
     retrieval = {(k, g): cells[(k, g)] for k in contract.prefixes for g in VIEW_LEVELS}
@@ -674,10 +706,8 @@ def diagnostic_report(
     drift = full_drift(rows, transform, renormalize=True)
     drift_raw = full_drift(rows, transform, renormalize=False)
 
-    rank = None
-    if labels is not None:
-        pool = build_pool(cache, pool_mode, "G3")  # a pool of its own: the G3 cells' keyed rows are gone
-        rank = rank_stats(cache, transform, pool, contract.prefixes[-2], query_ids, labels)
+    if rank_error is not None:
+        raise rank_error
 
     return DiagnosticReport(
         retrieval=retrieval,

@@ -393,6 +393,17 @@ class TestSynthetic:
             )
         assert e.value.code == "BLOCK_OVERFLOW"
 
+    def test_a_factor_block_must_start_inside_its_assigned_prefix(self):
+        # at D = 32 the attribute's prefix is 4: its block may start at 3, not at 4
+        def spec(object_size):
+            sizes = {"object": object_size, "attribute": 3, "relation": 8, "residual": 21 - object_size}
+            return D.SyntheticSpec(**{**SMALL_SPEC.to_json_dict(), "block_sizes": sizes, "n_examples": 40})
+
+        assert D.generate_synthetic(spec(3)).cache.n == 40
+        with pytest.raises(GraspError) as e:
+            D.generate_synthetic(spec(4))
+        assert (e.value.code, e.value.message) == ("BLOCK_OVERFLOW", "attribute block starts at 4, past its assigned prefix 4")
+
     def test_noise_free_oracle_is_perfect(self):
         spec = D.SyntheticSpec(
             dim=32,
@@ -437,6 +448,20 @@ class TestSynthetic:
         )
         cache_bytes = 11 * spec.n_examples * spec.dim * 4
         assert traced_peak(D.generate_synthetic, spec) < 2.5 * cache_bytes
+
+    def test_in_memory_blocks_are_mixed_straight_into_the_array(self):
+        # each block is mixed into its rows of the (11, N, D) array, with no block buffer to copy from: 1.56x the
+        # cache's float32 bytes at N = 4,000, against 2.06x when every block was copied out of a reused buffer
+        spec = D.SyntheticSpec(
+            dim=64,
+            block_sizes={"object": 4, "attribute": 8, "relation": 16, "residual": 36},
+            cardinalities={"object": 8, "attribute": 8, "relation": 8},
+            noise_std=0.05,
+            n_examples=4000,
+            seed=0,
+        )
+        cache_bytes = 11 * spec.n_examples * spec.dim * 4
+        assert traced_peak(D.generate_synthetic, spec) < 1.6 * cache_bytes
 
     def test_unit_norm_rows(self, small_cache):
         for name, rows in small_cache.matrices():

@@ -371,6 +371,60 @@ class TestDrift:
         rows[700] = np.nan
         assert np.isnan(M.full_drift(rows, T.random_orthogonal(64, np.random.default_rng(5))))
 
+    @staticmethod
+    def _full_strip_drift(rows, transform, renormalize):
+        """Drift from full-width strips, each pair computed twice, once from each of its rows."""
+        e = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        z = transform.apply(rows)
+        if renormalize:
+            z = z / np.linalg.norm(z, axis=1, keepdims=True)
+        n = len(rows)
+        return float(np.max([np.abs(z[a:b] @ z.T - e[a:b] @ e.T).max() for a, b in D.block_spans(n, 8 * n)]))
+
+    def test_each_pair_once_equals_the_full_strips(self):
+        # every row count up to 512 (one strip up to 362 rows, two after) and 1000, the rows of a report; a
+        # pair's two orders had equal bits there, so the maximum over each pair once is the full strips' maximum
+        rng = np.random.default_rng(8)
+        rows = unit_rows(rng, 1000, 64)
+        rot = T.random_orthogonal(64, rng)
+        perturbed = T.LinearTransform(rot.matrix + 0.01 * rng.standard_normal((64, 64)), "linear", orthogonal=False)
+        assert len(D.block_spans(512, 8 * 512)) == 2 and len(D.block_spans(1000, 8 * 1000)) == 8
+        for n in [*range(2, 513), 1000]:
+            for transform in (rot, perturbed):
+                for renormalize in (True, False):
+                    want = self._full_strip_drift(rows[:n], transform, renormalize)
+                    assert M.full_drift(rows[:n], transform, renormalize) == want, (n, renormalize)
+
+    @pytest.mark.parametrize("row", [0, 15, 16, 500, 999])
+    def test_a_nan_row_in_any_strip_gives_nan_drift(self, row):
+        # the row's diagonal cell is in its own strip; a zero row is NaN on the untransformed side only
+        rows = unit_rows(np.random.default_rng(9), 1000, 64)
+        rot = T.random_orthogonal(64, np.random.default_rng(10))
+        for bad in (np.nan, 0.0):
+            rows_bad = rows.copy()
+            rows_bad[row] = bad
+            for renormalize in (True, False):
+                with np.errstate(invalid="ignore"):  # a zero row's norm divides it
+                    assert np.isnan(M.full_drift(rows_bad, rot, renormalize))
+
+    def test_each_strip_multiplies_the_rows_from_its_aligned_first_row_on(self, monkeypatch):
+        widths = []
+        matmul = np.matmul
+
+        def spy(a, b, out=None):
+            widths.append((a.shape[0], b.shape[1]))
+            return matmul(a, b, out=out)
+
+        rows = unit_rows(np.random.default_rng(11), 1000, 64)
+        rot = T.random_orthogonal(64, np.random.default_rng(12))
+        monkeypatch.setattr(M.np, "matmul", spy)
+        M.full_drift(rows, rot)
+        monkeypatch.undo()
+        starts = [a for a, _ in D.block_spans(1000, 8 * 1000)]
+        assert widths == [(125, 1000 - (a - a % 16)) for a in starts for _ in range(2)]
+        # each unordered pair once, plus the pairs inside each strip's first 16-column block: 57% of 1000 x 1000
+        assert sum(r * w for r, w in widths[::2]) == 570_000
+
     def test_memory_is_bounded_by_the_strip(self):
         # the pair matrices are built in row strips of about 1 MiB; whole 1000 x 1000 matrices peaked at 16.2 MiB
         rows = unit_rows(np.random.default_rng(6), 1000, 64)
@@ -455,6 +509,17 @@ class TestRankStats:
         with pytest.raises(GraspError) as e:
             M.rank_stats(cache, T.identity_transform(3), pool, 3, ["q0"], labels)
         assert e.value.code == "MISSING_LABELS"
+
+    def test_missing_labels_names_the_first_candidate_then_the_first_query(self):
+        cache, labels = self._pool_cache()
+        pool = D.build_pool(cache, "custom", "G3", ("q0", "c2", "c1"))
+        # c3 and c4 are queries whose positives are not in the pool
+        for missing, named in [(("c1", "c2", "c4"), "candidate 'c2'"), (("c4", "c3"), "query 'c3'")]:
+            with pytest.raises(GraspError) as e:
+                M.rank_stats(cache, T.identity_transform(3), pool, 3, ["q0", "c3", "c4"], {
+                    i: v for i, v in labels.items() if i not in missing
+                })
+            assert (e.value.code, e.value.message) == ("MISSING_LABELS", f"{named} has no label")
 
 
 class TestNoQueries:
@@ -1536,3 +1601,130 @@ class TestDiagnosticReport:
                 pool_size=rep.pool_size,
                 n_queries=rep.n_queries,
             )
+
+
+class _NanRows:
+    """A rotation that maps each of the float32 rows ``marked`` to NaN, wherever it meets them."""
+
+    def __init__(self, rotation, marked):
+        self.rotation, self.marked = rotation, np.asarray(marked, dtype=np.float32)
+
+    def apply(self, rows):
+        out = self.rotation.apply(rows)
+        x = np.asarray(rows, dtype=np.float32)
+        out[(x[:, None, :] == self.marked[None]).all(axis=2).any(axis=1)] = np.nan
+        return out
+
+
+def _twin_heavy_corpus(n=300, dim=16, seed=0):
+    """A test-split cache whose texts come in byte-identical triples but for every fourth triple, with labels."""
+    rng = np.random.default_rng(seed)
+    texts = unit_rows(rng, n, dim).astype(np.float32)
+    for i in range(0, n - 2, 3):
+        if i % 12:
+            texts[i + 1] = texts[i + 2] = texts[i]
+    images = texts + 0.3 * unit_rows(rng, n, dim)
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    cache = tiny_cache(images, texts, ids=[f"c{i:03d}" for i in range(n)])
+    labels = {cid: f"L{rng.integers(5)}" for cid in cache.ids}
+    return cache, labels, T.InterfaceContract.default_ladder(dim)
+
+
+class TestLabelledReport:
+    """With labels, the rank pass on the G3 pool serves the (second-last prefix, G3) R@1 cell."""
+
+    @staticmethod
+    def _cells(cache, transform, contract, labels):
+        """The rank cell of a labelled report, of an unlabelled one, and of ``recall_at_1`` on a fresh pool."""
+        k = contract.prefixes[-2]
+        labelled = M.diagnostic_report(cache, transform, contract, labels=labels)
+        plain = M.diagnostic_report(cache, transform, contract)
+        fresh = M.recall_at_1(cache, transform, D.build_pool(cache, "full", "G3"), k, cache.split_ids("test"))
+        assert labelled.retrieval == plain.retrieval
+        return labelled.retrieval[(k, "G3")], plain.retrieval[(k, "G3")], fresh
+
+    @pytest.mark.parametrize("strip_rows", [None, 2])
+    def test_a_twin_heavy_pool(self, monkeypatch, strip_rows):
+        cache, labels, contract = _twin_heavy_corpus()
+        rot = T.random_orthogonal(contract.dim, 3)
+        if strip_rows:
+            pool = D.build_pool(cache, "full", "G3")
+            TestRankStrips._force_strip_rows(monkeypatch, strip_rows, pool, cache.split_ids("test"), labels)
+        labelled, plain, fresh = self._cells(cache, rot, contract, labels)
+        assert labelled == plain == fresh
+        assert 0.0 < fresh < 25.0  # only the untwinned fourth of the queries can hit, and some of them do
+
+    @pytest.mark.parametrize("strip_rows", [None, 2])
+    def test_a_transform_that_puts_nan_in_some_scores(self, monkeypatch, strip_rows):
+        # every score of a marked query is NaN, so it misses, though each one hits under the rotation alone
+        cache, labels, contract = _twin_heavy_corpus()
+        rot = T.random_orthogonal(contract.dim, 3)
+        ids, k = cache.split_ids("test"), contract.prefixes[-2]
+        pool = D.build_pool(cache, "full", "G3")
+        marked = [q for q in ids if M.recall_at_1(cache, rot, pool, k, [q]) == 100.0][::4]
+        transform = _NanRows(rot, cache.images[cache.indices_of(marked)])
+        if strip_rows:
+            TestRankStrips._force_strip_rows(monkeypatch, strip_rows, pool, ids, labels)
+        labelled, plain, fresh = self._cells(cache, transform, contract, labels)
+        assert labelled == plain == fresh
+        hits = round(fresh * len(ids) / 100.0)
+        assert hits > 0 and hits + len(marked) == round(M.recall_at_1(cache, rot, pool, k, ids) * len(ids) / 100.0)
+
+    def test_a_labelled_report_makes_19_recall_calls_and_keys_each_pool_once(self, small_synth, monkeypatch):
+        cache, contract = small_synth.cache, small_synth.contract
+        labels = {row.id: row.entity for row in small_synth.iter_rows()}
+        calls = {"recall_at_1": 0, "rank_stats": 0, "_distinct_rows": 0}
+        g3_cells = []
+        for name in calls:
+            fn = getattr(M, name)
+
+            def counted(*args, fn=fn, name=name):
+                calls[name] += 1
+                if name != "_distinct_rows" and args[2].view_level == "G3":
+                    g3_cells.append((name, args[3]))
+                return fn(*args)
+
+            monkeypatch.setattr(M, name, counted)
+        M.diagnostic_report(cache, small_synth.oracle, contract, labels=labels)
+        assert calls == {"recall_at_1": 19, "rank_stats": 1, "_distinct_rows": 4}
+        # the rank pass is the G3 view's last cell (memory: see diagnostic_report)
+        k = contract.prefixes
+        assert g3_cells == [("recall_at_1", j) for j in k[:-2] + k[-1:]] + [("rank_stats", k[-2])]
+        calls.update(dict.fromkeys(calls, 0))
+        M.diagnostic_report(cache, small_synth.oracle, contract)
+        assert calls == {"recall_at_1": 20, "rank_stats": 0, "_distinct_rows": 4}
+
+    def test_a_query_whose_positive_is_not_in_the_pool(self, small_synth):
+        cache, contract = small_synth.cache, small_synth.contract
+        labels = {row.id: row.entity for row in small_synth.iter_rows()}
+        first = cache.split_ids("train")[0]
+        for with_labels in (labels, None, {}):
+            with pytest.raises(GraspError) as e:
+                M.diagnostic_report(cache, small_synth.oracle, contract, "test_only", "train", with_labels)
+            assert e.value.code == "POSITIVE_NOT_IN_POOL"
+            assert e.value.message == f"query {first!r} has no positive in the pool"
+
+    def test_failing_reports_fail_with_the_code_of_the_first_failing_step(self, small_synth):
+        # the rank pass runs inside the R@1 grid, but its error is raised after the steps that came before rank
+        # statistics: the staircase, the emergence gaps and the drift
+        cache, oracle = small_synth.cache, small_synth.oracle
+        labels = {row.id: row.entity for row in small_synth.iter_rows()}
+        no_candidate_label = {i: v for i, v in labels.items() if i != cache.ids[0]}
+        every_kappa_first = T.InterfaceContract(
+            prefixes=(8, 32), view_of={8: "G0", 32: "G3"}, kappa=dict.fromkeys(T.NEGATIVE_TYPES, 8)
+        )
+        one_prefix = T.InterfaceContract(prefixes=(32,), view_of={32: "G3"}, kappa=dict.fromkeys(T.NEGATIVE_TYPES, 32))
+        cases = [
+            (small_synth.contract, no_candidate_label, "MISSING_LABELS", f"candidate {cache.ids[0]!r} has no label"),
+            (every_kappa_first, no_candidate_label, "NO_EARLIER_PREFIX", None),
+            (one_prefix, no_candidate_label, "MISSING_CELL", None),
+            (one_prefix, labels, "MISSING_CELL", None),
+        ]
+        for contract, with_labels, code, message in cases:
+            with pytest.raises(GraspError) as e:
+                M.diagnostic_report(cache, oracle, contract, labels=with_labels)
+            assert e.value.code == code
+            assert message is None or e.value.message == message
+        with pytest.raises(GraspError) as e:
+            M.diagnostic_report(cache, oracle, small_synth.contract, query_split="none", labels=no_candidate_label)
+        assert e.value.code == "EMPTY_POOL"
